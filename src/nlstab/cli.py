@@ -22,10 +22,10 @@ import sys
 
 import numpy as np
 
-from . import dynamics, functionals, profiles, shooting, spectra
-from .grid import GridSpec, save_binary, save_csv
+from . import dynamics, profiles, shooting, spectra
+from .grid import GridSpec, hydro_to_uv, save_binary, save_csv
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
-from .operators import assemble, coercivity_constant, random_smooth_pair
+from .operators import coercivity_constant, random_smooth_pair
 
 
 class ConfigError(Exception):
@@ -192,7 +192,6 @@ def cmd_evolve(cfg, out, rng):
     grid = build_grid(cfg)
     wave = build_profile(cfg, spec, grid)
     if wave.profile.rep == "hydro":
-        from .grid import hydro_to_uv
         u0 = hydro_to_uv(wave.profile)
     else:
         u0 = wave.profile

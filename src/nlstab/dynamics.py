@@ -7,7 +7,10 @@ The linear flow du/dt = J*(sym op)*u is advanced by Crank-Nicolson,
 The nonlinear flow keeps the stiff constant-coefficient part implicit
 (Laplacian, frame transport, frozen background potential) and treats the
 remaining nonlinear terms explicitly with fixed-point corrections; the
-scheme is time-symmetric, so runs can be reversed by negating dt.
+scheme is time-symmetric, so runs can be reversed by negating dt.  The
+perturbation of the background takes the ``zero`` closure of nlstab.grid
+and the background itself the ``edge`` closure of the traveling-wave
+residual (see the grid module docstring).
 """
 
 import numpy as np
@@ -17,7 +20,9 @@ from scipy.sparse.linalg import splu
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
 from .grid import PairField, norm, pair_from_complex, uv_to_hydro
-from .operators import j_matrix, neg_laplacian_matrix, partial_matrix
+from .operators import (j_matrix, neg_laplacian_matrix, partial_matrix,
+                        random_smooth_pair)
+from .profiles import tw_residual_uv
 
 
 class Trajectory:
@@ -132,31 +137,15 @@ def evolve_linear_pair(op, u0, v0, T, dt, n_snapshots=100):
 # ---------------------------------------------------------------------------
 # nonlinear evolution in the traveling frame
 
-def _full_rhs(u_full, bg_pad, c, spec, grid):
-    """dU/dt = c d1 U + i (Lap U + F(|U|^2) U), ghosted by the background."""
-    dim = grid.dim
-    pad = np.pad(u_full - _unpad(bg_pad, dim), 1, mode="constant") + bg_pad
-    lap = np.zeros_like(u_full)
-    for a in range(dim):
-        hi = [slice(1, -1)] * dim
-        lo = [slice(1, -1)] * dim
-        hi[a] = slice(2, None)
-        lo[a] = slice(0, -2)
-        lap += (pad[tuple(hi)] - 2.0 * u_full + pad[tuple(lo)]) / grid.h[a] ** 2
-    hi = [slice(1, -1)] * dim
-    lo = [slice(1, -1)] * dim
-    hi[0] = slice(2, None)
-    lo[0] = slice(0, -2)
-    d1 = (pad[tuple(hi)] - pad[tuple(lo)]) / (2.0 * grid.h[0])
-    return c * d1 + 1j * (lap + spec.f(np.abs(u_full) ** 2) * u_full)
-
-
-def _unpad(arr, dim):
-    return arr[tuple([slice(1, -1)] * dim)]
-
-
 class NonlinearStepper:
-    """Semi-implicit Crank-Nicolson stepper for the frame equation."""
+    """Semi-implicit Crank-Nicolson stepper for the frame equation.
+
+    The frame equation dU/dt = c d1 U + i (Lap U + F(|U|^2) U) at
+    U = bg + phi splits into the implicit linear part (frozen background
+    potential, acting on phi) and the remainder
+    i TW(bg) + i (F(|U|^2) - F(|bg|^2)) U, where TW(bg) is the
+    traveling-wave residual of the background; the stencil terms cancel.
+    """
 
     def __init__(self, background, c, spec, grid, dt, corrections=1,
                  include_nonlinearity=True):
@@ -165,11 +154,12 @@ class NonlinearStepper:
         self.c = c
         self.corrections = corrections
         self.include_nonlinearity = include_nonlinearity
-        self.bg = background.astype(complex)
-        self.bg_pad = np.pad(self.bg, 1, mode="edge")
-        pot = spec.f(np.abs(self.bg) ** 2)
+        self.bg = background.astype(complex).ravel()
+        self._pot = spec.f(np.abs(self.bg) ** 2)
+        self._i_tw = 1j * tw_residual_uv(
+            pair_from_complex(grid, background), c, spec).as_complex().ravel()
         lin = (c * partial_matrix(grid, 0)
-               + 1j * (-neg_laplacian_matrix(grid) + sp.diags(pot.ravel())))
+               + 1j * (-neg_laplacian_matrix(grid) + sp.diags(self._pot)))
         self._lin = lin.tocsr()
         self.set_dt(dt)
 
@@ -182,9 +172,8 @@ class NonlinearStepper:
     def remainder(self, phi_flat):
         if not self.include_nonlinearity:
             return np.zeros_like(phi_flat)
-        u_full = self.bg + phi_flat.reshape(self.grid.shape)
-        total = _full_rhs(u_full, self.bg_pad, self.c, self.spec, self.grid)
-        return total.ravel() - self._lin @ phi_flat
+        u = self.bg + phi_flat
+        return self._i_tw + 1j * (self.spec.f(np.abs(u) ** 2) - self._pot) * u
 
     def step(self, phi_flat):
         base = self._rhs @ phi_flat
@@ -344,7 +333,6 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None,
     times, norms = fwd.series("norm")
     report["forward_slope"] = fit_log_slope(times, norms)
 
-    from .operators import random_smooth_pair
     cs_slopes, m_fits = [], []
     center_bounds = []
     for i in range(n_draws):

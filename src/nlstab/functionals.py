@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .grid import (PairField, ScalarField, chi_multiplier_array, diff,
-                   gradient, inner, norm)
+                   hydro_to_uv)
 
 
 class FunctionalReport:
@@ -61,7 +61,6 @@ def energy(field, spec):
         # so both representations integrate the identical discrete density
         if field.c1.min() <= 0.0:
             raise ValueError("hydro energy needs rho > 0")
-        from .grid import hydro_to_uv
         return energy(hydro_to_uv(field), spec)
     if field.rep == "w":
         return energy(psi_map(field), spec)

@@ -1,4 +1,4 @@
-"""Uniform grids and sampled fields for waves on a nonvanishing background.
+"""Uniform grids, sampled fields and the sparse difference stencils on them.
 
 Grids cover [-L1, L1) x ... with N points per axis and spacing h = 2L/N,
 so x = 0 is always a node.  Two boundary modes are supported:
@@ -6,9 +6,32 @@ so x = 0 is always a node.  Two boundary modes are supported:
 * ``periodic`` -- derivative stencils and Fourier multipliers wrap around;
   used for the coordinate-map utilities acting on decaying fields.
 * ``truncated`` -- fields are perturbations of a constant far field.
-  Pointwise derivative stencils fall back to one-sided differences at the
-  edges; operator assembly (operators.py) instead uses zero extension of
-  the perturbation, which keeps matrices exactly symmetric.
+
+Stencil closures
+----------------
+Every second-order stencil of the package comes from one sparse
+face-difference matrix D per axis and closure: (D u)_f is the value right
+of face f minus the value left of it, so D has +1/-1 entries.  It is
+built once along one axis, lifted to 2D with Kronecker products and
+cached on the GridSpec.  With |D| the entrywise absolute value and
+A = |D| with each row scaled to sum 1 (the face average),
+
+    central derivative   d_a        = |D_a|^T D_a / (2 h_a),
+    -div(a grad .)                  = sum_a D_a^T diag(A_a a) D_a / h_a^2.
+
+The closure says what lies beyond the outermost nodes of a truncated grid:
+
+* ``zero`` -- the perturbation extends by zero; D has a face outside each
+  edge, the outer face of -div(a grad) takes the edge node's a.  Used to
+  assemble the linear operators, which stay exactly symmetric.
+* ``edge`` -- ghost cells replicate the edge value, so the outer faces
+  carry no difference and no flux; D has interior faces only.  Matches the
+  constant far field up to the exponential tail; used by the traveling-wave
+  residuals and their exact Jacobians (Newton, ``ghost_jacobian``).
+
+On a periodic grid every closure is ``periodic``: the last face joins
+the last node to the first.  ``diff``/``gradient`` below are separate
+pointwise diagnostics with one-sided differences at truncated edges.
 
 Pair-valued samples carry a representation tag: ``"w"`` for coordinate
 fields (w1, w2), ``"uv"`` for real/imaginary parts of a complex field,
@@ -18,8 +41,10 @@ fields (w1, w2), ``"uv"`` for real/imaginary parts of a complex field,
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 REPRESENTATIONS = ("w", "uv", "hydro")
+CLOSURES = ("zero", "edge", "periodic")
 
 _MAGIC = b"NLSF"
 _TAGS = {"scalar": 0, "w": 1, "uv": 2, "hydro": 3}
@@ -33,6 +58,15 @@ def _as_tuple(value, dim):
     if len(value) != dim:
         raise ValueError("expected %d per-axis values, got %r" % (dim, value))
     return value
+
+
+def _face_difference_1d(n, closure):
+    """Faces x nodes matrix of one axis: +1 right of each face, -1 left."""
+    if closure == "zero":          # faces -1/2 .. n-1/2
+        return sp.eye(n + 1, n) - sp.eye(n + 1, n, k=-1)
+    if closure == "edge":          # faces 1/2 .. n-3/2
+        return sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)
+    return sp.eye(n, k=1) + sp.eye(n, k=1 - n) - sp.eye(n)   # periodic
 
 
 class GridSpec:
@@ -51,6 +85,7 @@ class GridSpec:
                 raise ValueError("points per axis must be a power of two >= 64")
         self.boundary = boundary
         self.h = tuple(2.0 * L / N for L, N in zip(self.half_length, self.n))
+        self._stencils = {}
 
     @property
     def shape(self):
@@ -76,6 +111,69 @@ class GridSpec:
         """Fourier wavenumbers xi = pi*k/L along axis a (fft order)."""
         N, L = self.n[a], self.half_length[a]
         return 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L / N)
+
+    # -- sparse stencils (closures: see the module docstring) ----------------
+
+    def _lift(self, axis, mat):
+        """Act with a 1D matrix along one axis of the C-ordered flat field."""
+        if self.dim == 1:
+            return sp.csr_matrix(mat)
+        eye = sp.identity(self.n[1 - axis])
+        pair = (mat, eye) if axis == 0 else (eye, mat)
+        return sp.kron(*pair, format="csr")
+
+    def _cached(self, key, build):
+        if key not in self._stencils:
+            self._stencils[key] = build()
+        return self._stencils[key]
+
+    def _closure(self, closure):
+        if closure not in CLOSURES:
+            raise ValueError("unknown closure %r" % closure)
+        return "periodic" if self.boundary == "periodic" else closure
+
+    def faces(self, axis, closure):
+        """Face-difference matrix D and face-average matrix A of one axis."""
+        closure = self._closure(closure)
+
+        def build():
+            diff1 = _face_difference_1d(self.n[axis], closure)
+            mag = abs(diff1)
+            avg = sp.diags(1.0 / np.asarray(mag.sum(axis=1)).ravel()) @ mag
+            return self._lift(axis, diff1), self._lift(axis, avg)
+        return self._cached(("faces", axis, closure), build)
+
+    def central(self, axis, closure):
+        """Central first derivative d/dx_axis, |D|^T D / (2h)."""
+        closure = self._closure(closure)
+
+        def build():
+            d = self.faces(axis, closure)[0]
+            return ((abs(d).T @ d) * (0.5 / self.h[axis])).tocsr()
+        return self._cached(("central", axis, closure), build)
+
+    def neg_laplacian(self, closure):
+        """-Lap = sum_a D_a^T D_a / h_a^2."""
+        closure = self._closure(closure)
+
+        def build():
+            total = None
+            for a in range(self.dim):
+                d = self.faces(a, closure)[0]
+                term = (d.T @ d) / self.h[a] ** 2
+                total = term if total is None else total + term
+            return total.tocsr()
+        return self._cached(("neg_laplacian", closure), build)
+
+    def div_coeff_grad(self, coeff, closure):
+        """-div(a grad .) = sum_a D_a^T diag(A_a a) D_a / h_a^2."""
+        coeff = np.ravel(coeff)
+        total = None
+        for a in range(self.dim):
+            d, avg = self.faces(a, closure)
+            term = (d.T @ sp.diags(avg @ coeff) @ d) / self.h[a] ** 2
+            total = term if total is None else total + term
+        return total.tocsr()
 
     def compatible(self, other):
         return (self.dim == other.dim and self.n == other.n
@@ -165,8 +263,17 @@ def hydro_to_uv(field):
     return PairField(field.grid, amp * np.cos(field.c2), amp * np.sin(field.c2), "uv")
 
 
+def translation_mode(profile, axis=0):
+    """Discrete derivative of a profile along one axis (edge closure)."""
+    grid = profile.grid
+    d = grid.central(axis, "edge")
+    # perturbation-like pair: carries no representation constraints
+    return PairField(grid, (d @ profile.c1.ravel()).reshape(grid.shape),
+                     (d @ profile.c2.ravel()).reshape(grid.shape), "uv")
+
+
 # ---------------------------------------------------------------------------
-# derivatives
+# pointwise derivatives (one-sided at truncated edges)
 
 def _diff_axis(data, axis, order, h, boundary):
     d = np.empty_like(data)
@@ -204,13 +311,6 @@ def diff(field, axis=0, order=1):
 
 def gradient(field):
     return [diff(field, a, 1) for a in range(field.grid.dim)]
-
-
-def laplacian_field(field):
-    out = diff(field, 0, 2).data
-    for a in range(1, field.grid.dim):
-        out = out + diff(field, a, 2).data
-    return ScalarField(field.grid, out)
 
 
 # ---------------------------------------------------------------------------

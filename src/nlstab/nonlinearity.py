@@ -102,9 +102,6 @@ class NonlinearitySpec:
         vals = np.array([quad(self._spline, x, self.r0, limit=200)[0] for x in flat])
         return vals.reshape(s.shape) if s.shape else float(vals[0])
 
-    def sound_speed(self):
-        return float(np.sqrt(2.0 * self.r0 * (-self.fprime(self.r0))))
-
 
 def evaluate(spec, s):
     """Return (F(s), F'(s), V(s)); rejects negative densities."""
@@ -178,11 +175,6 @@ class CqConstants:
 
 def cq_constants(alpha1, alpha3, alpha5):
     return CqConstants(alpha1, alpha3, alpha5)
-
-
-def bubble_g(constants, s):
-    """Values (g(s), G(s)) of the bubble nonlinearity and its antiderivative."""
-    return constants.g(s), constants.big_g(s)
 
 
 def ratio_margin(c):

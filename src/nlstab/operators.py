@@ -1,9 +1,11 @@
 """Discretized linear operators of the stability machinery.
 
-All operators act on stacked pair fields (component 1 first) with
-second-order stencils.  On truncated grids the perturbation is extended
-by zero outside the domain, which keeps every symmetric kind exactly
-symmetric; on periodic grids stencils wrap around.
+All operators act on stacked pair fields (component 1 first) with the
+second-order stencils of nlstab.grid, whose module docstring defines the
+boundary closures.  Operators use the ``zero`` closure (the perturbation
+extends by zero, which keeps every symmetric kind exactly symmetric);
+``ghost_jacobian`` reassembles a kind with the ``edge`` closure of the
+traveling-wave residuals.  On periodic grids stencils wrap around.
 
 Kinds
 -----
@@ -26,195 +28,40 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .grid import PairField, ScalarField, chi_multiplier_array, diff, gradient
+from .grid import (PairField, ScalarField, chi_multiplier_array, diff,
+                   gradient, hydro_to_uv)
 
 SYMMETRIC_KINDS = ("Lc", "Lc1d", "LcInfty", "Mc", "McInfty", "M0", "A", "LcPlusK2")
 
 
 # ---------------------------------------------------------------------------
-# 1D sparse stencil factories (zero extension or wraparound at the edges)
-
-def _partial_1d(n, h, periodic):
-    e = np.ones(n) / (2.0 * h)
-    mat = sp.diags([e[:-1], -e[:-1]], [1, -1], shape=(n, n), format="lil")
-    if periodic:
-        mat[0, n - 1] = -1.0 / (2.0 * h)
-        mat[n - 1, 0] = 1.0 / (2.0 * h)
-    return mat.tocsr()
-
-
-def _div_coeff_grad_1d(coeff, h, periodic):
-    """Symmetric three-point form of -d/dx (a(x) d/dx) with face averages."""
-    n = coeff.shape[0]
-    face = 0.5 * (coeff[:-1] + coeff[1:])  # interior faces i+1/2
-    if periodic:
-        wrap = 0.5 * (coeff[-1] + coeff[0])
-        diag = np.empty(n)
-        diag[0] = face[0] + wrap
-        diag[-1] = face[-1] + wrap
-        diag[1:-1] = face[:-1] + face[1:]
-        mat = sp.diags([diag / h ** 2, -face / h ** 2, -face / h ** 2],
-                       [0, 1, -1], format="lil")
-        mat[0, n - 1] = -wrap / h ** 2
-        mat[n - 1, 0] = -wrap / h ** 2
-        return mat.tocsr()
-    # zero extension: edge faces take the constant-extrapolated coefficient
-    diag = np.empty(n)
-    diag[0] = face[0] + coeff[0]
-    diag[-1] = face[-1] + coeff[-1]
-    diag[1:-1] = face[:-1] + face[1:]
-    return sp.diags([diag / h ** 2, -face / h ** 2, -face / h ** 2],
-                    [0, 1, -1], format="csr")
-
-
-def _eye(n):
-    return sp.identity(n, format="csr")
-
-
-def _axis_operator(grid, axis, builder, *args):
-    """Lift a 1D stencil along one axis of a (possibly 2D) grid."""
-    mats = []
-    for a in range(grid.dim):
-        if a == axis:
-            mats.append(builder(a, *args))
-        else:
-            mats.append(_eye(grid.n[a]))
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
-
+# stencil matrices (zero closure; wraparound on periodic grids)
 
 def partial_matrix(grid, axis):
-    periodic = grid.boundary == "periodic"
-    return _axis_operator(grid, axis,
-                          lambda a: _partial_1d(grid.n[a], grid.h[a], periodic))
+    return grid.central(axis, "zero")
 
 
 def neg_laplacian_matrix(grid):
-    return div_coeff_grad_matrix(grid, np.ones(grid.shape))
+    return grid.neg_laplacian("zero")
 
 
 def div_coeff_grad_matrix(grid, coeff):
-    """Matrix of -div(a grad .) built axis by axis with face-averaged a."""
-    periodic = grid.boundary == "periodic"
-    coeff = np.asarray(coeff, dtype=float)
-    total = None
-    for axis in range(grid.dim):
-        rolled = np.moveaxis(coeff, axis, 0)
-        n = grid.n[axis]
-        h = grid.h[axis]
-        if grid.dim == 1:
-            mat = _div_coeff_grad_1d(rolled, h, periodic)
-        else:
-            # build per-line tridiagonal blocks, then assemble as block diag
-            other = rolled.shape[1]
-            rows, cols, vals = [], [], []
-            face = 0.5 * (rolled[:-1, :] + rolled[1:, :])
-            idx = np.arange(n)
-            for j in range(other):
-                f = face[:, j]
-                diag = np.empty(n)
-                if periodic:
-                    wrap = 0.5 * (rolled[-1, j] + rolled[0, j])
-                    diag[0] = f[0] + wrap
-                    diag[-1] = f[-1] + wrap
-                else:
-                    diag[0] = f[0] + rolled[0, j]
-                    diag[-1] = f[-1] + rolled[-1, j]
-                diag[1:-1] = f[:-1] + f[1:]
-                rows += [_flat(grid, axis, idx, j)]
-                cols += [_flat(grid, axis, idx, j)]
-                vals += [diag / h ** 2]
-                rows += [_flat(grid, axis, idx[:-1], j), _flat(grid, axis, idx[1:], j)]
-                cols += [_flat(grid, axis, idx[1:], j), _flat(grid, axis, idx[:-1], j)]
-                vals += [-f / h ** 2, -f / h ** 2]
-                if periodic:
-                    rows += [_flat(grid, axis, np.array([0]), j),
-                             _flat(grid, axis, np.array([n - 1]), j)]
-                    cols += [_flat(grid, axis, np.array([n - 1]), j),
-                             _flat(grid, axis, np.array([0]), j)]
-                    vals += [np.array([-wrap / h ** 2]), np.array([-wrap / h ** 2])]
-            mat = sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(grid.size, grid.size))
-        total = mat if total is None else total + mat
-    return total
-
-
-def _flat(grid, axis, idx, j):
-    """Flat indices of line entries (idx along `axis`, offset j on the other)."""
-    if grid.dim == 1:
-        return idx
-    if axis == 0:
-        return idx * grid.n[1] + j
-    return j * grid.n[1] + idx
-
-
-def _edge_mask(grid, axis):
-    mask = np.zeros(grid.shape, dtype=float)
-    sl = [slice(None)] * grid.dim
-    sl[axis] = 0
-    mask[tuple(sl)] = 1.0
-    sl[axis] = -1
-    mask[tuple(sl)] = 1.0
-    return mask
-
-
-def _signed_edge_mask(grid, axis):
-    mask = np.zeros(grid.shape, dtype=float)
-    sl = [slice(None)] * grid.dim
-    sl[axis] = 0
-    mask[tuple(sl)] = -1.0
-    sl[axis] = -1
-    mask[tuple(sl)] = 1.0
-    return mask
-
-
-def ghost_lap_correction(grid, coeff):
-    """Diagonal fixup turning zero-extension -div(a grad) rows into the
-    linearization of edge-replicated (zero-flux) stencils."""
-    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), grid.shape)
-    diag = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        diag -= coeff * _edge_mask(grid, a) / grid.h[a] ** 2
-    return sp.diags(diag.ravel())
-
-
-def ghost_d1_correction(grid, coeff):
-    """Diagonal fixup for central d/dx1 rows under edge replication."""
-    diag = coeff * _signed_edge_mask(grid, 0) / (2.0 * grid.h[0])
-    return sp.diags(diag.ravel())
+    """Matrix of -div(a grad .) with face-averaged a."""
+    return grid.div_coeff_grad(coeff, "zero")
 
 
 def ghost_jacobian(op):
     """Jacobian of the edge-replicated residual stencils.
 
-    Returns op.matrix plus the diagonal corrections accounting for ghost
-    cells that copy the edge unknown instead of extending by zero.  On
-    periodic grids this is just op.matrix.
+    The same operator kind assembled with the ``edge`` closure (ghost
+    cells copy the edge unknown instead of extending by zero); on
+    periodic grids this equals op.matrix.
     """
-    grid = op.grid
-    if grid.boundary == "periodic":
-        return op.matrix
-    if op.kind in ("Lc", "Lc1d", "LcPlusK2"):
-        p_lap = ghost_lap_correction(grid, 1.0)
-        p12 = ghost_d1_correction(grid, -op.c)
-        p21 = ghost_d1_correction(grid, op.c)
-        patch = sp.bmat([[p_lap, p12], [p21, p_lap]], format="csr")
-    elif op.kind in ("Mc", "M0", "McInfty"):
-        rho = _base_fields(op.base).c1
-        p11 = ghost_lap_correction(grid, 1.0 / (2.0 * rho))
-        p22 = ghost_lap_correction(grid, 2.0 * rho)
-        p12 = ghost_d1_correction(grid, -op.c)
-        p21 = ghost_d1_correction(grid, op.c)
-        patch = sp.bmat([[p11, p12], [p21, p22]], format="csr")
-    elif op.kind == "A":
-        patch = ghost_lap_correction(grid, 1.0)
-    else:
-        raise ValueError("no ghost correction for kind %r" % op.kind)
-    return op.matrix + patch
+    if op.spec is None:
+        raise ValueError("ghost_jacobian needs an operator assembled with "
+                         "its nonlinear law")
+    return assemble(op.kind, base=op.base, c=op.c, grid=op.grid, spec=op.spec,
+                    k=op.k, closure="edge").matrix
 
 
 def ghost_symmetrized(op):
@@ -228,25 +75,26 @@ def ghost_symmetrized(op):
     """
     g = ghost_jacobian(op)
     sym = (g + g.T) * 0.5
-    out = AssembledOperator(op.kind, sym.tocsr(), op.grid, c=op.c, k=op.k,
-                            base=op.base, pot_scale=op.pot_scale, rep=op.rep)
-    return out
+    return AssembledOperator(op.kind, sym.tocsr(), op.grid, c=op.c, k=op.k,
+                             base=op.base, pot_scale=op.pot_scale, rep=op.rep,
+                             spec=op.spec)
 
 
-def div_vector_matrix(grid, bvec):
+def div_vector_matrix(grid, bvec, closure="zero"):
     """Matrix of u -> div(b u) with central differences."""
     total = None
     for axis in range(grid.dim):
-        mat = partial_matrix(grid, axis) @ sp.diags(bvec[axis].ravel())
+        mat = grid.central(axis, closure) @ sp.diags(bvec[axis].ravel())
         total = mat if total is None else total + mat
     return total
 
 
-def vector_grad_matrix(grid, bvec):
-    """Matrix of u -> b . grad u (exact transpose of -div_vector_matrix)."""
+def vector_grad_matrix(grid, bvec, closure="zero"):
+    """Matrix of u -> b . grad u (with the zero closure, exactly the
+    transpose of -div_vector_matrix)."""
     total = None
     for axis in range(grid.dim):
-        mat = sp.diags(bvec[axis].ravel()) @ partial_matrix(grid, axis)
+        mat = sp.diags(bvec[axis].ravel()) @ grid.central(axis, closure)
         total = mat if total is None else total + mat
     return total
 
@@ -258,7 +106,7 @@ class AssembledOperator:
     """Sparse matrix of one operator kind together with its provenance."""
 
     def __init__(self, kind, matrix, grid, c=0.0, k=None, base=None,
-                 pot_scale=1.0, rep=None):
+                 pot_scale=1.0, rep=None, spec=None):
         self.kind = kind
         self.matrix = matrix.tocsr()
         self.grid = grid
@@ -267,6 +115,7 @@ class AssembledOperator:
         self.base = base
         self.pot_scale = pot_scale
         self.rep = rep
+        self.spec = spec
         self._dense = None
         self._kernel_residual = None
 
@@ -283,16 +132,36 @@ class AssembledOperator:
             self._dense = self.matrix.toarray()
         return self._dense
 
-    def apply(self, field):
-        if isinstance(field, PairField):
-            return PairField.from_vector(self.grid,
-                                         self.matrix @ field.ravel(), field.rep)
-        return ScalarField(self.grid,
-                           (self.matrix @ field.data.ravel()).reshape(self.grid.shape))
-
     def symmetry_defect(self):
         d = self.matrix - self.matrix.T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+    def translation_modes(self):
+        """Translation modes d_xa of the base wave in this operator's
+        unknowns, one per axis along which the base varies.
+
+        A flat axis has the zero vector as its mode; it is left out.
+        """
+        if self.base is None:
+            return []
+        profile = _base_fields(self.base)
+        if self.n_components == 1:
+            amp = np.sqrt(profile.c1) if profile.rep == "hydro" else profile.c1
+            comps = [amp]
+        elif self.rep == "hydro" and profile.rep != "hydro":
+            raise ValueError("hydro operator with non-hydro base")
+        elif self.rep == "uv" and profile.rep == "hydro":
+            uv = hydro_to_uv(profile)
+            comps = [uv.c1, uv.c2]
+        else:
+            comps = [profile.c1, profile.c2]
+        modes = []
+        for a in range(self.grid.dim):
+            d = self.grid.central(a, "edge")
+            vec = np.concatenate([d @ comp.ravel() for comp in comps])
+            if np.any(vec):
+                modes.append(vec)
+        return modes
 
     def kernel_residual(self):
         """Residual of the analytic kernel identity on the discrete grid.
@@ -300,37 +169,22 @@ class AssembledOperator:
         max over translation axes of |op . (d_xa base)| / |d_xa base|,
         with the transverse-shift k^2 removed first; O(h^2) times stencil
         constants, and the natural scale for classifying kernel modes.
+        None when the base has no translation mode (a flat base).
         """
-        if self.base is None:
+        modes = self.translation_modes()
+        if not modes:
             return None
-        from .profiles import translation_mode, _d1
-        profile = _base_fields(self.base)
         shift = (self.k or 0.0) ** 2 if self.kind == "LcPlusK2" else 0.0
-        worst = 0.0
-        for a in range(self.grid.dim):
-            if self.n_components == 2:
-                if self.rep == "hydro" and profile.rep != "hydro":
-                    raise ValueError("hydro operator with non-hydro base")
-                if self.rep == "uv" and profile.rep == "hydro":
-                    from .grid import hydro_to_uv
-                    vec = translation_mode(hydro_to_uv(profile), a).ravel()
-                else:
-                    vec = translation_mode(profile, a).ravel()
-            else:
-                amp = (np.sqrt(profile.c1) if profile.rep == "hydro"
-                       else profile.c1)
-                vec = _d1(amp, a, self.grid.h[a], self.grid.dim).ravel()
-            resid = self.matrix @ vec - shift * vec
-            worst = max(worst, float(np.linalg.norm(resid)
-                                     / np.linalg.norm(vec)))
-        return worst
+        return max(float(np.linalg.norm(self.matrix @ vec - shift * vec)
+                         / np.linalg.norm(vec)) for vec in modes)
 
     def zero_threshold(self, factor=5.0):
         """Kernel classification threshold.
 
         Anchored at the measured discrete residual of the analytic kernel
-        identity (an O(h^2) quantity) when a base wave is attached;
-        otherwise falls back to 50 h^2 for unit-normalized far fields.
+        identity (an O(h^2) quantity) when the attached base wave has a
+        translation mode; otherwise falls back to 50 h^2 for
+        unit-normalized far fields.
         """
         if self._kernel_residual is None and self.base is not None:
             self._kernel_residual = self.kernel_residual()
@@ -353,8 +207,14 @@ def _block(grid, a11, a12, a21, a22):
     return sp.bmat([[a11, a12], [a21, a22]], format="csr")
 
 
-def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None):
-    """Assemble one operator kind at a base wave (or far field)."""
+def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
+             closure="zero"):
+    """Assemble one operator kind at a base wave (or far field).
+
+    ``closure`` selects the stencil closure at truncated edges (see
+    nlstab.grid): ``zero`` for the operators themselves, ``edge`` for the
+    Jacobians of the traveling-wave residuals.
+    """
     if kind not in SYMMETRIC_KINDS:
         raise ValueError("unknown operator kind %r" % kind)
     if base is not None:
@@ -369,15 +229,14 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None):
         if kind == "Lc1d" and grid.dim != 1:
             raise ValueError("Lc1d needs a 1D grid")
         if field.rep == "hydro":
-            from .grid import hydro_to_uv
             field = hydro_to_uv(field)
         if field.rep != "uv":
             raise ValueError("Lc needs a uv (or hydro) base")
         u1, u2 = field.c1, field.c2
         mod2 = u1 ** 2 + u2 ** 2
         fval, fp = spec.f(mod2), spec.fprime(mod2)
-        lap = div_coeff_grad_matrix(grid, np.ones(grid.shape))
-        d1 = partial_matrix(grid, 0)
+        lap = grid.neg_laplacian(closure)
+        d1 = grid.central(0, closure)
         pot11 = -fval - 2.0 * fp * u1 ** 2
         pot22 = -fval - 2.0 * fp * u2 ** 2
         cross = -2.0 * fp * u1 * u2
@@ -392,18 +251,18 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None):
             mat = mat + float(k) ** 2 * sp.identity(2 * grid.size, format="csr")
         scale = max(np.abs(pot11).max(), np.abs(pot22).max(), np.abs(cross).max())
         return AssembledOperator(kind, mat, grid, c=c, k=k, base=base,
-                                 pot_scale=float(scale), rep="uv")
+                                 pot_scale=float(scale), rep="uv", spec=spec)
 
     if kind == "LcInfty":
         if spec is None:
             raise ValueError("LcInfty needs the nonlinear law")
-        lap = div_coeff_grad_matrix(grid, np.ones(grid.shape))
-        d1 = partial_matrix(grid, 0)
+        lap = grid.neg_laplacian(closure)
+        d1 = grid.central(0, closure)
         gap = -2.0 * spec.fprime(spec.r0) * spec.r0
         eye = sp.identity(grid.size, format="csr")
         mat = _block(grid, lap + gap * eye, -c * d1, c * d1, lap)
         return AssembledOperator(kind, mat, grid, c=c, pot_scale=float(gap),
-                                 rep="uv")
+                                 rep="uv", spec=spec)
 
     if kind in ("Mc", "M0"):
         if field.rep != "hydro":
@@ -420,28 +279,32 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None):
                       for a in range(grid.dim))
         pot11 = (-grad_rho_sq / (2.0 * rho ** 3) + lap_rho / (2.0 * rho ** 2)
                  - spec.fprime(rho))
-        m11 = div_coeff_grad_matrix(grid, 1.0 / (2.0 * rho)) + sp.diags(pot11.ravel())
-        m22 = 2.0 * div_coeff_grad_matrix(grid, rho)
-        d1 = partial_matrix(grid, 0)
+        m11 = (grid.div_coeff_grad(1.0 / (2.0 * rho), closure)
+               + sp.diags(pot11.ravel()))
+        m22 = 2.0 * grid.div_coeff_grad(rho, closure)
+        d1 = grid.central(0, closure)
         grads_theta = [g.data for g in gradient(ScalarField(grid, theta))]
-        m21 = c * d1 - 2.0 * div_vector_matrix(grid, grads_theta)
-        m12 = -c * d1 + 2.0 * vector_grad_matrix(grid, grads_theta)
+        m21 = c * d1 - 2.0 * div_vector_matrix(grid, grads_theta, closure)
+        m12 = -c * d1 + 2.0 * vector_grad_matrix(grid, grads_theta,
+                                              closure)
         mat = _block(grid, m11, m12, m21, m22)
         scale = max(np.abs(pot11).max(), 1.0)
         return AssembledOperator(kind, mat, grid, c=c, base=base,
-                                 pot_scale=float(scale), rep="hydro")
+                                 pot_scale=float(scale), rep="hydro",
+                                 spec=spec)
 
     if kind == "McInfty":
         if field.rep != "hydro":
             raise ValueError("McInfty needs a hydro base")
         rho = field.c1
-        m11 = (div_coeff_grad_matrix(grid, 1.0 / (2.0 * rho))
+        m11 = (grid.div_coeff_grad(1.0 / (2.0 * rho), closure)
                + sp.diags((1.0 / rho).ravel()))
-        m22 = 2.0 * div_coeff_grad_matrix(grid, rho)
-        d1 = partial_matrix(grid, 0)
+        m22 = 2.0 * grid.div_coeff_grad(rho, closure)
+        d1 = grid.central(0, closure)
         mat = _block(grid, m11, -c * d1, c * d1, m22)
         return AssembledOperator(kind, mat, grid, c=c, base=base,
-                                 pot_scale=float((1.0 / rho).max()), rep="hydro")
+                                 pot_scale=float((1.0 / rho).max()),
+                                 rep="hydro", spec=spec)
 
     if kind == "A":
         if field.rep == "hydro":
@@ -450,9 +313,10 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None):
             phi = field.c1
         mod2 = phi ** 2
         pot = -spec.f(mod2) - 2.0 * spec.fprime(mod2) * mod2
-        mat = div_coeff_grad_matrix(grid, np.ones(grid.shape)) + sp.diags(pot.ravel())
+        mat = grid.neg_laplacian(closure) + sp.diags(pot.ravel())
         return AssembledOperator("A", mat, grid, base=base,
-                                 pot_scale=float(np.abs(pot).max()), rep="scalar")
+                                 pot_scale=float(np.abs(pot).max()),
+                                 rep="scalar", spec=spec)
 
     raise AssertionError("unreachable")
 
@@ -501,11 +365,6 @@ def tc_map(f, base):
     du1 = np.cos(theta) / (2.0 * amp) * f.c1 - amp * np.sin(theta) * f.c2
     du2 = np.sin(theta) / (2.0 * amp) * f.c1 + amp * np.cos(theta) * f.c2
     return PairField(f.grid, du1, du2, "uv")
-
-
-def tc_determinant(base):
-    hyd = _base_fields(base)
-    return 0.5 * np.ones_like(hyd.c1)
 
 
 def quadratic_form(op, f):

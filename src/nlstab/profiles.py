@@ -5,28 +5,28 @@ stationary bubbles of cubic-quintic laws (1D by quadrature of the first
 integral, radial 2D by shooting), and Newton continuation of slow
 traveling waves in density/phase variables.
 
-Residuals of the traveling-wave equations are evaluated with the same
-second-order stencils used for operator assembly; on truncated grids the
-ghost cells replicate the edge values, which matches the constant far
-field up to the exponential tail.  Newton steps are computed from the
-bordered system that appends the discrete translation mode (and, for
-field variables, the gauge rotation mode) to keep the linearization
-invertible.
+Residuals of the traveling-wave equations are products with the stencil
+matrices of nlstab.grid in the ``edge`` closure (ghost cells replicate
+the edge values, which matches the constant far field up to the
+exponential tail; see the grid module docstring), and their Newton
+Jacobians are assembled from the same matrices.  Newton steps are
+computed from the bordered system that appends the discrete translation
+mode (and, for field variables, the gauge rotation mode) to keep the
+linearization invertible.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from . import shooting
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .grid import PairField, norm
+from .grid import PairField, norm, translation_mode
 from .nonlinearity import NonlinearitySpec
-from .operators import assemble, ghost_jacobian
+from .operators import assemble, vector_grad_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,91 +64,18 @@ class BranchSample:
 
 
 # ---------------------------------------------------------------------------
-# stencils with replicated ghost cells (constant far-field continuation)
-
-def _pad(arr, dim):
-    return np.pad(arr, 1, mode="edge")
-
-
-def _d1(arr, axis, h, dim):
-    p = _pad(arr, dim)
-    sl_hi = [slice(1, -1)] * dim
-    sl_lo = [slice(1, -1)] * dim
-    sl_hi[axis] = slice(2, None)
-    sl_lo[axis] = slice(0, -2)
-    return (p[tuple(sl_hi)] - p[tuple(sl_lo)]) / (2.0 * h)
-
-
-def _d2(arr, axis, h, dim):
-    p = _pad(arr, dim)
-    mid = [slice(1, -1)] * dim
-    hi = list(mid)
-    lo = list(mid)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(0, -2)
-    return (p[tuple(hi)] - 2.0 * arr + p[tuple(lo)]) / h ** 2
-
-
-def _div_flux(rho, theta, axis, h, dim):
-    """Zero-exterior-flux divergence of rho * grad(theta) along one axis."""
-    pr = _pad(rho, dim)
-    pt = _pad(theta, dim)
-    hi = [slice(1, -1)] * dim
-    lo = [slice(1, -1)] * dim
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(0, -2)
-    face_hi = 0.5 * (pr[tuple(hi)] + rho) * (pt[tuple(hi)] - theta) / h
-    face_lo = 0.5 * (rho + pr[tuple(lo)]) * (theta - pt[tuple(lo)]) / h
-    # replicated ghosts give zero flux through the outermost faces
-    return (face_hi - face_lo) / h
-
-
-def _periodic_d(arr, axis, h, order):
-    if order == 1:
-        return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * h)
-    return (np.roll(arr, -1, axis) - 2.0 * arr + np.roll(arr, 1, axis)) / h ** 2
-
+# traveling-wave residuals (edge closure)
 
 def tw_residual_uv(field, c, spec):
     """Residual of Lap(U) - i c d1(U) + F(|U|^2) U = 0 in (u1, u2) parts."""
     grid = field.grid
-    dim = grid.dim
-    u1, u2 = field.c1, field.c2
-    if grid.boundary == "periodic":
-        d1u1 = _periodic_d(u1, 0, grid.h[0], 1)
-        d1u2 = _periodic_d(u2, 0, grid.h[0], 1)
-        lap1 = sum(_periodic_d(u1, a, grid.h[a], 2) for a in range(dim))
-        lap2 = sum(_periodic_d(u2, a, grid.h[a], 2) for a in range(dim))
-    else:
-        d1u1 = _d1(u1, 0, grid.h[0], dim)
-        d1u2 = _d1(u2, 0, grid.h[0], dim)
-        lap1 = sum(_d2(u1, a, grid.h[a], dim) for a in range(dim))
-        lap2 = sum(_d2(u2, a, grid.h[a], dim) for a in range(dim))
+    u1, u2 = field.c1.ravel(), field.c2.ravel()
+    neg_lap = grid.neg_laplacian("edge")
+    d1 = grid.central(0, "edge")
     fval = spec.f(u1 ** 2 + u2 ** 2)
-    r1 = lap1 + c * d1u2 + fval * u1
-    r2 = lap2 - c * d1u1 + fval * u2
-    return PairField(grid, r1, r2, "uv")
-
-
-def tw_residual_hydro(field, c, spec):
-    """Residual of the density/phase traveling-wave system.
-
-    First component: -c th_x1 + |grad th|^2 - Lap(rho)/(2 rho)
-    + |grad rho|^2/(4 rho^2) - F(rho).  Second: c rho_x1 - 2 div(rho grad th).
-    """
-    grid = field.grid
-    dim = grid.dim
-    rho, theta = field.c1, field.c2
-    d1_theta = _d1(theta, 0, grid.h[0], dim)
-    d1_rho = _d1(rho, 0, grid.h[0], dim)
-    grad_theta_sq = sum(_d1(theta, a, grid.h[a], dim) ** 2 for a in range(dim))
-    grad_rho_sq = sum(_d1(rho, a, grid.h[a], dim) ** 2 for a in range(dim))
-    lap_rho = sum(_d2(rho, a, grid.h[a], dim) for a in range(dim))
-    s1 = (-c * d1_theta + grad_theta_sq - lap_rho / (2.0 * rho)
-          + grad_rho_sq / (4.0 * rho ** 2) - spec.f(rho))
-    div = sum(_div_flux(rho, theta, a, grid.h[a], dim) for a in range(dim))
-    s2 = c * d1_rho - 2.0 * div
-    return PairField(grid, s1, s2, "uv")
+    r1 = -(neg_lap @ u1) + c * (d1 @ u2) + fval * u1
+    r2 = -(neg_lap @ u2) - c * (d1 @ u1) + fval * u2
+    return PairField.from_vector(grid, np.concatenate([r1, r2]), "uv")
 
 
 def tw_residual_hydro_amp(field, c, spec):
@@ -160,14 +87,8 @@ def tw_residual_hydro_amp(field, c, spec):
     form reported as a wave's residual norm.
     """
     grid = field.grid
-    dim = grid.dim
-    rho, theta = field.c1, field.c2
-    psi = np.sqrt(rho)
-    s1 = _amp_residual(psi, theta, c, spec, grid)
-    d1_rho = _d1(rho, 0, grid.h[0], dim)
-    div = sum(_div_flux(rho, theta, a, grid.h[a], dim) for a in range(dim))
-    s2 = c * d1_rho - 2.0 * div
-    return PairField(grid, s1, s2, "uv")
+    vec = _amp_residual(np.sqrt(field.c1), field.c2, c, spec, grid)
+    return PairField.from_vector(grid, vec, "uv")
 
 
 def residual_norm(wave):
@@ -176,26 +97,22 @@ def residual_norm(wave):
     return norm(res)
 
 
-def translation_mode(profile, axis=0):
-    """Discrete derivative of a profile along one axis (ghost-replicated)."""
-    grid = profile.grid
-    if grid.boundary == "periodic":
-        d1 = _periodic_d(profile.c1, axis, grid.h[axis], 1)
-        d2 = _periodic_d(profile.c2, axis, grid.h[axis], 1)
-    else:
-        d1 = _d1(profile.c1, axis, grid.h[axis], grid.dim)
-        d2 = _d1(profile.c2, axis, grid.h[axis], grid.dim)
-    # perturbation-like pair: carries no representation constraints
-    return PairField(grid, d1, d2, "uv")
-
-
 def _bordered_solve(matrix, rhs, constraints, targets=None):
-    """Solve [[A, C^T], [C, 0]] [x; mu] = [rhs; targets] and return x."""
-    cons = sp.csr_matrix(np.stack(constraints))
+    """Solve [[A, C^T], [C, 0]] [x; mu] = [rhs; targets] and return x.
+
+    Each constraint row (and its target) is scaled to a largest entry of
+    1e-4 times A's, which leaves x unchanged.  SuperLU's partial pivoting
+    then takes a pivot from the dense border rows only where A is nearly
+    singular; an early border pivot fills the factors of a 2D system.
+    """
+    cons = np.stack(constraints)
+    scale = 1e-4 * abs(matrix).max() / np.abs(cons).max(axis=1)
+    cons = sp.csr_matrix(cons * scale[:, None])
     m = sp.bmat([[matrix, cons.T], [cons, None]], format="csc")
     if targets is None:
         targets = np.zeros(len(constraints))
-    sol = spsolve(m, np.concatenate([rhs, np.asarray(targets, dtype=float)]))
+    sol = spsolve(m, np.concatenate([rhs, scale * np.asarray(targets,
+                                                             dtype=float)]))
     return sol[: rhs.size]
 
 
@@ -246,11 +163,11 @@ def polish_field_wave(wave, tol=1e-11, max_iter=16):
         res = tw_residual_uv(field, c, spec)
         if norm(res) < tol:
             break
-        op = assemble("Lc", base=field, c=c, spec=spec)
+        jac = assemble("Lc", base=field, c=c, spec=spec,
+                       closure="edge").matrix
         t_mode = translation_mode(field).ravel()
         gauge = np.concatenate([-field.c2.ravel(), field.c1.ravel()])
-        delta = _bordered_solve(ghost_jacobian(op), res.ravel(),
-                                [t_mode, gauge])
+        delta = _bordered_solve(jac, res.ravel(), [t_mode, gauge])
         field = PairField(grid, field.c1 + delta[: grid.size].reshape(grid.shape),
                           field.c2 + delta[grid.size:].reshape(grid.shape), "uv")
         iters += 1
@@ -357,75 +274,44 @@ def _symmetrize(field, symmetry):
 
 
 def _amp_residual(psi, theta, c, spec, grid):
-    """Amplitude form of the first traveling-wave equation (psi times it).
+    """Stacked amplitude-form traveling-wave residual (S1, S2), flat.
 
-    -Lap(psi) - psi F(psi^2) - c psi th_x1 + psi |grad th|^2; the quantum
-    pressure collapses to a plain Laplacian, which keeps the Newton
-    matrix consistent with the residual stencils even on coarse grids.
+    S1 = -Lap(psi) - psi F(psi^2) - c psi th_x1 + psi |grad th|^2; the
+    quantum pressure collapses to a plain Laplacian, which keeps the
+    Newton matrix consistent with the residual stencils even on coarse
+    grids.  S2 = c rho_x1 - 2 div(rho grad th) with rho = psi^2 averaged
+    onto the faces; the outermost faces carry no flux.
     """
-    dim = grid.dim
-    lap = sum(_d2(psi, a, grid.h[a], dim) for a in range(dim))
-    dth1 = _d1(theta, 0, grid.h[0], dim)
-    gth_sq = sum(_d1(theta, a, grid.h[a], dim) ** 2 for a in range(dim))
-    return (-lap - psi * spec.f(psi ** 2) - c * psi * dth1 + psi * gth_sq)
-
-
-def _flux_psi_jacobian(psi, theta, grid):
-    """Exact derivative of -2 div((psi^2)_face grad theta) in psi.
-
-    Face densities average the squared amplitude of the two adjacent
-    nodes; outermost faces carry no flux.
-    """
-    from .operators import _flat
-    dim = grid.dim
-    rows, cols, vals = [], [], []
-    for axis in range(dim):
-        h = grid.h[axis]
-        ps = np.moveaxis(psi, axis, 0)
-        th = np.moveaxis(theta, axis, 0)
-        n = grid.n[axis]
-        other = ps.shape[1] if dim == 2 else 1
-        idx = np.arange(n - 1)
-        for j in range(other):
-            p = ps[:, j] if dim == 2 else ps
-            t = th[:, j] if dim == 2 else th
-            dth = (t[1:] - t[:-1]) / h      # face differences
-            lo = _flat(grid, axis, idx, j)
-            hi = _flat(grid, axis, idx + 1, j)
-            # flux_f = (p_i^2 + p_j^2)/2 * dth_f; S2 row i gets -2*(flux out)/h
-            w_lo = -2.0 * p[:-1] * dth / h   # d flux_f / d psi_lo, into row lo
-            w_hi = -2.0 * p[1:] * dth / h    # d flux_f / d psi_hi
-            rows += [lo, lo, hi, hi]
-            cols += [lo, hi, lo, hi]
-            vals += [w_lo, w_hi, -w_lo, -w_hi]
-    mat = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(grid.size, grid.size))
-    return mat
+    psi, theta = psi.ravel(), theta.ravel()
+    rho = psi ** 2
+    grads = [grid.central(a, "edge") @ theta for a in range(grid.dim)]
+    s1 = (grid.neg_laplacian("edge") @ psi - psi * spec.f(rho)
+          - c * psi * grads[0] + psi * sum(g ** 2 for g in grads))
+    s2 = (c * (grid.central(0, "edge") @ rho)
+          + 2.0 * (grid.div_coeff_grad(rho, "edge") @ theta))
+    return np.concatenate([s1, s2])
 
 
 def _amp_jacobian(psi, theta, c, spec, grid):
-    from .operators import (div_coeff_grad_matrix, ghost_d1_correction,
-                            ghost_lap_correction, partial_matrix,
-                            vector_grad_matrix)
-    dim = grid.dim
+    """Exact Jacobian of _amp_residual in (psi, theta)."""
+    psi, theta = psi.ravel(), theta.ravel()
     mod2 = psi ** 2
     fval, fp = spec.f(mod2), spec.fprime(mod2)
-    grads_th = [_d1(theta, a, grid.h[a], dim) for a in range(dim)]
+    d1 = grid.central(0, "edge")
+    grads_th = [grid.central(a, "edge") @ theta for a in range(grid.dim)]
     gth_sq = sum(g ** 2 for g in grads_th)
-    lap = (div_coeff_grad_matrix(grid, np.ones(grid.shape))
-           + ghost_lap_correction(grid, np.ones(grid.shape)))
-    d1 = partial_matrix(grid, 0)
-    a11 = lap + sp.diags((-fval - 2.0 * fp * mod2 - c * grads_th[0]
-                          + gth_sq).ravel())
-    a12 = (sp.diags(psi.ravel())
-           @ (-c * d1 + 2.0 * vector_grad_matrix(grid, grads_th))
-           + ghost_d1_correction(grid, -c * psi))
-    a21 = (c * d1 @ sp.diags(2.0 * psi.ravel())
-           + ghost_d1_correction(grid, 2.0 * c * psi)
-           + _flux_psi_jacobian(psi, theta, grid))
-    a22 = (2.0 * div_coeff_grad_matrix(grid, mod2)
-           + ghost_lap_correction(grid, 2.0 * mod2))
+    # d/d rho of -div(rho_face grad th), rho_face = A rho on each axis
+    flux = None
+    for a in range(grid.dim):
+        d, avg = grid.faces(a, "edge")
+        term = d.T @ sp.diags(d @ theta) @ avg / grid.h[a] ** 2
+        flux = term if flux is None else flux + term
+    a11 = grid.neg_laplacian("edge") + sp.diags(
+        -fval - 2.0 * fp * mod2 - c * grads_th[0] + gth_sq)
+    a12 = sp.diags(psi) @ (-c * d1 + 2.0 * vector_grad_matrix(
+        grid, grads_th, "edge"))
+    a21 = (c * d1 + 2.0 * flux) @ sp.diags(2.0 * psi)
+    a22 = 2.0 * grid.div_coeff_grad(mod2, "edge")
     return sp.bmat([[a11, a12], [a21, a22]], format="csr")
 
 
@@ -457,12 +343,7 @@ def _newton_hydro(wave, c, tol=1e-11, max_iter=25, damping=True,
     root_vol = np.sqrt(grid.cell_volume)
 
     def residual(ps, th):
-        s1 = _amp_residual(ps, th, c, spec, grid)
-        rho = ps ** 2
-        s2 = (c * _d1(rho, 0, grid.h[0], grid.dim)
-              - 2.0 * sum(_div_flux(rho, th, a, grid.h[a], grid.dim)
-                          for a in range(grid.dim)))
-        vec = np.concatenate([s1.ravel(), s2.ravel()])
+        vec = _amp_residual(ps, th, c, spec, grid)
         perp = vec - proj_basis @ (proj_basis.T @ vec)
         return vec, np.linalg.norm(perp) * root_vol
 

@@ -24,6 +24,7 @@ import json
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 UNDERSHOOT = "undershoot"
@@ -51,15 +52,10 @@ class ShootResult:
         self.phi_limit = None
         self.kappa = None
 
-    def interpolator(self):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.r, self.u)
-
     def amplitude_at(self, r):
         """Piecewise evaluation: spline on the integrated core, analytic
         exponential tail beyond the graft radius (no spline ringing at
         the derivative joint)."""
-        from scipy.interpolate import CubicSpline
         r = np.asarray(r, dtype=float)
         ts = self.tail_start if self.tail_start is not None else self.r[-1]
         core_mask = self.r <= ts + 1e-12
@@ -240,6 +236,20 @@ def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
     return res
 
 
+def _sample_root(spline, r, values, i):
+    """Zero of the interpolant between samples i and i + 1, whose signs differ.
+
+    The spline reproduces a sample only up to rounding (a knot next to a
+    sample many orders larger can change sign), so the bracket ends take
+    the samples themselves: bracketing and root finding see one function.
+    """
+    a, b = r[i], r[i + 1]
+
+    def f(x):
+        return values[i] if x == a else values[i + 1] if x == b else spline(x)
+    return brentq(f, a, b, xtol=1e-12)
+
+
 def phi_diagnostics(result, constants):
     """Non-degeneracy verdict from the variational solution phi.
 
@@ -253,11 +263,8 @@ def phi_diagnostics(result, constants):
     r, u, phi = result.r, result.u, result.phi
     sign = np.sign(phi)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    zeros = []
-    from scipy.interpolate import CubicSpline
     phi_sp = CubicSpline(r, phi)
-    for i in flips:
-        zeros.append(brentq(phi_sp, r[i], r[i + 1], xtol=1e-12))
+    zeros = [_sample_root(phi_sp, r, phi, i) for i in flips]
     result.zero_count = len(zeros)
     result.zeros = zeros
     result.phi_limit = float(phi[-1])
@@ -268,8 +275,8 @@ def phi_diagnostics(result, constants):
     if below.size:
         i = below[0]
         if i > 0:
-            u_sp = CubicSpline(r, u - k.u0)
-            r0_cross = brentq(u_sp, r[i - 1], r[i], xtol=1e-12)
+            du = u - k.u0
+            r0_cross = _sample_root(CubicSpline(r, du), r, du, i - 1)
 
     z1 = zeros[0] if zeros else None
     z1_before_r0 = bool(z1 is not None and r0_cross is not None and z1 < r0_cross)

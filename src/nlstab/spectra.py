@@ -20,9 +20,10 @@ import json
 import numpy as np
 import scipy.linalg
 
-from .grid import PairField
-from .operators import assemble, j_inverse_apply, j_matrix, quadratic_form
-from .profiles import _d1, speed_derivative, translation_mode
+from .grid import PairField, translation_mode
+from .operators import (assemble, ghost_symmetrized, j_inverse_apply, j_matrix,
+                        quadratic_form, random_smooth_pair)
+from .profiles import speed_derivative
 
 
 class SpectralReport:
@@ -92,23 +93,12 @@ def participation_fraction(vec):
 
 
 def _translation_basis(op):
-    from .grid import hydro_to_uv
-    from .operators import _base_fields
-    if op.base is None:
+    """The operator's translation modes scaled to unit norm, one per
+    column, or None when the base wave has none."""
+    modes = op.translation_modes()
+    if not modes:
         return None
-    profile = _base_fields(op.base)
-    grid = op.grid
-    modes = []
-    for a in range(grid.dim):
-        if op.n_components == 1:
-            amp = np.sqrt(profile.c1) if profile.rep == "hydro" else profile.c1
-            vec = _d1(amp, a, grid.h[a], grid.dim).ravel()
-        elif op.rep == "uv" and profile.rep == "hydro":
-            vec = translation_mode(hydro_to_uv(profile), a).ravel()
-        else:
-            vec = translation_mode(profile, a).ravel()
-        modes.append(vec / np.linalg.norm(vec))
-    return np.stack(modes, axis=1)
+    return np.stack([vec / np.linalg.norm(vec) for vec in modes], axis=1)
 
 
 def sym_spectrum(op, keep_vectors=8, dense_limit=9000):
@@ -215,19 +205,13 @@ def nondegeneracy_check(base, c, spec=None, kind=None, expected_translations=Non
     report = sym_spectrum(op)
     if expected_translations is None:
         expected_translations = grid.dim
-    modes = []
-    for a in range(grid.dim):
-        if kind == "A":
-            amp = np.sqrt(profile.c1) if profile.rep == "hydro" else profile.c1
-            mode = _d1(amp, a, grid.h[a], grid.dim).ravel()
-        else:
-            mode = translation_mode(profile, a).ravel()
-        modes.append(mode / np.linalg.norm(mode))
-    basis = np.stack(modes, axis=1)
+    basis = _translation_basis(op)
     worst = 0.0
     for vec in report.kernel_vectors:
-        coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-        resid = np.linalg.norm(vec - basis @ coeff) / np.linalg.norm(vec)
+        resid = 1.0
+        if basis is not None:
+            coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
+            resid = np.linalg.norm(vec - basis @ coeff) / np.linalg.norm(vec)
         worst = max(worst, resid)
     ok = (report.kernel_dim == expected_translations
           and (not report.kernel_vectors or worst <= 1e-3))
@@ -438,7 +422,6 @@ def dichotomy_basis(base, c, branch, spec=None, kind=None, rate_floor=1e-8):
     spec = spec or base.spec
     if kind is None:
         kind = "JMc" if base.profile.rep == "hydro" else "JLc"
-    from .operators import ghost_symmetrized
     factor = {"JLc": "Lc", "JMc": "Mc"}[kind]
     op = ghost_symmetrized(assemble(factor, base=base, c=c, spec=spec))
     report = ham_spectrum(op=op)
@@ -458,7 +441,6 @@ def dichotomy_basis(base, c, branch, spec=None, kind=None, rate_floor=1e-8):
 
 def center_positivity_sample(basis, n_draws=50, rng=None, cutoff=0.2):
     """Quadratic-form positivity of the center block on random draws."""
-    from .operators import random_smooth_pair
     rng = rng or np.random.default_rng(7)
     grid = basis.op.grid
     violations = 0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nlstab.dynamics import (evolve_linear, evolve_linear_pair,
-                             evolve_nonlinear, fit_log_slope,
-                             monitor_invariants)
+from nlstab.dynamics import (NonlinearStepper, evolve_linear,
+                             evolve_linear_pair, evolve_nonlinear,
+                             fit_log_slope, monitor_invariants)
 from nlstab.grid import GridSpec, PairField, norm
 from nlstab.operators import (AssembledOperator, assemble,
                               div_coeff_grad_matrix, partial_matrix,
@@ -132,3 +132,26 @@ def test_fit_log_slope():
     assert abs(fit_log_slope(t, vals) - 0.37) < 1e-12
     with pytest.raises(ValueError):
         fit_log_slope(t[:2], vals[:2])
+
+
+def test_nonlinear_remainder_on_periodic_grid(gp_spec):
+    # the remainder must be the wrapped frame equation minus the wrapped
+    # implicit part, also where the background is not constant at the seam
+    g = GridSpec(1, 40.0, 256, "periodic")
+    x, h, c = g.axis(0), g.h[0], 0.3
+    bg = np.exp(1j * np.pi * x / 40.0)
+    phi = 1e-3 * np.exp(-(x - 39.0) ** 2)
+
+    def d1(f):
+        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
+
+    def lap(f):
+        return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / h ** 2
+
+    u = bg + phi
+    full = c * d1(u) + 1j * (lap(u) + gp_spec.f(np.abs(u) ** 2) * u)
+    implicit = c * d1(phi) + 1j * (lap(phi) + gp_spec.f(np.abs(bg) ** 2) * phi)
+    ref = full - implicit
+    stepper = NonlinearStepper(bg, c, gp_spec, g, 1e-3)
+    err = np.abs(stepper.remainder(phi) - ref).max()
+    assert err <= 1e-8 * np.abs(ref).max()

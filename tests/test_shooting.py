@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -116,3 +117,15 @@ def test_serialization(tmp_path, ground, cq02):
     diag = shooting.phi_diagnostics(ground, cq02)
     text = shooting.verdict_json(diag)
     assert json.loads(text)["verdict"] == "non-degenerate"
+
+
+def test_phi_diagnostics_sign_change_at_last_sample(ground, cq02):
+    # +1e-13 next to about -1.7e14: the spline through the samples loses
+    # the sign of the last one to rounding, the zero count must not
+    assert ground.phi[-2] < -1e13
+    flipped = copy.copy(ground)
+    flipped.phi = ground.phi.copy()
+    flipped.phi[-1] = 1e-13
+    diag = shooting.phi_diagnostics(flipped, cq02)
+    assert diag["zero_count"] == 2
+    assert ground.r[-2] <= flipped.zeros[1] <= ground.r[-1]

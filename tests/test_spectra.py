@@ -159,6 +159,8 @@ def test_no_band_for_positive_operator(bubble_1d_small, cq02):
     wave = TravelingWave(0.0, flat, cq02.spec, 0.0)
     out = transversal_band(wave, 0.0, cq02.spec, n_samples=1)
     assert out["band"] is None
+    # a flat base has no translation mode: the documented 50 h^2 fallback
+    assert out["report"].zero_threshold == 50.0 * g.h[0] ** 2
 
 
 def test_hamiltonian_quadruple_symmetry(bubble_1d_small, cq02):
