@@ -11,8 +11,8 @@ shoot, report} from a flat key=value config with dotted sections, e.g.::
 
 Artifacts (CSV/JSON/binary field dumps, floats at 17 significant digits)
 land in the output directory; identical config and seed reproduce them
-byte for byte.  Exit codes: 0 success, 1 config error, 2 numerical
-failure.
+byte for byte.  A key outside ``KEYS`` is a config error.  Exit codes:
+0 success, 1 config error, 2 numerical failure.
 """
 
 import argparse
@@ -30,6 +30,15 @@ from .operators import coercivity_constant, random_smooth_pair
 
 class ConfigError(Exception):
     pass
+
+
+# every key a command reads through _get; run rejects any other
+KEYS = frozenset("""
+    nonlinearity.kind nonlinearity.alpha1 nonlinearity.alpha3 nonlinearity.alpha5
+    grid.dim grid.boundary grid.L grid.N grid.L1 grid.L2 grid.N1 grid.N2
+    profile.kind profile.polish speed.c speed.list spectrum.kind
+    transversal.hamN transversal.samples shoot.dim shoot.rmax shoot.tol
+    evolve.perturbation evolve.T evolve.dt evolve.corrections""".split())
 
 
 def parse_config(text):
@@ -265,6 +274,9 @@ def run(config, out_dir, seed=0, threads=1):
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown or missing command %r" % command)
+    unknown = sorted(set(config) - KEYS - {"command"})
+    if unknown:
+        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
     return COMMANDS[command](config, out_dir, rng)
 
 

@@ -28,11 +28,7 @@ from .profiles import tw_residual_uv
 class Trajectory:
     """Decimated snapshots plus per-step scalar monitor series."""
 
-    def __init__(self, grid, rep, dt, scheme):
-        self.grid = grid
-        self.rep = rep
-        self.dt = dt
-        self.scheme = scheme
+    def __init__(self):
         self.times = []
         self.snapshots = []
         self.monitor_times = []
@@ -62,76 +58,57 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def _snapshot_steps(n_steps, n_snapshots=100):
-    if n_steps <= n_snapshots:
+_N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
+_MIN_DT = 1e-5       # floor of the nonlinear dt halving
+
+
+def _snapshot_steps(n_steps):
+    if n_steps <= _N_SNAPSHOTS:
         return set(range(n_steps + 1))
-    stride = max(1, n_steps // n_snapshots)
+    stride = max(1, n_steps // _N_SNAPSHOTS)
     marks = set(range(0, n_steps + 1, stride))
     marks.add(n_steps)
     return marks
 
 
-def evolve_linear(op, w0, T, dt, n_snapshots=100, basis=None, monitor_every=1):
-    """Crank-Nicolson flow of du/dt = J (op) u from the pair field w0.
+def _crank_nicolson(gen, dt):
+    """LU of (I - dt/2 gen) and the CSR matrix (I + dt/2 gen)."""
+    eye = sp.identity(gen.shape[0], format="csc", dtype=gen.dtype)
+    return (splu((eye - 0.5 * dt * gen).tocsc()),
+            (eye + 0.5 * dt * gen).tocsr())
 
-    Negative dt runs the flow backward.  When a dichotomy basis is given,
-    the unstable/stable projection coefficients are recorded as monitors
-    together with the field norm.
+
+def evolve_linear(op, w0, T, dt, monitor_every=1):
+    """Crank-Nicolson flow of du/dt = J (op) u from a pair field w0.
+
+    ``w0`` may also be a list of pair fields: they are advanced as one
+    block of right-hand sides through one factorization, and one
+    Trajectory per field is returned.  Negative dt runs the flow
+    backward.  The field norm is monitored.
     """
-    sign = 1.0 if dt > 0 else -1.0
+    single = isinstance(w0, PairField)
+    fields = [w0] if single else list(w0)
     n_steps = int(round(abs(T) / abs(dt)))
-    mat = (j_matrix(op.grid) @ op.matrix).tocsc()
-    eye = sp.identity(mat.shape[0], format="csc")
-    lhs = splu(eye - 0.5 * dt * mat)
-    rhs = (eye + 0.5 * dt * mat).tocsr()
-
-    traj = Trajectory(op.grid, w0.rep, dt, "crank-nicolson")
-    marks = _snapshot_steps(n_steps, n_snapshots)
-    vec = w0.ravel()
+    lhs, rhs = _crank_nicolson((j_matrix(op.grid) @ op.matrix).tocsc(), dt)
+    trajs = [Trajectory() for _ in fields]
+    marks = _snapshot_steps(n_steps)
+    block = np.stack([f.ravel() for f in fields], axis=1)
     t = 0.0
     for step in range(n_steps + 1):
-        if step in marks:
-            traj.add_snapshot(t, PairField.from_vector(op.grid, vec, w0.rep))
-        if step % monitor_every == 0 or step == n_steps:
-            field = PairField.from_vector(op.grid, vec, w0.rep)
-            mon = {"norm": norm(field)}
-            if basis is not None:
-                a, b, cu, cs, _ = basis.split(field)
-                mon.update(proj_u=cu, proj_s=cs, proj_t=a, proj_c=b)
-            traj.add_monitor(t, **mon)
+        snap = step in marks
+        mon = step % monitor_every == 0 or step == n_steps
+        if snap or mon:
+            for traj, f, vec in zip(trajs, fields, block.T.copy()):
+                field = PairField.from_vector(op.grid, vec, f.rep)
+                if snap:
+                    traj.add_snapshot(t, field)
+                if mon:
+                    traj.add_monitor(t, norm=norm(field))
         if step == n_steps:
             break
-        vec = lhs.solve(rhs @ vec)
+        block = lhs.solve(rhs @ block)
         t += dt
-    return traj
-
-
-def evolve_linear_pair(op, u0, v0, T, dt, n_snapshots=100):
-    """Evolve two fields under the same linear flow, recording <op u, v>."""
-    n_steps = int(round(abs(T) / abs(dt)))
-    mat = (j_matrix(op.grid) @ op.matrix).tocsc()
-    eye = sp.identity(mat.shape[0], format="csc")
-    lhs = splu(eye - 0.5 * dt * mat)
-    rhs = (eye + 0.5 * dt * mat).tocsr()
-    traj = Trajectory(op.grid, u0.rep, dt, "crank-nicolson")
-    other = Trajectory(op.grid, v0.rep, dt, "crank-nicolson")
-    marks = _snapshot_steps(n_steps, n_snapshots)
-    uvec, vvec = u0.ravel(), v0.ravel()
-    vol = op.grid.cell_volume
-    t = 0.0
-    for step in range(n_steps + 1):
-        if step in marks:
-            traj.add_snapshot(t, PairField.from_vector(op.grid, uvec, u0.rep))
-            other.add_snapshot(t, PairField.from_vector(op.grid, vvec, v0.rep))
-            cross = float(uvec @ (op.matrix @ vvec)) * vol
-            traj.add_monitor(t, crossform=cross,
-                             norm=float(np.linalg.norm(uvec)))
-        if step == n_steps:
-            break
-        uvec = lhs.solve(rhs @ uvec)
-        vvec = lhs.solve(rhs @ vvec)
-        t += dt
-    return traj, other
+    return trajs[0] if single else trajs
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +142,7 @@ class NonlinearStepper:
 
     def set_dt(self, dt):
         self.dt = dt
-        eye = sp.identity(self._lin.shape[0], format="csc", dtype=complex)
-        self._lhs = splu((eye - 0.5 * dt * self._lin).tocsc())
-        self._rhs = (eye + 0.5 * dt * self._lin).tocsr()
+        self._lhs, self._rhs = _crank_nicolson(self._lin, dt)
 
     def remainder(self, phi_flat):
         if not self.include_nonlinearity:
@@ -186,17 +161,17 @@ class NonlinearStepper:
 
 
 def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
-                     n_snapshots=100, monitor_every=10, basis=None,
-                     base_wave=None, include_nonlinearity=True,
-                     drift_guard=1e-6, min_dt=1e-5, momentum_kind="auto"):
+                     monitor_every=10, basis=None, base_wave=None,
+                     include_nonlinearity=True, drift_guard=1e-6,
+                     momentum_kind="auto"):
     """Evolve the frame equation i u_t - i c u_x1 + Lap u + F(|u|^2) u = 0.
 
     ``u0`` is a uv pair field; the implicit part freezes the potential of
     ``background`` (default: u0 itself).  Energy is monitored every step;
     a per-step relative energy drift beyond ``drift_guard`` rejects the
-    step and halves dt (floored at ``min_dt``).  When a dichotomy basis
-    and its base wave are given, the density/phase deviation projections
-    are recorded.
+    step and halves dt (floored at ``_MIN_DT``); each accepted time is
+    recorded once.  When a dichotomy basis and its base wave are given,
+    the density/phase deviation projections are recorded.
     """
     grid = u0.grid
     if background is None:
@@ -205,8 +180,8 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     stepper = NonlinearStepper(bg, c, spec, grid, dt, corrections,
                                include_nonlinearity)
     n_steps = int(round(abs(T) / abs(dt)))
-    marks = _snapshot_steps(n_steps, n_snapshots)
-    traj = Trajectory(grid, "uv", dt, "semi-implicit-cn")
+    marks = _snapshot_steps(n_steps)
+    traj = Trajectory()
 
     def monitors(u_field):
         vals = {"E": field_energy(u_field, spec), "norm": norm(u_field)}
@@ -227,36 +202,37 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
             vals.update(proj_u=cu, proj_s=cs)
         return vals
 
-    phi = (u0.as_complex() - bg).ravel()
-    t = 0.0
-    e_prev = None
-    e_scale = None
-    step_idx = 0
-    while step_idx <= n_steps:
-        u_field = pair_from_complex(grid, bg + phi.reshape(grid.shape))
+    def record(step_idx, t, u_field):
         if step_idx in marks:
             traj.add_snapshot(t, u_field)
         if step_idx % monitor_every == 0 or step_idx == n_steps:
             traj.add_monitor(t, **monitors(u_field))
-        if step_idx == n_steps:
-            break
-        if drift_guard is not None and e_prev is None:
-            e_prev = field_energy(u_field, spec)
-            e_scale = max(abs(e_prev), 1e-30)
+
+    phi = (u0.as_complex() - bg).ravel()
+    u_field = pair_from_complex(grid, bg + phi.reshape(grid.shape))
+    t = 0.0
+    step_idx = 0
+    record(step_idx, t, u_field)
+    if drift_guard is not None:
+        e_prev = field_energy(u_field, spec)
+        e_scale = max(abs(e_prev), 1e-30)
+    while step_idx < n_steps:
         new = stepper.step(phi)
+        u_field = pair_from_complex(grid, bg + new.reshape(grid.shape))
         if drift_guard is not None:
-            u_new = pair_from_complex(grid, bg + new.reshape(grid.shape))
-            e_new = field_energy(u_new, spec)
+            e_new = field_energy(u_field, spec)
             if (abs(e_new - e_prev) / e_scale > drift_guard
-                    and abs(stepper.dt) / 2.0 >= min_dt):
+                    and abs(stepper.dt) / 2.0 >= _MIN_DT):
+                # retry from the same state; its time is already recorded
                 stepper.set_dt(stepper.dt / 2.0)
                 n_steps = step_idx + int(round((abs(T) - abs(t)) / abs(stepper.dt)))
-                marks = _snapshot_steps(n_steps, n_snapshots)
+                marks = _snapshot_steps(n_steps)
                 continue
             e_prev = e_new
         phi = new
         t += stepper.dt
         step_idx += 1
+        record(step_idx, t, u_field)
     return traj
 
 
@@ -275,7 +251,8 @@ def _hydro_deviation(u_field, base_wave):
 # invariant monitors and growth fits
 
 def monitor_invariants(traj, op=None, other=None):
-    """Relative drifts of E, P, and the cross form of a linear pair."""
+    """Relative drifts of E, P, and of the cross form <op u, v> between
+    the snapshots of ``traj`` and ``other`` (two linear runs)."""
     out = {}
     for key in ("E", "P"):
         if key in traj.monitors:
@@ -284,11 +261,7 @@ def monitor_invariants(traj, op=None, other=None):
             if vals.size:
                 scale = max(abs(vals[0]), 1e-30)
                 out[key + "_drift"] = float(np.max(np.abs(vals - vals[0])) / scale)
-    if "crossform" in traj.monitors:
-        vals = np.asarray(traj.monitors["crossform"])
-        scale = max(abs(vals[0]), 1e-30)
-        out["crossform_drift"] = float(np.max(np.abs(vals - vals[0])) / scale)
-    elif op is not None and other is not None:
+    if op is not None and other is not None:
         vol = op.grid.cell_volume
         vals = []
         for fu, fv in zip(traj.snapshots, other.snapshots):
@@ -311,8 +284,7 @@ def fit_log_slope(times, values, window=(0.0, 1.0)):
     return float(np.polyfit(times[mask], np.log(values[mask]), 1)[0])
 
 
-def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None,
-                          cutoff=0.2):
+def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
     """Empirical growth bounds for the invariant splitting.
 
     Backward decay of the unstable mode is fitted against the computed
@@ -333,22 +305,26 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None,
     times, norms = fwd.series("norm")
     report["forward_slope"] = fit_log_slope(times, norms)
 
-    cs_slopes, m_fits = [], []
-    center_bounds = []
+    cs_fields, centers = [], []
     for i in range(n_draws):
-        f = random_smooth_pair(op.grid, rng, cutoff=cutoff)
+        f = random_smooth_pair(op.grid, rng, cutoff=0.2)
         a, b, cu, cs, center = basis.split(f)
-        u_cs = PairField.from_vector(
-            op.grid, f.ravel() - cu * basis.w_u.ravel(), f.rep)
-        traj = evolve_linear(op, u_cs, T, dt, monitor_every=50)
+        cs_fields.append(PairField.from_vector(
+            op.grid, f.ravel() - cu * basis.w_u.ravel(), f.rep))
+        if i < max(4, n_draws // 4):
+            centers.append(center)
+    trajs = evolve_linear(op, cs_fields + centers, T, dt, monitor_every=50)
+
+    cs_slopes, m_fits = [], []
+    for traj in trajs[:n_draws]:
         times, norms = traj.series("norm")
         normalized = norms / (1.0 + np.abs(times))
         cs_slopes.append(fit_log_slope(times, normalized, window=(0.5, 1.0)))
         m_fits.append(float(np.max(norms / ((1.0 + np.abs(times)) * norms[0]))))
-        if i < max(4, n_draws // 4):
-            ctraj = evolve_linear(op, center, T, dt, monitor_every=50)
-            _, cnorms = ctraj.series("norm")
-            center_bounds.append(float(np.max(cnorms) / cnorms[0]))
+    center_bounds = []
+    for traj in trajs[n_draws:]:
+        _, cnorms = traj.series("norm")
+        center_bounds.append(float(np.max(cnorms) / cnorms[0]))
     report["cs_slopes"] = cs_slopes
     report["cs_slope_max"] = float(np.max(cs_slopes))
     report["M_fit"] = float(np.max(m_fits))

@@ -446,19 +446,30 @@ def save_binary(field, path):
 
 
 def load_binary(path, boundary="truncated"):
+    """Read a dump of save_binary; a malformed file raises ValueError."""
     with open(path, "rb") as fh:
         header = fh.read(32)
-        magic, _ver, dim, tag_code, ncomp, n1, n2, l1, l2 = struct.unpack(
+        if len(header) < 32:
+            raise ValueError("not a field dump: header is %d bytes, not 32"
+                             % len(header))
+        magic, ver, dim, tag_code, ncomp, n1, n2, l1, l2 = struct.unpack(
             "<4sBBBBIIdd", header)
-        if magic != _MAGIC:
-            raise ValueError("not a field dump: bad magic")
-        if dim == 1:
-            grid = GridSpec(1, l1, n1, boundary)
-        else:
-            grid = GridSpec(2, (l1, l2), (n1, n2), boundary)
-        count = grid.size * ncomp
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
+        payload = fh.read()
+    if magic != _MAGIC:
+        raise ValueError("not a field dump: bad magic")
+    if ver != 1:
+        raise ValueError("unsupported field dump version %d" % ver)
+    if tag_code not in _TAGS_INV:
+        raise ValueError("unknown field tag code %d" % tag_code)
     tag = _TAGS_INV[tag_code]
+    if ncomp != (1 if tag == "scalar" else 2):
+        raise ValueError("%d components do not match tag %r" % (ncomp, tag))
+    grid = GridSpec(dim, (l1, l2)[:dim], (n1, n2)[:dim], boundary)
+    count = grid.size * ncomp
+    if len(payload) != count * 8:
+        raise ValueError("field dump payload is %d bytes, expected %d"
+                         % (len(payload), count * 8))
+    data = np.frombuffer(payload, dtype="<f8")
     if ncomp == 1:
         return ScalarField(grid, data.reshape(grid.shape))
     c1 = data[: grid.size].reshape(grid.shape)

@@ -101,10 +101,14 @@ def _translation_basis(op):
     return np.stack([vec / np.linalg.norm(vec) for vec in modes], axis=1)
 
 
-def sym_spectrum(op, keep_vectors=8, dense_limit=9000):
+_DENSE_LIMIT = 9000   # largest operator size solved densely
+_KEEP_VECTORS = 8     # kernel vectors kept in a SpectralReport
+
+
+def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
-    Dense solves up to ``dense_limit`` unknowns; larger operators use a
+    Dense solves up to ``_DENSE_LIMIT`` unknowns; larger operators use a
     shift-inverted sparse solve of the near-zero window plus a
     smallest-algebraic solve for the bottom of the spectrum (the counts
     then cover that window, which holds every localized negative mode of
@@ -120,7 +124,7 @@ def sym_spectrum(op, keep_vectors=8, dense_limit=9000):
     """
     thr = op.zero_threshold()
     screen = 10.0 * max(thr, 0.05)
-    if op.shape[0] <= dense_limit:
+    if op.shape[0] <= _DENSE_LIMIT:
         dense = op.dense()
         w = scipy.linalg.eigh(dense, eigvals_only=True, driver="evd")
         w_sub, v_sub = scipy.linalg.eigh(dense, driver="evr",
@@ -185,10 +189,10 @@ def sym_spectrum(op, keep_vectors=8, dense_limit=9000):
     w_loc = w[keep]
     n_neg = int(np.sum(w_loc < -thr)) + extra_negative
     return SpectralReport(op.kind, w_loc, n_neg, len(kernel_vals),
-                          kernel_vecs[:keep_vectors], thr, spurious=len(drop))
+                          kernel_vecs[:_KEEP_VECTORS], thr, spurious=len(drop))
 
 
-def nondegeneracy_check(base, c, spec=None, kind=None, expected_translations=None):
+def nondegeneracy_check(base, c, spec=None, kind=None):
     """Verdict on ker(op) = span{translation modes of the base wave}.
 
     The kernel dimension is compared against the number of translation
@@ -203,8 +207,6 @@ def nondegeneracy_check(base, c, spec=None, kind=None, expected_translations=Non
         kind = "Mc" if profile.rep == "hydro" else "Lc"
     op = assemble(kind, base=base, c=c, spec=spec)
     report = sym_spectrum(op)
-    if expected_translations is None:
-        expected_translations = grid.dim
     basis = _translation_basis(op)
     worst = 0.0
     for vec in report.kernel_vectors:
@@ -213,12 +215,12 @@ def nondegeneracy_check(base, c, spec=None, kind=None, expected_translations=Non
             coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
             resid = np.linalg.norm(vec - basis @ coeff) / np.linalg.norm(vec)
         worst = max(worst, resid)
-    ok = (report.kernel_dim == expected_translations
+    ok = (report.kernel_dim == grid.dim
           and (not report.kernel_vectors or worst <= 1e-3))
     return {
         "verdict": "non-degenerate" if ok else "degenerate/invalid base",
         "kernel_dim": report.kernel_dim,
-        "expected": expected_translations,
+        "expected": grid.dim,
         "worst_projection_residual": worst,
         "n_negative": report.n_negative,
         "zero_threshold": report.zero_threshold,
@@ -231,8 +233,7 @@ def _realify(vec):
     return re if np.linalg.norm(re) >= np.linalg.norm(im) else im
 
 
-def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None,
-                 boundary_filter=True):
+def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
     """Dense eigensolve of J * (symmetric factor).
 
     Reports the full complex spectrum, the maximal real part over
@@ -259,7 +260,7 @@ def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None,
     for i, lam in enumerate(w):
         if np.real(lam) <= 1e-12:
             break
-        if boundary_filter and op.grid.boundary == "truncated":
+        if op.grid.boundary == "truncated":
             if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
                 continue
         max_real = max(max_real, float(np.real(lam)))
@@ -411,7 +412,7 @@ class DichotomyBasis:
         return max(abs(x) for x in vals) / scale
 
 
-def dichotomy_basis(base, c, branch, spec=None, kind=None, rate_floor=1e-8):
+def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
     """Build the +/- eigenmodes and generalized-kernel projectors at a wave.
 
     The speed-derivative direction comes from central differencing the
@@ -420,9 +421,7 @@ def dichotomy_basis(base, c, branch, spec=None, kind=None, rate_floor=1e-8):
     contradict the splitting and flags a discretization failure).
     """
     spec = spec or base.spec
-    if kind is None:
-        kind = "JMc" if base.profile.rep == "hydro" else "JLc"
-    factor = {"JLc": "Lc", "JMc": "Mc"}[kind]
+    factor = "Mc" if base.profile.rep == "hydro" else "Lc"
     op = ghost_symmetrized(assemble(factor, base=base, c=c, spec=spec))
     report = ham_spectrum(op=op)
     if report.unstable_rate is None:
@@ -439,14 +438,14 @@ def dichotomy_basis(base, c, branch, spec=None, kind=None, rate_floor=1e-8):
     return basis
 
 
-def center_positivity_sample(basis, n_draws=50, rng=None, cutoff=0.2):
+def center_positivity_sample(basis, n_draws=50):
     """Quadratic-form positivity of the center block on random draws."""
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     grid = basis.op.grid
     violations = 0
     values = []
     for _ in range(n_draws):
-        f = random_smooth_pair(grid, rng, cutoff=cutoff)
+        f = random_smooth_pair(grid, rng, cutoff=0.2)
         *_co, center = basis.split(f)
         q = quadratic_form(basis.op, center)
         values.append(q)

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import spsolve
 
 from nlstab import shooting
-from nlstab.dynamics import (dichotomy_growth_test, evolve_linear_pair,
+from nlstab.dynamics import (dichotomy_growth_test, evolve_linear,
                              evolve_nonlinear, fit_log_slope,
                              monitor_invariants)
 from nlstab.functionals import d1_distance, momentum
@@ -276,8 +276,8 @@ def test_criterion_09_invariant_conservation(gp):
     rng = np.random.default_rng(3)
     u0 = random_smooth_pair(grid, rng)
     v0 = random_smooth_pair(grid, rng)
-    traj, _ = evolve_linear_pair(op, u0, v0, 10.0, 1e-3)
-    cross = monitor_invariants(traj)["crossform_drift"]
+    traj, other = evolve_linear(op, [u0, v0], 10.0, 1e-3)
+    cross = monitor_invariants(traj, op, other)["crossform_drift"]
     # perturbation energy scales as eps^2 and bounds the boundary flux of
     # the truncated domain; 5e-5 keeps the radiated share below 1e-6
     noise = random_smooth_pair(grid, rng)

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from nlstab import cli
 from nlstab.cli import ConfigError, main, parse_config, run
 
 
@@ -25,6 +27,22 @@ def test_parse_config():
 def test_unknown_command_is_config_error(tmp_path):
     code, _ = _run_cli(tmp_path, "command=frobnicate\n")
     assert code == 1
+
+
+def test_unknown_key_is_config_error(tmp_path, capsys):
+    # a typo must not run silently on the defaults
+    code, out = _run_cli(tmp_path, "command=profile\ngrid.n=64\n")
+    assert code == 1
+    assert "grid.n" in capsys.readouterr().err
+    assert not (out / "profile.json").exists()
+    with pytest.raises(ConfigError, match="grid.n"):
+        run({"command": "profile", "grid.n": "64"}, str(tmp_path / "direct"))
+
+
+def test_keys_are_the_keys_read():
+    with open(cli.__file__) as fh:
+        read = set(re.findall(r'_get\(cfg, "([^"]+)"', fh.read()))
+    assert read == cli.KEYS
 
 
 def test_missing_config_file(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from nlstab.dynamics import (NonlinearStepper, evolve_linear,
-                             evolve_linear_pair, evolve_nonlinear,
-                             fit_log_slope, monitor_invariants)
+                             evolve_nonlinear, fit_log_slope,
+                             monitor_invariants)
 from nlstab.grid import GridSpec, PairField, norm
 from nlstab.operators import (AssembledOperator, assemble,
                               div_coeff_grad_matrix, partial_matrix,
@@ -26,9 +26,23 @@ def test_cross_form_is_conserved(polished_soliton, gp_spec, rng):
     op = assemble("Lc", base=polished_soliton, c=0.8, spec=gp_spec)
     u0 = random_smooth_pair(op.grid, rng)
     v0 = random_smooth_pair(op.grid, rng)
-    traj, _ = evolve_linear_pair(op, u0, v0, 2.0, 1e-3)
-    out = monitor_invariants(traj)
+    traj, other = evolve_linear(op, [u0, v0], 2.0, 1e-3)
+    out = monitor_invariants(traj, op, other)
     assert out["crossform_drift"] <= 1e-6
+
+
+def test_block_matches_single_runs(polished_soliton, gp_spec, rng):
+    # one factorization for a block of right-hand sides changes no bit
+    op = assemble("Lc", base=polished_soliton, c=0.8, spec=gp_spec)
+    fields = [random_smooth_pair(op.grid, rng) for _ in range(3)]
+    block = evolve_linear(op, fields, 0.3, 1e-3, monitor_every=7)
+    for field, traj in zip(fields, block):
+        single = evolve_linear(op, field, 0.3, 1e-3, monitor_every=7)
+        assert traj.times == single.times
+        assert traj.monitor_times == single.monitor_times
+        assert traj.monitors["norm"] == single.monitors["norm"]
+        for a, b in zip(traj.snapshots, single.snapshots):
+            assert np.array_equal(a.ravel(), b.ravel())
 
 
 def test_kernel_mode_is_stationary(polished_soliton, gp_spec):
@@ -124,6 +138,20 @@ def test_soliton_fixed_point(polished_soliton, gp_spec):
     drift = monitor_invariants(traj)
     assert drift["E_drift"] <= 1e-6
     assert drift["P_drift"] <= 1e-6
+
+
+def test_dt_halving_records_each_time_once(gp_spec):
+    g = GridSpec(1, 40.0, 256)
+    wave = dark_soliton(0.8, g, gp_spec)
+    noise = random_smooth_pair(g, np.random.default_rng(0))
+    u0 = PairField(g, wave.profile.c1 + 1e-2 * noise.c1,
+                   wave.profile.c2 + 1e-2 * noise.c2, "uv")
+    traj = evolve_nonlinear(u0, 0.8, gp_spec, 0.05, 1e-2, monitor_every=1,
+                            drift_guard=1e-6)
+    assert len(traj.times) > 6          # the guard halved dt
+    assert np.all(np.diff(traj.monitor_times) > 0)
+    assert np.all(np.diff(traj.times) > 0)
+    assert abs(traj.monitor_times[-1] - 0.05) <= 1e-12
 
 
 def test_fit_log_slope():

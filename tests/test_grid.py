@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,31 @@ def test_binary_round_trip(tmp_path):
     assert back.rep == "uv"
     assert back.grid.compatible(g)
     assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
+
+
+def _header(ver=1, dim=1, tag=2, ncomp=2):
+    return struct.pack("<4sBBBBIIdd", b"NLSF", ver, dim, tag, ncomp,
+                       64, 0, 20.0, 0.0)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_header()[:20], "header"),
+    (b"XXXX" + _header()[4:] + bytes(1024), "magic"),
+    (_header(ver=2) + bytes(1024), "version"),
+    (_header(tag=9) + bytes(1024), "tag code"),
+    (_header(dim=3) + bytes(1024), "dim"),
+    (_header(tag=0, ncomp=2) + bytes(1024), "components"),
+    (_header(ncomp=1) + bytes(512), "components"),
+    (_header() + bytes(1016), "payload"),
+    (_header() + bytes(1032), "payload"),
+], ids=["short-header", "magic", "version", "tag", "dim", "scalar-ncomp",
+        "pair-ncomp", "short-payload", "trailing-bytes"])
+def test_load_binary_rejects_malformed(tmp_path, blob, message):
+    # 64 points x 2 components x 8 bytes = 1024 payload bytes
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=message):
+        load_binary(path)
 
 
 def test_csv_dump(tmp_path):
