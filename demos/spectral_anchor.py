@@ -3,8 +3,9 @@
 The second variation at the tanh profile decouples into two reflection-
 less Schrodinger operators; the lower block is a well with ground energy
 exactly -1/2, and the upper block carries the translation kernel.  The
-dense eigensolve reproduces the negative index 1 / kernel dimension 1
-picture that the stability machinery assumes.
+inertia count and the shift-invert eigensolve reproduce the negative
+index 1 / kernel dimension 1 picture that the stability machinery
+assumes.
 """
 
 import numpy as np

@@ -49,6 +49,8 @@ CLOSURES = ("zero", "edge", "periodic")
 _MAGIC = b"NLSF"
 _TAGS = {"scalar": 0, "w": 1, "uv": 2, "hydro": 3}
 _TAGS_INV = {v: k for k, v in _TAGS.items()}
+_BOUNDARIES = ("truncated", "periodic")   # boundary codes of a version-2 dump
+_HEADER = "<4sBBBBIIdd"                    # the 32 bytes both versions share
 
 
 def _as_tuple(value, dim):
@@ -426,7 +428,8 @@ def save_csv(field, path):
 
 
 def save_binary(field, path):
-    """Compact dump: 32-byte header (magic, dim, N, L, tag) + float64 data."""
+    """Compact dump: 40-byte header (magic, version 2, dim, tag, component
+    count, N, L, boundary code) + float64 data."""
     grid = field.grid
     if isinstance(field, ScalarField):
         tag, ncomp, arrays = "scalar", 1, [field.data]
@@ -436,35 +439,48 @@ def save_binary(field, path):
     n2 = grid.n[1] if grid.dim == 2 else 0
     l1 = grid.half_length[0]
     l2 = grid.half_length[1] if grid.dim == 2 else 0.0
-    header = struct.pack("<4sBBBBIIdd", _MAGIC, 1, grid.dim, _TAGS[tag],
-                         ncomp, n1, n2, l1, l2)
-    assert len(header) == 32
+    header = struct.pack(_HEADER + "B7x", _MAGIC, 2, grid.dim, _TAGS[tag],
+                         ncomp, n1, n2, l1, l2,
+                         _BOUNDARIES.index(grid.boundary))
+    assert len(header) == 40
     with open(path, "wb") as fh:
         fh.write(header)
         for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_binary(path, boundary="truncated"):
-    """Read a dump of save_binary; a malformed file raises ValueError."""
+def load_binary(path):
+    """Read a dump of save_binary; a malformed file raises ValueError.
+
+    A version-1 dump (32-byte header without the boundary code) loads on
+    a truncated grid.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) < 32:
-            raise ValueError("not a field dump: header is %d bytes, not 32"
-                             % len(header))
-        magic, ver, dim, tag_code, ncomp, n1, n2, l1, l2 = struct.unpack(
-            "<4sBBBBIIdd", header)
-        payload = fh.read()
+        blob = fh.read()
+    if len(blob) < 32:
+        raise ValueError("not a field dump: header is %d bytes, not 32"
+                         % len(blob))
+    magic, ver, dim, tag_code, ncomp, n1, n2, l1, l2 = struct.unpack_from(
+        _HEADER, blob)
     if magic != _MAGIC:
         raise ValueError("not a field dump: bad magic")
-    if ver != 1:
+    if ver not in (1, 2):
         raise ValueError("unsupported field dump version %d" % ver)
+    size = 32 if ver == 1 else 40
+    if len(blob) < size:
+        raise ValueError("not a field dump: version %d header is %d bytes, "
+                         "not %d" % (ver, len(blob), size))
+    code = blob[32] if ver == 2 else 0
+    if code >= len(_BOUNDARIES):
+        raise ValueError("unknown boundary code %d" % code)
+    payload = blob[size:]
     if tag_code not in _TAGS_INV:
         raise ValueError("unknown field tag code %d" % tag_code)
     tag = _TAGS_INV[tag_code]
     if ncomp != (1 if tag == "scalar" else 2):
         raise ValueError("%d components do not match tag %r" % (ncomp, tag))
-    grid = GridSpec(dim, (l1, l2)[:dim], (n1, n2)[:dim], boundary)
+    grid = GridSpec(dim, (l1, l2)[:dim], (n1, n2)[:dim],
+                    _BOUNDARIES[code])
     count = grid.size * ncomp
     if len(payload) != count * 8:
         raise ValueError("field dump payload is %d bytes, expected %d"

@@ -76,8 +76,7 @@ def ghost_symmetrized(op):
     g = ghost_jacobian(op)
     sym = (g + g.T) * 0.5
     return AssembledOperator(op.kind, sym.tocsr(), op.grid, c=op.c, k=op.k,
-                             base=op.base, pot_scale=op.pot_scale, rep=op.rep,
-                             spec=op.spec)
+                             base=op.base, rep=op.rep, spec=op.spec)
 
 
 def div_vector_matrix(grid, bvec, closure="zero"):
@@ -106,17 +105,15 @@ class AssembledOperator:
     """Sparse matrix of one operator kind together with its provenance."""
 
     def __init__(self, kind, matrix, grid, c=0.0, k=None, base=None,
-                 pot_scale=1.0, rep=None, spec=None):
+                 rep=None, spec=None):
         self.kind = kind
         self.matrix = matrix.tocsr()
         self.grid = grid
         self.c = c
         self.k = k
         self.base = base
-        self.pot_scale = pot_scale
         self.rep = rep
         self.spec = spec
-        self._dense = None
         self._kernel_residual = None
 
     @property
@@ -126,11 +123,6 @@ class AssembledOperator:
     @property
     def n_components(self):
         return 1 if self.kind == "A" else 2
-
-    def dense(self):
-        if self._dense is None:
-            self._dense = self.matrix.toarray()
-        return self._dense
 
     def symmetry_defect(self):
         d = self.matrix - self.matrix.T
@@ -249,9 +241,8 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
             if k is None:
                 raise ValueError("LcPlusK2 needs the transverse wave number k")
             mat = mat + float(k) ** 2 * sp.identity(2 * grid.size, format="csr")
-        scale = max(np.abs(pot11).max(), np.abs(pot22).max(), np.abs(cross).max())
         return AssembledOperator(kind, mat, grid, c=c, k=k, base=base,
-                                 pot_scale=float(scale), rep="uv", spec=spec)
+                                 rep="uv", spec=spec)
 
     if kind == "LcInfty":
         if spec is None:
@@ -261,8 +252,7 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         gap = -2.0 * spec.fprime(spec.r0) * spec.r0
         eye = sp.identity(grid.size, format="csr")
         mat = _block(grid, lap + gap * eye, -c * d1, c * d1, lap)
-        return AssembledOperator(kind, mat, grid, c=c, pot_scale=float(gap),
-                                 rep="uv", spec=spec)
+        return AssembledOperator(kind, mat, grid, c=c, rep="uv", spec=spec)
 
     if kind in ("Mc", "M0"):
         if field.rep != "hydro":
@@ -288,9 +278,7 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         m12 = -c * d1 + 2.0 * vector_grad_matrix(grid, grads_theta,
                                               closure)
         mat = _block(grid, m11, m12, m21, m22)
-        scale = max(np.abs(pot11).max(), 1.0)
-        return AssembledOperator(kind, mat, grid, c=c, base=base,
-                                 pot_scale=float(scale), rep="hydro",
+        return AssembledOperator(kind, mat, grid, c=c, base=base, rep="hydro",
                                  spec=spec)
 
     if kind == "McInfty":
@@ -302,9 +290,8 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         m22 = 2.0 * grid.div_coeff_grad(rho, closure)
         d1 = grid.central(0, closure)
         mat = _block(grid, m11, -c * d1, c * d1, m22)
-        return AssembledOperator(kind, mat, grid, c=c, base=base,
-                                 pot_scale=float((1.0 / rho).max()),
-                                 rep="hydro", spec=spec)
+        return AssembledOperator(kind, mat, grid, c=c, base=base, rep="hydro",
+                                 spec=spec)
 
     if kind == "A":
         if field.rep == "hydro":
@@ -314,9 +301,8 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         mod2 = phi ** 2
         pot = -spec.f(mod2) - 2.0 * spec.fprime(mod2) * mod2
         mat = grid.neg_laplacian(closure) + sp.diags(pot.ravel())
-        return AssembledOperator("A", mat, grid, base=base,
-                                 pot_scale=float(np.abs(pot).max()),
-                                 rep="scalar", spec=spec)
+        return AssembledOperator("A", mat, grid, base=base, rep="scalar",
+                                 spec=spec)
 
     raise AssertionError("unreachable")
 

@@ -409,27 +409,29 @@ def continue_branch(start, c_targets, tol=1e-11, max_iter=25,
                     max_step=0.01, min_step=1e-4):
     """Continue a density/phase wave to each target speed by warm starts.
 
-    Steps in c never exceed ``max_step``; a failed Newton solve halves the
-    step down to ``min_step``.  Returns one wave per target speed.
+    Each target starts from the nearest wave solved so far, the start
+    included; a target at the speed of such a wave is a copy of it with
+    ``newton_iters=0``.  Steps in c never exceed ``max_step``; a failed
+    Newton solve halves the step down to ``min_step``.  Returns one wave
+    per target speed, in the order given.
     """
     if start.profile.rep != "hydro":
         raise ValueError("continuation runs in density/phase variables")
     if start.profile.c1.min() <= 0.0:
         raise ValueError("continuation needs a vortex-free start")
     out = []
-    current = start
+    solved = [start]
     if start.grid.dim == 2 and start.symmetry == "radial":
         # a moving wave keeps only the transverse mirror symmetry
-        current = TravelingWave(start.c, start.profile, start.spec,
+        solved = [TravelingWave(start.c, start.profile, start.spec,
                                 start.residual_norm, "even-in-transverse",
-                                start.newton_iters)
+                                start.newton_iters)]
     for target in c_targets:
+        current = min(solved, key=lambda wave: abs(target - wave.c))
         if abs(target - current.c) < 1e-15:
-            wave = TravelingWave(target, current.profile.copy(), current.spec,
-                                 current.residual_norm, current.symmetry,
-                                 newton_iters=0)
-            out.append(wave)
-            current = wave
+            out.append(TravelingWave(target, current.profile.copy(),
+                                     current.spec, current.residual_norm,
+                                     current.symmetry, newton_iters=0))
             continue
         c_now = current.c
         step = np.sign(target - c_now) * min(max_step, abs(target - c_now))
@@ -451,6 +453,7 @@ def continue_branch(start, c_targets, tol=1e-11, max_iter=25,
             if step == 0.0:
                 break
         out.append(current)
+        solved.append(current)
     return out
 
 

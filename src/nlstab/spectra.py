@@ -19,6 +19,8 @@ import json
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 
 from .grid import PairField, translation_mode
 from .operators import (assemble, ghost_symmetrized, j_inverse_apply, j_matrix,
@@ -101,18 +103,65 @@ def _translation_basis(op):
     return np.stack([vec / np.linalg.norm(vec) for vec in modes], axis=1)
 
 
-_DENSE_LIMIT = 9000   # largest operator size solved densely
 _KEEP_VECTORS = 8     # kernel vectors kept in a SpectralReport
+
+
+def _start_vector(n):
+    """The fixed ARPACK start vector, so that repeated runs agree bitwise."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _symmetric_lu(mat, shift):
+    """LU of mat - shift*I with a symmetric ordering and diagonal pivots.
+
+    Without off-diagonal pivots the factorization is P A P^T = L D L^T up
+    to the scaling of U, so diag(U) carries the inertia of the shifted
+    matrix (Sylvester's law).
+    """
+    shifted = (mat - shift * sp.identity(mat.shape[0], format="csr")).tocsc()
+    lu = spl.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("symmetric LU pivoted off the diagonal; "
+                           "the inertia count is not valid")
+    return lu
+
+
+def count_below(op, shift):
+    """Number of eigenvalues of a symmetric operator below ``shift``."""
+    return int(np.sum(_symmetric_lu(op.matrix, shift).U.diagonal() < 0.0))
+
+
+def _lowest_pairs(mat, count):
+    """The ``count`` lowest eigenpairs of a sparse symmetric matrix, sorted.
+
+    Shift-invert Lanczos from a shift below the Gershgorin bound, where
+    mat - shift*I is positive definite.  ARPACK cannot return n - 1 or
+    more pairs, and from about n/8 pairs on its Lanczos basis costs more
+    than a dense solve (7.5 s against 8.7 s for 512 pairs at n = 4096),
+    so such counts get one dense subset solve.
+    """
+    n = mat.shape[0]
+    if 8 * count >= n:
+        return scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, count - 1))
+    diag = mat.diagonal()
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    floor = float(np.min(diag - radius))
+    shift = floor - 1e-2 * max(1.0, abs(floor))
+    lu = _symmetric_lu(mat, shift)
+    inverse = spl.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    w, v = spl.eigsh(mat, k=count, sigma=shift, which="LM", OPinv=inverse,
+                     v0=_start_vector(n), tol=0.0)
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
-    Dense solves up to ``_DENSE_LIMIT`` unknowns; larger operators use a
-    shift-inverted sparse solve of the near-zero window plus a
-    smallest-algebraic solve for the bottom of the spectrum (the counts
-    then cover that window, which holds every localized negative mode of
-    these operators).
+    The number of eigenvalues below the kernel threshold ``thr`` comes
+    from an inertia count; exactly those eigenpairs (at least two) are
+    computed, and the report's counts and eigenvalues cover them.
 
     Truncating the domain turns essential spectrum into artifact modes
     that can pollute the near-zero counts: boundary-concentrated modes
@@ -124,29 +173,14 @@ def sym_spectrum(op):
     """
     thr = op.zero_threshold()
     screen = 10.0 * max(thr, 0.05)
-    if op.shape[0] <= _DENSE_LIMIT:
-        dense = op.dense()
-        w = scipy.linalg.eigh(dense, eigvals_only=True, driver="evd")
-        w_sub, v_sub = scipy.linalg.eigh(dense, driver="evr",
-                                         subset_by_value=(-screen, screen))
-    else:
-        import scipy.sparse.linalg as spl
-        k_near = min(24, op.shape[0] - 2)
-        w_sub, v_sub = spl.eigsh(op.matrix, k=k_near, sigma=-1e-6,
-                                 which="LM")
-        # catch the bottom of the spectrum with a deep shift-invert
-        sigma_low = -op.pot_scale - 0.5
-        w_low, v_low = spl.eigsh(op.matrix, k=4, sigma=sigma_low, which="LM")
-        fresh = [i for i, lam in enumerate(w_low)
-                 if np.min(np.abs(w_sub - lam)) > 1e-9]
-        if fresh:
-            w_sub = np.concatenate([w_low[fresh], w_sub])
-            v_sub = np.concatenate([v_low[:, fresh], v_sub], axis=1)
-        order = np.argsort(w_sub)
-        w_sub, v_sub = w_sub[order], v_sub[:, order]
-        w = w_sub
-        keep_window = np.abs(w_sub) <= screen
-        w_sub, v_sub = w_sub[keep_window], v_sub[:, keep_window]
+    below = count_below(op, thr)
+    w, v = _lowest_pairs(op.matrix, max(below, 2))
+    found = int(np.sum(w < thr))
+    if found != below:
+        raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
+                           "the inertia count gives %d" % (found, thr, below))
+    window = np.abs(w) <= screen
+    w_sub, v_sub = w[window], v[:, window]
     ncomp = op.n_components
     basis = _translation_basis(op)
     drop = []            # eigenvalues excluded as truncation artifacts
@@ -233,6 +267,27 @@ def _realify(vec):
     return re if np.linalg.norm(re) >= np.linalg.norm(im) else im
 
 
+def _growth(grid, w, v):
+    """(max real part, real rate, its mode) over the localized eigenpairs
+    of J*op with positive real part; ``w`` sorted by decreasing real part.
+
+    On a truncated grid a mode with over 20% of its mass within the outer
+    10% of the domain is a truncation artifact and is skipped.
+    """
+    max_real, rate, mode = 0.0, None, None
+    for i, lam in enumerate(w):
+        if np.real(lam) <= 1e-12:
+            break
+        if grid.boundary == "truncated":
+            if boundary_mass_fraction(grid, v[:, i], 2) > 0.20:
+                continue
+        max_real = max(max_real, float(np.real(lam)))
+        if rate is None and abs(np.imag(lam)) < 1e-8 * max(1.0, abs(lam)):
+            rate = float(np.real(lam))
+            mode = _realify(v[:, i])
+    return max_real, rate, mode
+
+
 def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
     """Dense eigensolve of J * (symmetric factor).
 
@@ -256,17 +311,7 @@ def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
         dists = np.abs(block[:, None] + w[None, :]).min(axis=1)
         defect = max(defect, float(dists.max()))
 
-    max_real, rate, mode = 0.0, None, None
-    for i, lam in enumerate(w):
-        if np.real(lam) <= 1e-12:
-            break
-        if op.grid.boundary == "truncated":
-            if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
-                continue
-        max_real = max(max_real, float(np.real(lam)))
-        if rate is None and abs(np.imag(lam)) < 1e-8 * max(1.0, abs(lam)):
-            rate = float(np.real(lam))
-            mode = _realify(v[:, i])
+    max_real, rate, mode = _growth(op.grid, w, v)
     report = SpectralReport(kind, w, None, None, [], op.zero_threshold(),
                             max_real=max_real, pairing_defect=defect,
                             unstable_rate=rate)
@@ -293,22 +338,57 @@ def unstable_pair(report):
 # ---------------------------------------------------------------------------
 # transverse wave-number bands
 
+_NEAR = 6   # eigenvalues of J*op computed around each shift of the sweep
+
+
+def growth_near(op, shift):
+    """Real growth rate of J*op by shift-invert Arnoldi around ``shift``.
+
+    The ``_NEAR`` eigenvalues nearest the real shift are classified as in
+    ``ham_spectrum``; a real rate found there is checked against a second
+    solve around its mirror -rate, whose distance from -rate is the
+    pairing defect (at most 1e-8, else RuntimeError).  Returns
+    (rate or None, max real part, pairing defect or None).
+    """
+    mat = (j_matrix(op.grid) @ op.matrix).tocsc()
+    start = _start_vector(mat.shape[0])
+    w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0)
+    order = np.argsort(-np.real(w))
+    max_real, rate, _mode = _growth(op.grid, w[order], v[:, order])
+    if rate is None:
+        return None, max_real, None
+    mirror = spl.eigs(mat, k=1, sigma=-rate, which="LM", v0=start, tol=0.0,
+                      return_eigenvectors=False)
+    defect = float(np.min(np.abs(mirror + rate)))
+    if defect > 1e-8:
+        raise RuntimeError("growth rate %.12g has no mirror eigenvalue: "
+                           "pairing defect %.3g" % (rate, defect))
+    return rate, max_real, defect
+
+
 def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
                      k_outside=None):
     """Transverse instability band from the two lowest localized eigenvalues.
 
     Band = (sqrt(-lambda1) if lambda1 < 0 else 0, sqrt(-lambda0)); for each
-    sampled wave number k the shifted operator is assembled and its growth
-    rate recorded.  Also reports the admissible single-mode interval
-    (max(sqrt(-lambda1), sqrt(-lambda0)/4), sqrt(-lambda0)).  A coarser
-    `ham_base` may be supplied to keep the dense nonsymmetric solves of
-    the k sweep affordable while the endpoints use the fine base.
+    sampled wave number k the shifted operator Lc + k^2 is assembled on
+    ``ham_base`` (default: ``base``), its negative index counted and the
+    growth rate of J*(Lc + k^2) found by ``growth_near``, the shift
+    continued from the previous sample's rate.  Also reports the
+    admissible single-mode interval (max(sqrt(-lambda1), sqrt(-lambda0)/4),
+    sqrt(-lambda0)).
+
+    Index ledger: for invertible Lc + k^2 the Krein count gives
+    k_r + 2 k_c + 2 k_i^- = n^-, so one negative direction means exactly
+    one real pair, and none means no growth.  A sample that breaks it
+    raises RuntimeError.
     """
     spec = spec or base.spec
     op = assemble("Lc", base=base, c=c, spec=spec)
     rep = sym_spectrum(op)
     if rep.n_negative == 0 or rep.eigenvalues[0] >= 0.0:
-        return {"band": None, "lambda0": float(rep.eigenvalues[0]),
+        lam0 = float(rep.eigenvalues[0]) if rep.eigenvalues.size else None
+        return {"band": None, "lambda0": lam0,
                 "lambda1": None, "samples": [], "report": rep}
     lam0 = float(rep.eigenvalues[0])
     lam1 = float(rep.eigenvalues[1])
@@ -322,18 +402,28 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
     inside = np.linspace(k_lo, k_hi, n_samples + 2)[1:-1]
     outside = [k_hi * 1.27] if k_outside is None else list(k_outside)
     samples = []
+    shift = 0.0
     for k in list(inside) + list(outside):
-        hrep = ham_spectrum(ham_base, c, kind="JLcK", spec=spec, k=float(k))
         sub = assemble("LcPlusK2", base=ham_base, c=c, spec=spec, k=float(k))
         sub_rep = sym_spectrum(sub)
+        rate, max_real, defect = growth_near(sub, shift)
+        n_neg = sub_rep.n_negative
+        if ((n_neg == 1 and sub_rep.kernel_dim == 0 and rate is None)
+                or (n_neg == 0 and rate is not None)):
+            raise RuntimeError(
+                "index ledger broken at k=%.6g: n_negative(Lc+k^2) = %d but "
+                "%s" % (k, n_neg, "no real growth rate" if rate is None
+                        else "a real growth rate %.6g" % rate))
         samples.append({
             "k": float(k),
             "inside": bool(k_lo < k < k_hi),
-            "growth_rate": hrep.unstable_rate or 0.0,
-            "max_real": hrep.max_real,
-            "n_negative": sub_rep.n_negative,
+            "growth_rate": rate or 0.0,
+            "max_real": max_real,
+            "pairing_defect": defect,
+            "n_negative": n_neg,
             "kernel_dim": sub_rep.kernel_dim,
         })
+        shift = rate or 0.0
     return {
         "band": (float(k_lo), float(k_hi)),
         "lambda0": lam0,

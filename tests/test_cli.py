@@ -5,15 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from nlstab import cli
+from nlstab import cli, spectra
 from nlstab.cli import ConfigError, main, parse_config, run
 
 
-def _run_cli(tmp_path, text, name="run", seed=0):
+def _run_cli(tmp_path, text, name="run", seed=0, threads=1):
     cfg = tmp_path / (name + ".cfg")
     cfg.write_text(text)
     out = tmp_path / name
-    code = main(["--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+    code = main(["--config", str(cfg), "--out", str(out), "--seed", str(seed),
+                 "--threads", str(threads)])
     return code, out
 
 
@@ -145,17 +146,74 @@ def test_evolve_and_report(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    text = "\n".join([
-        "command=branch",
-        "nonlinearity.kind=cubic-quintic",
-        "nonlinearity.alpha1=0.2",
-        "nonlinearity.alpha3=1.0",
-        "nonlinearity.alpha5=1.0",
-        "grid.dim=1", "grid.N=512", "grid.L=30",
-        "speed.list=0.01,0.02,0.03",
-    ])
-    code1, out1 = _run_cli(tmp_path, text, name="one", seed=42)
-    code2, out2 = _run_cli(tmp_path, text, name="two", seed=42)
-    assert code1 == 0 and code2 == 0
-    for name in ("branch.csv", "branch.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the same config and seed on one and on two BLAS threads
+    cases = [
+        (["command=branch", "nonlinearity.kind=cubic-quintic",
+          "nonlinearity.alpha1=0.2", "nonlinearity.alpha3=1.0",
+          "nonlinearity.alpha5=1.0", "grid.dim=1", "grid.N=512",
+          "grid.L=30", "speed.list=0.01,0.02,0.03"],
+         ("branch.csv", "branch.json")),
+        (["command=spectrum", "nonlinearity.kind=gp", "grid.N=2048",
+          "grid.L=40", "speed.c=0.5"],
+         ("spectrum.json", "nondegeneracy.json")),
+        (["command=transversal", "nonlinearity.kind=gp", "grid.N=2048",
+          "grid.L=40", "speed.c=0.0", "transversal.samples=5",
+          "transversal.hamN=512"], ("band.csv", "band.json")),
+    ]
+    for lines, artifacts in cases:
+        text = "\n".join(lines)
+        name = lines[0].split("=")[1]
+        code1, out1 = _run_cli(tmp_path, text, name=name + "1", seed=42,
+                               threads=1)
+        code2, out2 = _run_cli(tmp_path, text, name=name + "2", seed=42,
+                               threads=2)
+        assert code1 == 0 and code2 == 0
+        for artifact in artifacts:
+            assert ((out1 / artifact).read_bytes()
+                    == (out2 / artifact).read_bytes()), artifact
+
+
+def _blas_threads():
+    return [get() for get, _ in cli._openblas()]
+
+
+def test_threads_take_effect(tmp_path, monkeypatch):
+    # numpy's and scipy's OpenBLAS both run the command on the count asked
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "report",
+                        lambda cfg, out, rng: seen.append(_blas_threads()))
+    before = _blas_threads()
+    assert len(before) == 2
+    for threads in (2, 1):
+        run({"command": "report"}, str(tmp_path), threads=threads)
+    assert seen == [[2, 2], [1, 1]]
+    assert _blas_threads() == before
+    with pytest.raises(ConfigError, match="threads"):
+        run({"command": "report"}, str(tmp_path), threads=-1)
+
+
+def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    def broken(cfg, out, rng):
+        return {}["missing"]
+    monkeypatch.setitem(cli.COMMANDS, "report", broken)
+    with pytest.raises(KeyError):
+        _run_cli(tmp_path, "command=report\n")
+    assert "config error" not in capsys.readouterr().err
+    # a missing required key still is one
+    code, _ = _run_cli(tmp_path, "command=shoot\n"
+                       "nonlinearity.kind=cubic-quintic\n", name="missing")
+    assert code == 1
+    assert "nonlinearity.alpha1" in capsys.readouterr().err
+
+
+def test_transversal_ledger_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    # a sample with one negative direction but no real growth rate
+    monkeypatch.setattr(spectra, "growth_near",
+                        lambda op, shift: (None, 0.0, None))
+    code, _ = _run_cli(tmp_path, "\n".join([
+        "command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+        "grid.L=40", "speed.c=0.0", "transversal.samples=1",
+    ]))
+    assert code == 2
+    assert "index ledger" in capsys.readouterr().err

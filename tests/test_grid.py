@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nlstab.grid import (GridSpec, PairField, ScalarField, chi_multiplier,
@@ -138,6 +138,78 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
 
 
+def test_binary_round_trip_keeps_periodic_boundary(tmp_path):
+    g = GridSpec(1, 20.0, 64, "periodic")
+    x = g.axis(0)
+    f = PairField(g, np.cos(np.pi * x / 20.0), np.sin(np.pi * x / 20.0), "uv")
+    path = tmp_path / "field.bin"
+    save_binary(f, path)
+    assert path.read_bytes()[4] == 2          # format version
+    back = load_binary(path)
+    assert back.grid.boundary == "periodic"
+    assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
+
+
+def test_version_1_dump_loads_truncated(tmp_path):
+    data = np.arange(128, dtype="<f8")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(_header() + data.tobytes())
+    back = load_binary(path)
+    assert back.grid.boundary == "truncated"
+    assert np.array_equal(back.c1, data[:64]) and np.array_equal(back.c2,
+                                                                 data[64:])
+
+
+@st.composite
+def _fields(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    n = tuple(draw(st.sampled_from((64, 128))) for _ in range(dim))
+    half = tuple(draw(st.floats(1.0, 100.0)) for _ in range(dim))
+    g = GridSpec(dim, half, n, draw(st.sampled_from(("truncated",
+                                                     "periodic"))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rep = draw(st.sampled_from(("scalar", "w", "uv", "hydro")))
+    if rep == "scalar":
+        return ScalarField(g, rng.standard_normal(g.shape))
+    # a density must stay positive
+    c1 = rng.standard_normal(g.shape)
+    return PairField(g, np.exp(c1) if rep == "hydro" else c1,
+                     rng.standard_normal(g.shape), rep)
+
+
+def _components(field):
+    if isinstance(field, ScalarField):
+        return [field.data]
+    return [field.c1, field.c2]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fields())
+def test_binary_round_trip_property(tmp_path, field):
+    path = tmp_path / "field.bin"
+    save_binary(field, path)
+    back = load_binary(path)
+    assert type(back) is type(field)
+    assert getattr(back, "rep", None) == getattr(field, "rep", None)
+    for attr in ("dim", "n", "half_length", "boundary"):
+        assert getattr(back.grid, attr) == getattr(field.grid, attr)
+    for got, want in zip(_components(back), _components(field)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fields(), st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_dump_is_rejected_property(tmp_path, field, keep):
+    path = tmp_path / "field.bin"
+    save_binary(field, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:int(keep * len(blob))])
+    with pytest.raises(ValueError):
+        load_binary(path)
+
+
 def _header(ver=1, dim=1, tag=2, ncomp=2):
     return struct.pack("<4sBBBBIIdd", b"NLSF", ver, dim, tag, ncomp,
                        64, 0, 20.0, 0.0)
@@ -146,7 +218,7 @@ def _header(ver=1, dim=1, tag=2, ncomp=2):
 @pytest.mark.parametrize("blob, message", [
     (_header()[:20], "header"),
     (b"XXXX" + _header()[4:] + bytes(1024), "magic"),
-    (_header(ver=2) + bytes(1024), "version"),
+    (_header(ver=3) + bytes(1024), "version"),
     (_header(tag=9) + bytes(1024), "tag code"),
     (_header(dim=3) + bytes(1024), "dim"),
     (_header(tag=0, ncomp=2) + bytes(1024), "components"),

@@ -166,3 +166,16 @@ def test_sweep_csv(tmp_path, soliton_grid):
     lines = path.read_text().splitlines()
     assert lines[0] == "c,P,E,dPdc,newton_iters,residual"
     assert len(lines) == 4
+
+
+def test_continuation_starts_from_nearest_solved_wave(bubble_1d_small):
+    # c = 0 is the start itself, not a re-solve from c = -0.004, and
+    # c = 0.004 continues from the start as a lone target does
+    out = continue_branch(bubble_1d_small, [-0.004, 0.0, 0.004])
+    assert [wave.c for wave in out] == [-0.004, 0.0, 0.004]
+    assert out[1].newton_iters == 0
+    assert np.array_equal(out[1].profile.c1, bubble_1d_small.profile.c1)
+    assert np.array_equal(out[1].profile.c2, bubble_1d_small.profile.c2)
+    alone = continue_branch(bubble_1d_small, [0.004])[0]
+    assert np.array_equal(out[2].profile.c1, alone.profile.c1)
+    assert np.array_equal(out[2].profile.c2, alone.profile.c2)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nlstab import spectra
 from nlstab.grid import GridSpec, PairField, norm
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import (assemble, quadratic_form, random_smooth_pair)
-from nlstab.profiles import (continue_branch, dark_soliton, translation_mode)
+from nlstab.profiles import (continue_branch, dark_soliton, stationary_bubble,
+                             translation_mode)
 from nlstab.spectra import (DichotomyBasis, boundary_mass_fraction,
-                            center_positivity_sample, dichotomy_basis,
-                            ham_spectrum, nondegeneracy_check,
-                            participation_fraction, sym_spectrum,
-                            transversal_band, unstable_pair)
+                            center_positivity_sample, count_below,
+                            dichotomy_basis, ham_spectrum,
+                            nondegeneracy_check, participation_fraction,
+                            sym_spectrum, transversal_band, unstable_pair)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +25,6 @@ def gp_l0_spectrum(gp_spec):
 
 @pytest.fixture(scope="module")
 def bubble_basis(cq02):
-    from nlstab.profiles import stationary_bubble
     g = GridSpec(1, 200.0, 1024)
     bubble = stationary_bubble(cq02, "line", g)
     lo = continue_branch(bubble, [-0.01])[0]
@@ -234,3 +236,81 @@ def test_report_serialization(gp_l0_spectrum, tmp_path):
     _, _, rep = gp_l0_spectrum
     text = rep.to_json()
     assert '"n_negative": 1' in text
+
+
+# ---------------------------------------------------------------------------
+# the inertia / shift-invert path against dense oracles
+
+def _dense_sym_spectrum(op, monkeypatch):
+    """sym_spectrum classifying every eigenpair of one dense eigh, and
+    the whole spectrum."""
+    w, v = scipy.linalg.eigh(op.matrix.toarray())
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_lowest_pairs", lambda mat, count: (w, v))
+        return sym_spectrum(op), w
+
+
+def _oracle_operators(name, gp_spec, cq02, bubble_1d_small):
+    if name.startswith("Lc"):
+        c = 0.3 if name == "Lc c=0.3" else 0.0
+        wave = dark_soliton(c, GridSpec(1, 40.0, 512), gp_spec)
+        if name.startswith("Lc "):
+            return assemble("Lc", base=wave, c=c, spec=gp_spec)
+        return assemble("LcPlusK2", base=wave, c=0.0, spec=gp_spec,
+                        k=float(name.split("k=")[1]))
+    if name == "A 1D":
+        return assemble("A", base=bubble_1d_small, spec=cq02.spec)
+    if name == "Mc 1D":
+        return assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec)
+    # the smallest 2D grid is 64^2; its scalar bubble operator keeps the
+    # dense oracle at 4,096 unknowns
+    bubble = stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 64))
+    return assemble("A", base=bubble, spec=cq02.spec)
+
+
+@pytest.mark.parametrize("name", ["Lc c=0", "Lc c=0.3", "LcPlusK2 k=0.35",
+                                  "LcPlusK2 k=0.9", "A 1D", "Mc 1D", "A 2D"])
+def test_sym_spectrum_matches_dense_oracle(name, gp_spec, cq02,
+                                           bubble_1d_small, monkeypatch):
+    op = _oracle_operators(name, gp_spec, cq02, bubble_1d_small)
+    rep = sym_spectrum(op)
+    oracle, full = _dense_sym_spectrum(op, monkeypatch)
+    assert rep.n_negative == oracle.n_negative
+    assert rep.kernel_dim == oracle.kernel_dim
+    assert rep.eigenvalues.size >= 2
+    assert np.abs(rep.eigenvalues[:2] - oracle.eigenvalues[:2]).max() <= 1e-9
+    assert rep.spurious <= oracle.spurious
+    # the inertia count is Sylvester's: eigenvalues below the shift
+    for shift in (-op.zero_threshold(), op.zero_threshold()):
+        assert count_below(op, shift) == int(np.sum(full < shift))
+
+
+def test_sweep_rates_match_dense_hamiltonian(gp_spec):
+    # criterion 3's wave numbers in one sweep, the shift continued in k
+    ks = [0.05, 0.15, 0.35, 0.45, 0.62, 0.69, 0.9]
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 1024), gp_spec)
+    coarse = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    out = transversal_band(wave, 0.0, gp_spec, n_samples=1, ham_base=coarse,
+                           k_outside=ks)
+    for sample in out["samples"][1:]:
+        dense = ham_spectrum(coarse, 0.0, kind="JLcK", spec=gp_spec,
+                             k=sample["k"])
+        if dense.unstable_rate is None:
+            assert sample["growth_rate"] == 0.0
+            assert sample["pairing_defect"] is None
+        else:
+            assert (abs(sample["growth_rate"] - dense.unstable_rate)
+                    <= 1e-9 * dense.unstable_rate)
+            assert sample["pairing_defect"] <= 1e-8
+        assert abs(sample["max_real"] - dense.max_real) <= 1e-9
+    assert [s["n_negative"] for s in out["samples"][1:]] == [1] * 6 + [0]
+
+
+@pytest.mark.parametrize("found", [(None, 0.0, None), (0.1, 0.1, 0.0)],
+                         ids=["no-rate-with-one-negative",
+                              "rate-with-none-negative"])
+def test_transversal_ledger_mismatch_raises(gp_spec, monkeypatch, found):
+    monkeypatch.setattr(spectra, "growth_near", lambda op, shift: found)
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    with pytest.raises(RuntimeError, match="index ledger"):
+        transversal_band(wave, 0.0, gp_spec, n_samples=1, k_outside=[0.9])
