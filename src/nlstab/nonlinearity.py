@@ -16,7 +16,6 @@ function h(ratio) whose root c0 marks the parameter where G(u1) = 0.
 """
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import bisect, brentq
 
@@ -98,9 +97,9 @@ class NonlinearitySpec:
             a1, a3, a5 = (self.params[k] for k in ("alpha1", "alpha3", "alpha5"))
             anti = lambda t: -a1 * t + a3 * t ** 2 / 2.0 - a5 * t ** 3 / 3.0
             return anti(self.r0) - anti(s)
-        flat = np.atleast_1d(s)
-        vals = np.array([quad(self._spline, x, self.r0, limit=200)[0] for x in flat])
-        return vals.reshape(s.shape) if s.shape else float(vals[0])
+        anti = self._spline.antiderivative()
+        vals = anti(self.r0) - anti(s)
+        return vals if s.shape else float(vals)
 
 
 def evaluate(spec, s):

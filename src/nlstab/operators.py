@@ -128,6 +128,19 @@ class AssembledOperator:
         d = self.matrix - self.matrix.T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
+    def _base_components(self):
+        """The base wave's fields in this operator's unknowns."""
+        profile = _base_fields(self.base)
+        if self.n_components == 1:
+            amp = np.sqrt(profile.c1) if profile.rep == "hydro" else profile.c1
+            return [amp]
+        if self.rep == "hydro" and profile.rep != "hydro":
+            raise ValueError("hydro operator with non-hydro base")
+        if self.rep == "uv" and profile.rep == "hydro":
+            uv = hydro_to_uv(profile)
+            return [uv.c1, uv.c2]
+        return [profile.c1, profile.c2]
+
     def translation_modes(self):
         """Translation modes d_xa of the base wave in this operator's
         unknowns, one per axis along which the base varies.
@@ -136,17 +149,7 @@ class AssembledOperator:
         """
         if self.base is None:
             return []
-        profile = _base_fields(self.base)
-        if self.n_components == 1:
-            amp = np.sqrt(profile.c1) if profile.rep == "hydro" else profile.c1
-            comps = [amp]
-        elif self.rep == "hydro" and profile.rep != "hydro":
-            raise ValueError("hydro operator with non-hydro base")
-        elif self.rep == "uv" and profile.rep == "hydro":
-            uv = hydro_to_uv(profile)
-            comps = [uv.c1, uv.c2]
-        else:
-            comps = [profile.c1, profile.c2]
+        comps = self._base_components()
         modes = []
         for a in range(self.grid.dim):
             d = self.grid.central(a, "edge")
@@ -154,6 +157,18 @@ class AssembledOperator:
             if np.any(vec):
                 modes.append(vec)
         return modes
+
+    def gauge_mode(self):
+        """Phase-rotation direction of the base wave in this operator's
+        unknowns: (0, 1) in hydro unknowns, i*U = (-u2, u1) in uv.  None
+        for a scalar operator or without a base."""
+        if self.base is None or self.n_components == 1:
+            return None
+        if self.rep == "hydro":
+            return np.concatenate([np.zeros(self.grid.size),
+                                   np.ones(self.grid.size)])
+        u1, u2 = self._base_components()
+        return np.concatenate([-u2.ravel(), u1.ravel()])
 
     def kernel_residual(self):
         """Residual of the analytic kernel identity on the discrete grid.

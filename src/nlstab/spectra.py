@@ -2,6 +2,8 @@
 
 Symmetric spectra give the negative index and kernel dimension; products
 with the symplectic matrix J give growth rates of the linearized flow.
+Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi);
+the dense Hamiltonian eigensolve survives only as a test oracle.
 Truncating an unbounded domain turns essential spectrum into extended
 "box" modes, so eigenvector mass near the boundary is used to separate
 genuine localized modes from truncation artifacts before counting: any
@@ -94,13 +96,20 @@ def participation_fraction(vec):
     return float(1.0 / np.sum(p ** 2) / p.size)
 
 
-def _translation_basis(op):
-    """The operator's translation modes scaled to unit norm, one per
-    column, or None when the base wave has none."""
-    modes = op.translation_modes()
-    if not modes:
+def _orthonormal(vectors):
+    """Orthonormal columns spanning ``vectors``, or None for none."""
+    if not vectors:
         return None
-    return np.stack([vec / np.linalg.norm(vec) for vec in modes], axis=1)
+    return np.linalg.qr(np.stack(vectors, axis=1))[0]
+
+
+def _outside(basis, vec):
+    """Norm of ``vec`` outside the span of the orthonormal columns
+    ``basis``, relative to its own norm; 1 without a basis."""
+    if basis is None:
+        return 1.0
+    rest = vec - basis @ (basis.T @ vec)
+    return float(np.linalg.norm(rest) / np.linalg.norm(vec))
 
 
 _KEEP_VECTORS = 8     # kernel vectors kept in a SpectralReport
@@ -182,7 +191,7 @@ def sym_spectrum(op):
     window = np.abs(w) <= screen
     w_sub, v_sub = w[window], v[:, window]
     ncomp = op.n_components
-    basis = _translation_basis(op)
+    basis = _orthonormal(op.translation_modes())
     drop = []            # eigenvalues excluded as truncation artifacts
     kernel_vals, kernel_vecs = [], []
     extra_negative = 0   # localized non-translation modes inside the window
@@ -195,11 +204,8 @@ def sym_spectrum(op):
             extended = near_boundary or (
                 gated and participation_fraction(vec) > 0.15)
             if abs(lam) <= thr:
-                translationish = False
-                if basis is not None:
-                    coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-                    translationish = (np.linalg.norm(vec - basis @ coeff)
-                                      <= 0.5 * np.linalg.norm(vec))
+                translationish = (basis is not None
+                                  and _outside(basis, vec) <= 0.5)
                 if translationish or (basis is None and not extended):
                     kernel_vals.append(lam)
                     kernel_vecs.append(vec.copy())
@@ -241,14 +247,10 @@ def nondegeneracy_check(base, c, spec=None, kind=None):
         kind = "Mc" if profile.rep == "hydro" else "Lc"
     op = assemble(kind, base=base, c=c, spec=spec)
     report = sym_spectrum(op)
-    basis = _translation_basis(op)
+    basis = _orthonormal(op.translation_modes())
     worst = 0.0
     for vec in report.kernel_vectors:
-        resid = 1.0
-        if basis is not None:
-            coeff, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-            resid = np.linalg.norm(vec - basis @ coeff) / np.linalg.norm(vec)
-        worst = max(worst, resid)
+        worst = max(worst, _outside(basis, vec))
     ok = (report.kernel_dim == grid.dim
           and (not report.kernel_vectors or worst <= 1e-3))
     return {
@@ -267,20 +269,43 @@ def _realify(vec):
     return re if np.linalg.norm(re) >= np.linalg.norm(im) else im
 
 
-def _growth(grid, w, v):
+def _oriented(vec):
+    """``vec`` at unit norm, signed so that its entry of largest magnitude
+    is positive: eigensolvers fix eigenvector signs arbitrarily."""
+    vec = vec / np.linalg.norm(vec)
+    return vec if vec[np.argmax(np.abs(vec))] > 0.0 else -vec
+
+
+def _kernel_span(op):
+    """Orthonormal span of the directions that op annihilates by symmetry:
+    the base wave's translation modes and its gauge direction.  None for
+    Lc + k^2 at k != 0, whose shift moves them off the kernel."""
+    if op.kind == "LcPlusK2" and op.k:
+        return None
+    gauge = op.gauge_mode()
+    return _orthonormal(op.translation_modes()
+                        + ([] if gauge is None else [gauge]))
+
+
+def _growth(op, w, v):
     """(max real part, real rate, its mode) over the localized eigenpairs
     of J*op with positive real part; ``w`` sorted by decreasing real part.
 
     On a truncated grid a mode with over 20% of its mass within the outer
-    10% of the domain is a truncation artifact and is skipped.
+    10% of the domain is a truncation artifact and is skipped.  So is a
+    mode with more than half of its norm in ``_kernel_span``: the Jordan
+    blocks of the generalized kernel, which rounding scatters off zero.
     """
+    span = _kernel_span(op)
     max_real, rate, mode = 0.0, None, None
     for i, lam in enumerate(w):
         if np.real(lam) <= 1e-12:
             break
-        if grid.boundary == "truncated":
-            if boundary_mass_fraction(grid, v[:, i], 2) > 0.20:
+        if op.grid.boundary == "truncated":
+            if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
                 continue
+        if _outside(span, v[:, i]) <= 0.5:
+            continue
         max_real = max(max_real, float(np.real(lam)))
         if rate is None and abs(np.imag(lam)) < 1e-8 * max(1.0, abs(lam)):
             rate = float(np.real(lam))
@@ -288,82 +313,67 @@ def _growth(grid, w, v):
     return max_real, rate, mode
 
 
-def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
-    """Dense eigensolve of J * (symmetric factor).
-
-    Reports the full complex spectrum, the maximal real part over
-    localized modes, the +/- pairing defect, and (when positive growth is
-    present) the unstable rate and its localized eigenvector.
-    """
-    if op is None:
-        factor = {"JLc": "Lc", "JMc": "Mc", "JLcK": "LcPlusK2"}[kind]
-        op = assemble(factor, base=base, c=c, spec=spec or base.spec, k=k)
-    jmat = j_matrix(op.grid)
-    mat = (jmat @ op.matrix).toarray()
-    w, v = scipy.linalg.eig(mat)
-    order = np.argsort(-np.real(w))
-    w, v = w[order], v[:, order]
-
-    # +/- pairing defect over the whole spectrum (chunked pairwise scan)
-    defect = 0.0
-    for start in range(0, w.size, 256):
-        block = w[start: start + 256]
-        dists = np.abs(block[:, None] + w[None, :]).min(axis=1)
-        defect = max(defect, float(dists.max()))
-
-    max_real, rate, mode = _growth(op.grid, w, v)
-    report = SpectralReport(kind, w, None, None, [], op.zero_threshold(),
-                            max_real=max_real, pairing_defect=defect,
-                            unstable_rate=rate)
-    report.unstable_vector = mode
-    report.eigenvectors = v
-    report.operator = op
-    return report
-
-
-def unstable_pair(report):
-    """Normalized eigenvectors for the +rate and -rate eigenvalues."""
-    lam = report.unstable_rate
-    if lam is None or lam <= 0.0:
-        raise ValueError("no positive growth rate in this spectrum")
-    w = report.eigenvalues
-    v = report.eigenvectors
-    i_plus = int(np.argmin(np.abs(w - lam)))
-    i_minus = int(np.argmin(np.abs(w + lam)))
-    wu = _realify(v[:, i_plus])
-    ws = _realify(v[:, i_minus])
-    return wu / np.linalg.norm(wu), ws / np.linalg.norm(ws)
-
-
 # ---------------------------------------------------------------------------
-# transverse wave-number bands
+# real growth rates by shift-invert Arnoldi
 
-_NEAR = 6   # eigenvalues of J*op computed around each shift of the sweep
+_NEAR = 6   # eigenvalues of J*op computed around each shift
+_RESTARTS = 1000   # Arnoldi restarts per solve; converging solves take <= 160
 
 
 def growth_near(op, shift):
     """Real growth rate of J*op by shift-invert Arnoldi around ``shift``.
 
-    The ``_NEAR`` eigenvalues nearest the real shift are classified as in
-    ``ham_spectrum``; a real rate found there is checked against a second
+    The ``_NEAR`` eigenvalues nearest the real shift are classified by
+    ``_growth``; a real rate found there is checked against a second
     solve around its mirror -rate, whose distance from -rate is the
     pairing defect (at most 1e-8, else RuntimeError).  Returns
-    (rate or None, max real part, pairing defect or None).
+    (rate, max real part, pairing defect, (w_u, w_s)) with the modes of
+    +rate and -rate ``_oriented``, or (None, max real part, None, None)
+    without a real rate.  A solve that does not converge within
+    ``_RESTARTS`` restarts raises ArpackNoConvergence.
     """
     mat = (j_matrix(op.grid) @ op.matrix).tocsc()
     start = _start_vector(mat.shape[0])
-    w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0)
+    w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0,
+                    maxiter=_RESTARTS)
     order = np.argsort(-np.real(w))
-    max_real, rate, _mode = _growth(op.grid, w[order], v[:, order])
+    max_real, rate, w_u = _growth(op, w[order], v[:, order])
     if rate is None:
-        return None, max_real, None
-    mirror = spl.eigs(mat, k=1, sigma=-rate, which="LM", v0=start, tol=0.0,
-                      return_eigenvectors=False)
+        return None, max_real, None, None
+    mirror, w_s = spl.eigs(mat, k=1, sigma=-rate, which="LM", v0=start,
+                           tol=0.0, maxiter=_RESTARTS)
     defect = float(np.min(np.abs(mirror + rate)))
     if defect > 1e-8:
         raise RuntimeError("growth rate %.12g has no mirror eigenvalue: "
                            "pairing defect %.3g" % (rate, defect))
-    return rate, max_real, defect
+    return rate, max_real, defect, (_oriented(w_u),
+                                    _oriented(_realify(w_s[:, 0])))
+
+
+def unstable_mode(op):
+    """``growth_near`` at the first shift that finds a real rate, or None.
+
+    A real eigenvalue r > 0 of J*op is nearer a real shift s than every
+    eigenvalue of the closed left half-plane once s > r/2; below that,
+    the kernel and the discretized continuum near the imaginary axis can
+    crowd it out.  The shift starts at sqrt(eps)*|J op|, the distance by
+    which rounding scatters the Jordan blocks of the kernel, and
+    quadruples, so that one shift lands in (r/2, 2r].  The search ends
+    without a rate at |J op| (max row sum), which bounds every
+    eigenvalue, or at the first solve that does not converge: there the
+    continuum crowds the shift, and it crowds every larger one more.
+    """
+    bound = float(abs(j_matrix(op.grid) @ op.matrix).sum(axis=1).max())
+    shift = np.sqrt(np.finfo(float).eps) * bound
+    while shift <= bound:
+        try:
+            found = growth_near(op, shift)
+        except spl.ArpackNoConvergence:
+            return None
+        if found[0] is not None:
+            return found
+        shift *= 4.0
+    return None
 
 
 def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
@@ -406,7 +416,7 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
     for k in list(inside) + list(outside):
         sub = assemble("LcPlusK2", base=ham_base, c=c, spec=spec, k=float(k))
         sub_rep = sym_spectrum(sub)
-        rate, max_real, defect = growth_near(sub, shift)
+        rate, max_real, defect, _modes = growth_near(sub, shift)
         n_neg = sub_rep.n_negative
         if ((n_neg == 1 and sub_rep.kernel_dim == 0 and rate is None)
                 or (n_neg == 0 and rate is not None)):
@@ -505,23 +515,23 @@ class DichotomyBasis:
 def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
     """Build the +/- eigenmodes and generalized-kernel projectors at a wave.
 
-    The speed-derivative direction comes from central differencing the
-    branch profiles.  Raises if the cross pairing <op w_u, w_s> falls
+    The rate and the modes w_u, w_s come from ``unstable_mode``; the
+    speed-derivative direction from central differencing the branch
+    profiles.  Raises if the cross pairing <op w_u, w_s> falls
     below `rate_floor` times the mode norms (a degenerate pairing would
     contradict the splitting and flags a discretization failure).
     """
     spec = spec or base.spec
     factor = "Mc" if base.profile.rep == "hydro" else "Lc"
     op = ghost_symmetrized(assemble(factor, base=base, c=c, spec=spec))
-    report = ham_spectrum(op=op)
-    if report.unstable_rate is None:
+    found = unstable_mode(op)
+    if found is None:
         raise ValueError("no unstable mode: dichotomy basis needs growth")
-    w_u, w_s = unstable_pair(report)
+    rate, _max_real, _defect, (w_u, w_s) = found
     t_mode = translation_mode(base.profile)
     idx = min(range(len(branch)), key=lambda i: abs(branch[i].c - c))
     c_mode = speed_derivative(branch, idx)
-    basis = DichotomyBasis(report.operator, report.unstable_rate,
-                           w_u, w_s, t_mode, c_mode)
+    basis = DichotomyBasis(op, rate, w_u, w_s, t_mode, c_mode)
     mode_scale = 1.0 * basis._vol
     if abs(basis.cross) < rate_floor * mode_scale:
         raise ValueError("degenerate pairing <op w_u, w_s> ~ %.3g" % basis.cross)

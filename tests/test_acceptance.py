@@ -35,8 +35,9 @@ from nlstab.profiles import (TravelingWave, _newton_hydro,
                              dark_soliton, dark_soliton_momentum_exact,
                              polish_field_wave, stationary_bubble,
                              translation_mode)
-from nlstab.spectra import (dichotomy_basis, ham_spectrum, sym_spectrum,
-                            transversal_band)
+from nlstab.spectra import (dichotomy_basis, sym_spectrum, transversal_band,
+                            unstable_mode)
+from oracles import ham_spectrum
 
 SQRT2 = np.sqrt(2.0)
 
@@ -226,13 +227,21 @@ def test_criterion_06_unstable_eigenvalue_cross_oracle(cq):
     oracle = np.sqrt(-lam_min)
     ok = (abs(rep.unstable_rate - oracle) <= 1e-4
           and rep.pairing_defect <= 1e-8)
+    # the sparse route from no guess: against the block oracle, whose own
+    # spread over BLAS thread counts and product orders reaches 1.3e-8
+    # relative at this size, and against the dense Hamiltonian rate
+    sparse, _, _, _ = unstable_mode(op)
+    ok &= abs(sparse - oracle) <= 5e-8 * oracle
+    sparse_rel = abs(sparse - rep.unstable_rate) / rep.unstable_rate
+    ok &= sparse_rel <= 1e-8
     # pairing also at a moving slow wave
     moving = continue_branch(bubble, [0.02])[0]
     rep2 = ham_spectrum(moving, 0.02, kind="JMc", spec=cq.spec)
     ok &= rep2.pairing_defect <= 1e-8
-    assert _report(6, ok, "rate=%.6f oracle=%.6f pairing=(%.1e, %.1e)"
-                   % (rep.unstable_rate, oracle, rep.pairing_defect,
-                      rep2.pairing_defect))
+    assert _report(6, ok, "rate=%.6f oracle=%.6f sparse=%.6f (rel %.1e) "
+                   "pairing=(%.1e, %.1e)"
+                   % (rep.unstable_rate, oracle, sparse, sparse_rel,
+                      rep.pairing_defect, rep2.pairing_defect))
 
 
 def test_criterion_07_conjugacy(gp):

@@ -210,7 +210,7 @@ def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch,
 def test_transversal_ledger_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     # a sample with one negative direction but no real growth rate
     monkeypatch.setattr(spectra, "growth_near",
-                        lambda op, shift: (None, 0.0, None))
+                        lambda op, shift: (None, 0.0, None, None))
     code, _ = _run_cli(tmp_path, "\n".join([
         "command=transversal", "nonlinearity.kind=gp", "grid.N=512",
         "grid.L=40", "speed.c=0.0", "transversal.samples=1",

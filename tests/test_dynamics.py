@@ -10,7 +10,7 @@ from nlstab.operators import (AssembledOperator, assemble,
                               div_coeff_grad_matrix, partial_matrix,
                               random_smooth_pair)
 from nlstab.profiles import dark_soliton, polish_field_wave, translation_mode
-from nlstab.spectra import ham_spectrum, sym_spectrum, unstable_pair
+from nlstab.spectra import sym_spectrum, unstable_mode
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +57,11 @@ def test_kernel_mode_is_stationary(polished_soliton, gp_spec):
 def test_unstable_mode_grows_at_its_rate(gp_spec):
     # transverse-shifted operator has a fast real pair: a crisp rate probe
     wave = dark_soliton(0.0, GridSpec(1, 40.0, 512))
-    rep = ham_spectrum(wave, 0.0, kind="JLcK", spec=gp_spec, k=0.35)
-    rate = rep.unstable_rate
-    w_u, _ = unstable_pair(rep)
+    op = assemble("LcPlusK2", base=wave, c=0.0, spec=gp_spec, k=0.35)
+    rate, _, _, (w_u, _) = unstable_mode(op)
     mode = PairField.from_vector(wave.grid, w_u, "uv")
     horizon = 3.0 / rate
-    traj = evolve_linear(rep.operator, mode, horizon, 1e-3, monitor_every=50)
+    traj = evolve_linear(op, mode, horizon, 1e-3, monitor_every=50)
     times, norms = traj.series("norm")
     growth = norms[-1] / norms[0]
     assert abs(growth - np.exp(rate * times[-1])) <= 0.01 * np.exp(rate * times[-1])

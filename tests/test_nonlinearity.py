@@ -134,6 +134,18 @@ def test_tabulated_matches_gp():
     assert np.allclose(spec.v(s), 0.5 * (1 - s) ** 2, atol=1e-8)
 
 
+def test_tabulated_potential_matches_quadrature():
+    # V(s) from the spline's antiderivative against quad of the spline
+    nodes = np.linspace(0.0, 3.0, 60)
+    spec = NonlinearitySpec.tabulated(nodes, (1.0 - nodes) * (1.0 + 0.3 * nodes ** 2),
+                                      1.0)
+    s = np.linspace(0.0, 3.0, 41)
+    ref = [quad(spec.f, x, spec.r0, limit=200)[0] for x in s]
+    assert np.abs(spec.v(s) - ref).max() <= 1e-10
+    assert isinstance(spec.v(0.5), float)
+    assert abs(spec.v(0.5) - quad(spec.f, 0.5, spec.r0)[0]) <= 1e-10
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.19, max_value=0.2499))
 def test_background_consistency_property(ratio):

@@ -234,3 +234,17 @@ def test_j_matrices_exact(rng):
     assert np.array_equal(jf.c1, f.c2) and np.array_equal(jf.c2, -f.c1)
     back = j_inverse_apply(jf)
     assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
+
+
+def test_gauge_mode_is_annihilated_by_ghost_operators(bubble_1d_small, cq02):
+    # a constant phase rotation is an exact symmetry of the edge-closed
+    # stencils, in density/phase and in (u, v) unknowns alike; the (u, v)
+    # base is the bubble turned by a constant phase, so both parts are live
+    amp = np.sqrt(bubble_1d_small.profile.c1)
+    turned = PairField(bubble_1d_small.grid, np.cos(0.7) * amp,
+                       np.sin(0.7) * amp, "uv")
+    for kind, base in (("Mc", bubble_1d_small), ("Lc", turned)):
+        op = ghost_symmetrized(assemble(kind, base=base, c=0.0, spec=cq02.spec))
+        gauge = op.gauge_mode()
+        assert np.linalg.norm(op.matrix @ gauge) <= 1e-10 * np.linalg.norm(gauge)
+    assert assemble("A", base=bubble_1d_small, spec=cq02.spec).gauge_mode() is None

@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,9 +13,10 @@ from nlstab.profiles import (continue_branch, dark_soliton, stationary_bubble,
                              translation_mode)
 from nlstab.spectra import (DichotomyBasis, boundary_mass_fraction,
                             center_positivity_sample, count_below,
-                            dichotomy_basis, ham_spectrum,
-                            nondegeneracy_check, participation_fraction,
-                            sym_spectrum, transversal_band, unstable_pair)
+                            dichotomy_basis, growth_near, nondegeneracy_check,
+                            participation_fraction, sym_spectrum,
+                            transversal_band, unstable_mode)
+from oracles import ham_spectrum, unstable_pair
 
 
 @pytest.fixture(scope="module")
@@ -111,16 +115,19 @@ def test_spectrally_stable_dark_soliton(soliton_c05, gp_spec):
 
 
 def test_unstable_rate_block_oracle(bubble_1d_small, cq02):
-    import scipy.linalg
     rep = ham_spectrum(bubble_1d_small, 0.0, kind="JMc", spec=cq02.spec)
     assert rep.unstable_rate is not None and rep.unstable_rate > 0.0
     op = rep.operator
     n = bubble_1d_small.grid.size
     m1 = op.matrix[:n, :n].toarray()
     m2 = op.matrix[n:, n:].toarray()
-    lam_min = scipy.linalg.eigvals(m2 @ m1).real.min()
-    assert abs(rep.unstable_rate - np.sqrt(-lam_min)) < 1e-4
+    oracle = np.sqrt(-scipy.linalg.eigvals(m2 @ m1).real.min())
+    assert abs(rep.unstable_rate - oracle) < 1e-4
     assert rep.pairing_defect <= 1e-8
+    # the sparse route, from no guess
+    rate, _, defect, _ = unstable_mode(op)
+    assert abs(rate - oracle) <= 1e-8 * oracle
+    assert defect <= 1e-8
 
 
 def test_transversal_band_endpoints(gp_spec):
@@ -214,10 +221,53 @@ def test_center_block_positive(bubble_basis):
     assert min(values) > 0.0
 
 
+def test_dichotomy_basis_matches_dense_oracle(bubble_basis, cq02):
+    bubble, branch, basis = bubble_basis
+    rep = ham_spectrum(op=basis.op)
+    w_u, w_s = unstable_pair(rep)
+    dense = DichotomyBasis(basis.op, rep.unstable_rate, w_u, w_s,
+                           basis.t_mode, basis.c_mode)
+    assert abs(basis.rate - dense.rate) <= 1e-12 * dense.rate
+    # both routes orient modes alike: the signed overlaps are near +1,
+    # and each mode's entry of largest magnitude is positive
+    assert abs(float(basis.w_u.ravel() @ w_u) - 1.0) <= 1e-8
+    assert abs(float(basis.w_s.ravel() @ w_s) - 1.0) <= 1e-8
+    for mode in (basis.w_u.ravel(), basis.w_s.ravel()):
+        assert mode[np.argmax(np.abs(mode))] > 0.0
+    assert abs(basis.cross - dense.cross) <= 1e-8 * abs(dense.cross)
+    again = dichotomy_basis(bubble, 0.0, branch, spec=cq02.spec)
+    assert again.rate == basis.rate
+    for name in ("w_u", "w_s"):
+        assert np.array_equal(getattr(again, name).ravel(),
+                              getattr(basis, name).ravel())
+
+
+def test_kernel_is_not_a_growth_rate(bubble_basis, bubble_1d, cq02):
+    # J*op scatters its kernel off zero by ~1e-8: near shift 0 nothing
+    # but the kernel is listed, and none of it is a rate
+    _, _, basis = bubble_basis
+    for shift in (0.0, 1e-3, 1e-2):
+        assert growth_near(basis.op, shift)[0] is None
+    # the ghost-symmetrized operator of the L=30 bubble has no real pair;
+    # its kernel must not pass for one
+    with pytest.raises(ValueError, match="no unstable mode"):
+        dichotomy_basis(bubble_1d, 0.0, [bubble_1d], spec=cq02.spec)
+
+
 def test_degenerate_pairing_guard(bubble_basis, cq02):
     bubble, branch, _ = bubble_basis
     with pytest.raises(ValueError):
         dichotomy_basis(bubble, 0.0, branch, spec=cq02.spec, rate_floor=1e6)
+
+
+def test_no_dense_nonsymmetric_eigensolve_in_src():
+    # the dense Hamiltonian eigensolve is a test oracle (tests/oracles.py)
+    package = os.path.dirname(spectra.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                calls = re.findall(r"\b(?:eig|eigvals)\s*\(", fh.read())
+            assert not calls, name
 
 
 def test_mode_filters():
@@ -306,7 +356,8 @@ def test_sweep_rates_match_dense_hamiltonian(gp_spec):
     assert [s["n_negative"] for s in out["samples"][1:]] == [1] * 6 + [0]
 
 
-@pytest.mark.parametrize("found", [(None, 0.0, None), (0.1, 0.1, 0.0)],
+@pytest.mark.parametrize("found", [(None, 0.0, None, None),
+                                   (0.1, 0.1, 0.0, None)],
                          ids=["no-rate-with-one-negative",
                               "rate-with-none-negative"])
 def test_transversal_ledger_mismatch_raises(gp_spec, monkeypatch, found):
