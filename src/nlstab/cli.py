@@ -26,7 +26,8 @@ import numpy as np
 from . import dynamics, profiles, shooting, spectra
 from .grid import GridSpec, hydro_to_uv, save_binary, save_csv
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
-from .operators import coercivity_constant, random_smooth_pair
+from .operators import (SYMMETRIC_KINDS, coercivity_constant,
+                        random_smooth_pair)
 
 
 class ConfigError(Exception):
@@ -74,25 +75,32 @@ def build_spec(cfg):
     kind = _get(cfg, "nonlinearity.kind", "gp")
     if kind == "gp":
         return NonlinearitySpec.gp()
-    if kind == "cubic-quintic":
+    if kind != "cubic-quintic":
+        raise ConfigError("unsupported nonlinearity.kind %r" % kind)
+    try:
         return NonlinearitySpec.cubic_quintic(
             _get(cfg, "nonlinearity.alpha1", cast=float),
             _get(cfg, "nonlinearity.alpha3", cast=float),
             _get(cfg, "nonlinearity.alpha5", cast=float))
-    raise ConfigError("unsupported nonlinearity.kind %r" % kind)
+    except ValueError as exc:
+        raise ConfigError("bad nonlinearity: %s" % exc)
 
 
 def build_grid(cfg):
     dim = _get(cfg, "grid.dim", 1, int)
     boundary = _get(cfg, "grid.boundary", "truncated")
     if dim == 1:
-        return GridSpec(1, _get(cfg, "grid.L", 40.0, float),
-                        _get(cfg, "grid.N", 2048, int), boundary)
-    L = (_get(cfg, "grid.L1", _get(cfg, "grid.L", 30.0, float), float),
-         _get(cfg, "grid.L2", _get(cfg, "grid.L", 30.0, float), float))
-    N = (_get(cfg, "grid.N1", _get(cfg, "grid.N", 128, int), int),
-         _get(cfg, "grid.N2", _get(cfg, "grid.N", 128, int), int))
-    return GridSpec(2, L, N, boundary)
+        L = _get(cfg, "grid.L", 40.0, float)
+        N = _get(cfg, "grid.N", 2048, int)
+    else:
+        L = (_get(cfg, "grid.L1", _get(cfg, "grid.L", 30.0, float), float),
+             _get(cfg, "grid.L2", _get(cfg, "grid.L", 30.0, float), float))
+        N = (_get(cfg, "grid.N1", _get(cfg, "grid.N", 128, int), int),
+             _get(cfg, "grid.N2", _get(cfg, "grid.N", 128, int), int))
+    try:
+        return GridSpec(dim, L, N, boundary)
+    except ValueError as exc:
+        raise ConfigError("bad grid: %s" % exc)
 
 
 def build_profile(cfg, spec, grid):
@@ -166,6 +174,8 @@ def cmd_spectrum(cfg, out, rng):
     wave = build_profile(cfg, spec, grid)
     kind = _get(cfg, "spectrum.kind",
                 "Mc" if wave.profile.rep == "hydro" else "Lc")
+    if kind not in SYMMETRIC_KINDS:
+        raise ConfigError("unknown spectrum.kind %r" % kind)
     check = spectra.nondegeneracy_check(wave, wave.c, spec, kind=kind)
     report = check.pop("report")
     with open(os.path.join(out, "spectrum.json"), "w") as fh:

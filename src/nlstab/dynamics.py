@@ -20,8 +20,7 @@ from scipy.sparse.linalg import splu
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
 from .grid import PairField, norm, pair_from_complex, uv_to_hydro
-from .operators import (j_matrix, neg_laplacian_matrix, partial_matrix,
-                        random_smooth_pair)
+from .operators import j_matrix, random_smooth_pair
 from .profiles import tw_residual_uv
 
 
@@ -135,8 +134,8 @@ class NonlinearStepper:
         self._pot = spec.f(np.abs(self.bg) ** 2)
         self._i_tw = 1j * tw_residual_uv(
             pair_from_complex(grid, background), c, spec).as_complex().ravel()
-        lin = (c * partial_matrix(grid, 0)
-               + 1j * (-neg_laplacian_matrix(grid) + sp.diags(self._pot)))
+        lin = (c * grid.central(0, "zero")
+               + 1j * (-grid.neg_laplacian("zero") + sp.diags(self._pot)))
         self._lin = lin.tocsr()
         self.set_dt(dt)
 
@@ -252,15 +251,19 @@ def _hydro_deviation(u_field, base_wave):
 
 def monitor_invariants(traj, op=None, other=None):
     """Relative drifts of E, P, and of the cross form <op u, v> between
-    the snapshots of ``traj`` and ``other`` (two linear runs)."""
+    the snapshots of ``traj`` and ``other`` (two linear runs).
+
+    ``<key>_undefined`` counts the non-finite samples of a series; a
+    series with any has no drift (None).
+    """
     out = {}
     for key in ("E", "P"):
         if key in traj.monitors:
             vals = np.asarray(traj.monitors[key], dtype=float)
-            vals = vals[np.isfinite(vals)]
-            if vals.size:
-                scale = max(abs(vals[0]), 1e-30)
-                out[key + "_drift"] = float(np.max(np.abs(vals - vals[0])) / scale)
+            undefined = int(np.count_nonzero(~np.isfinite(vals)))
+            out[key + "_undefined"] = undefined
+            out[key + "_drift"] = None if undefined else float(
+                np.max(np.abs(vals - vals[0])) / max(abs(vals[0]), 1e-30))
     if op is not None and other is not None:
         vol = op.grid.cell_volume
         vals = []

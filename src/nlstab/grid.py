@@ -27,11 +27,12 @@ The closure says what lies beyond the outermost nodes of a truncated grid:
 * ``edge`` -- ghost cells replicate the edge value, so the outer faces
   carry no difference and no flux; D has interior faces only.  Matches the
   constant far field up to the exponential tail; used by the traveling-wave
-  residuals and their exact Jacobians (Newton, ``ghost_jacobian``).
+  residuals and their exact Jacobians (Newton, ``ghost_jacobian``) and by
+  every derivative of a field: energy, momentum, the H1 norms and the
+  base-wave coefficients of ``Mc``.
 
 On a periodic grid every closure is ``periodic``: the last face joins
-the last node to the first.  ``diff``/``gradient`` below are separate
-pointwise diagnostics with one-sided differences at truncated edges.
+the last node to the first.
 
 Pair-valued samples carry a representation tag: ``"w"`` for coordinate
 fields (w1, w2), ``"uv"`` for real/imaginary parts of a complex field,
@@ -275,47 +276,6 @@ def translation_mode(profile, axis=0):
 
 
 # ---------------------------------------------------------------------------
-# pointwise derivatives (one-sided at truncated edges)
-
-def _diff_axis(data, axis, order, h, boundary):
-    d = np.empty_like(data)
-    f = np.moveaxis(data, axis, 0)
-    out = np.moveaxis(d, axis, 0)
-    if order == 1:
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-        if boundary == "periodic":
-            out[0] = (f[1] - f[-1]) / (2.0 * h)
-            out[-1] = (f[0] - f[-2]) / (2.0 * h)
-        else:
-            out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-            out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    elif order == 2:
-        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h ** 2
-        if boundary == "periodic":
-            out[0] = (f[1] - 2.0 * f[0] + f[-1]) / h ** 2
-            out[-1] = (f[0] - 2.0 * f[-1] + f[-2]) / h ** 2
-        else:
-            out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h ** 2
-            out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h ** 2
-    else:
-        raise ValueError("order must be 1 or 2")
-    return d
-
-
-def diff(field, axis=0, order=1):
-    """Second-order finite difference of a scalar field along one axis."""
-    grid = field.grid
-    if axis < 0 or axis >= grid.dim:
-        raise ValueError("invalid axis %d" % axis)
-    data = _diff_axis(field.data, axis, order, grid.h[axis], grid.boundary)
-    return ScalarField(grid, data)
-
-
-def gradient(field):
-    return [diff(field, a, 1) for a in range(field.grid.dim)]
-
-
-# ---------------------------------------------------------------------------
 # Fourier multipliers
 
 def chi_profile(xi_norm):
@@ -377,13 +337,10 @@ def inner(f, g, kind="L2"):
         return _dot(f.c1, g.c1, vol) + _dot(f.c2, g.c2, vol)
     if kind == "H1xHdot1":
         total = _dot(f.c1, g.c1, vol)
-        f1 = ScalarField(f.grid, f.c1)
-        g1 = ScalarField(g.grid, g.c1)
-        f2 = ScalarField(f.grid, f.c2)
-        g2 = ScalarField(g.grid, g.c2)
         for a in range(f.grid.dim):
-            total += _dot(diff(f1, a).data, diff(g1, a).data, vol)
-            total += _dot(diff(f2, a).data, diff(g2, a).data, vol)
+            d = f.grid.central(a, "edge")
+            total += _dot(d @ f.c1.ravel(), d @ g.c1.ravel(), vol)
+            total += _dot(d @ f.c2.ravel(), d @ g.c2.ravel(), vol)
         return total
     raise ValueError("unknown inner-product kind %r" % kind)
 
@@ -397,14 +354,16 @@ def scalar_norm(field, order=0, homogeneous=False):
     vol = field.grid.cell_volume
     total = 0.0 if homogeneous else _dot(field.data, field.data, vol)
     if order >= 1:
-        grads = gradient(field)
+        grid = field.grid
+        grads = [grid.central(a, "edge") @ field.data.ravel()
+                 for a in range(grid.dim)]
         for gra in grads:
-            total += _dot(gra.data, gra.data, vol)
+            total += _dot(gra, gra, vol)
         if order >= 2:
             for gra in grads:
-                for a in range(field.grid.dim):
-                    d2 = diff(gra, a, 1)
-                    total += _dot(d2.data, d2.data, vol)
+                for a in range(grid.dim):
+                    d2 = grid.central(a, "edge") @ gra
+                    total += _dot(d2, d2, vol)
     return float(np.sqrt(total))
 
 

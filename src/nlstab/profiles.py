@@ -29,6 +29,7 @@ from .nonlinearity import NonlinearitySpec
 from .operators import assemble, vector_grad_matrix
 
 SQRT2 = np.sqrt(2.0)
+_STALL_FLOOR = 5e-7   # projected residual a stalled Newton may stop at
 
 
 class TravelingWave:
@@ -316,7 +317,7 @@ def _amp_jacobian(psi, theta, c, spec, grid):
 
 
 def _newton_hydro(wave, c, tol=1e-11, max_iter=25, damping=True,
-                  stall_floor=5e-7, anchor=None):
+                  anchor=None):
     """Damped bordered Newton at speed c, iterating in (sqrt(rho), theta).
 
     Solves the traveling-wave system projected off the translation and
@@ -378,13 +379,13 @@ def _newton_hydro(wave, c, tol=1e-11, max_iter=25, damping=True,
                     break
             step *= 0.5
         if not moved:
-            if rn < max(50.0 * tol, stall_floor):
+            if rn < max(50.0 * tol, _STALL_FLOOR):
                 break             # stalled at the discretization floor
             raise RuntimeError(
                 "Newton line search stalled at |perp S| = %.3g" % rn)
         psi, theta, svec, rn = psi_t, th_t, trial_vec, trial_rn
         iters += 1
-    if rn > max(50.0 * tol, stall_floor) and not floored:
+    if rn > max(50.0 * tol, _STALL_FLOOR) and not floored:
         raise RuntimeError(
             "Newton stagnation after %d iterations, |perp S| = %.3g"
             % (iters, rn))

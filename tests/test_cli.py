@@ -145,6 +145,33 @@ def test_evolve_and_report(tmp_path):
     assert "coercivity" in summary and "evolve" in summary
 
 
+def test_evolve_reports_no_drift_for_an_undefined_momentum(tmp_path):
+    # the c=0 soliton vanishes at x=0: its renormalized momentum is undefined
+    code, out = _run_cli(tmp_path, "\n".join([
+        "command=evolve", "nonlinearity.kind=gp", "grid.N=512", "grid.L=40",
+        "speed.c=0.0", "evolve.T=0.05", "evolve.dt=0.01",
+    ]))
+    assert code == 0
+    drift = json.loads((out / "evolve.json").read_text())
+    assert drift["P_drift"] is None and drift["P_undefined"] == 1
+    assert drift["E_undefined"] == 0 and drift["E_drift"] <= 1e-6
+
+
+@pytest.mark.parametrize("line", [
+    "grid.dim=3", "grid.boundary=sideways", "grid.N=100",
+    "nonlinearity.alpha1=1.0", "spectrum.kind=Foo",
+], ids=lambda line: line.split("=")[0])
+def test_bad_config_value_is_config_error(tmp_path, capsys, line):
+    code, _ = _run_cli(tmp_path, "\n".join([
+        "command=spectrum", "nonlinearity.kind=cubic-quintic",
+        "nonlinearity.alpha1=0.2", "nonlinearity.alpha3=1.0",
+        "nonlinearity.alpha5=1.0", "profile.kind=bubble-line",
+        "grid.N=512", "grid.L=30", line,
+    ]))
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     # the same config and seed on one and on two BLAS threads
     cases = [

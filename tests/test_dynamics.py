@@ -6,9 +6,7 @@ from nlstab.dynamics import (NonlinearStepper, evolve_linear,
                              evolve_nonlinear, fit_log_slope,
                              monitor_invariants)
 from nlstab.grid import GridSpec, PairField, norm
-from nlstab.operators import (AssembledOperator, assemble,
-                              div_coeff_grad_matrix, partial_matrix,
-                              random_smooth_pair)
+from nlstab.operators import AssembledOperator, assemble, random_smooth_pair
 from nlstab.profiles import dark_soliton, polish_field_wave, translation_mode
 from nlstab.spectra import sym_spectrum, unstable_mode
 
@@ -101,9 +99,9 @@ def test_nonlinear_scheme_reduces_to_linear(polished_soliton, gp_spec, rng):
     # frozen-background generator: J times the symmetric factor below
     pot = gp_spec.f(polished_soliton.profile.c1 ** 2
                     + polished_soliton.profile.c2 ** 2)
-    lap = div_coeff_grad_matrix(g, np.ones(g.shape))
+    lap = g.div_coeff_grad(np.ones(g.shape), "zero")
     block = lap - sp.diags(pot.ravel())
-    d1 = partial_matrix(g, 0)
+    d1 = g.central(0, "zero")
     sym = sp.bmat([[block, -c * d1], [c * d1, block]], format="csr")
     op = AssembledOperator("Lc", sym, g, c=c)
     dev0 = PairField(g, eps * noise.c1, eps * noise.c2, "uv")

@@ -3,12 +3,11 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from nlstab.grid import GridSpec, PairField, ScalarField, inner, uv_to_hydro
+from nlstab.grid import GridSpec, PairField, inner, uv_to_hydro
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import (assemble, coercivity_constant,
                               export_matrix_market, ghost_symmetrized,
                               j_apply, j_inverse_apply, k_adjoint, k_map,
-                              neg_laplacian_matrix, partial_matrix,
                               precondition, quadratic_form,
                               random_smooth_pair, tc_map)
 from nlstab.profiles import dark_soliton, translation_mode
@@ -20,7 +19,7 @@ def test_far_field_blocks(gp_spec):
     g = GridSpec(1, 40.0, 256)
     op = assemble("LcInfty", grid=g, c=0.0, spec=gp_spec)
     n = g.size
-    lap = neg_laplacian_matrix(g)
+    lap = g.neg_laplacian("zero")
     assert abs(op.matrix[:n, :n] - (lap + 2.0 * sp.identity(n))).max() < 1e-12
     assert abs(op.matrix[n:, n:] - lap).max() < 1e-12
     assert abs(op.matrix[:n, n:]).max() == 0.0
@@ -38,7 +37,7 @@ def test_second_variation_blocks_gp(small_grid, gp_spec):
     op = assemble("Lc", base=wave, c=0.0, spec=gp_spec)
     n = small_grid.size
     u0 = wave.profile.c1
-    lap = neg_laplacian_matrix(small_grid)
+    lap = small_grid.neg_laplacian("zero")
     pot1 = (op.matrix[:n, :n] - lap).diagonal()
     pot2 = (op.matrix[n:, n:] - lap).diagonal()
     assert np.abs(pot1 - (3.0 * u0 ** 2 - 1.0)).max() < 1e-12

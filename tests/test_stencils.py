@@ -11,8 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from nlstab.grid import GridSpec, PairField
-from nlstab.operators import (assemble, div_coeff_grad_matrix, ghost_jacobian,
-                              neg_laplacian_matrix, partial_matrix)
+from nlstab.operators import assemble, ghost_jacobian
 from nlstab.profiles import _amp_jacobian, _amp_residual, tw_residual_uv
 
 # float64 rounding of a handful of terms of size max|entry|
@@ -145,15 +144,15 @@ def test_central_and_laplacian_match_slicing(grid):
 @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
 def test_operator_matrices_match_line_assembly(grid):
     coeff = _smooth(grid, 2)
-    for mat, ref in ((div_coeff_grad_matrix(grid, coeff),
+    for mat, ref in ((grid.div_coeff_grad(coeff, "zero"),
                       _div_coeff_grad_lines(grid, coeff)),
-                     (neg_laplacian_matrix(grid),
+                     (grid.neg_laplacian("zero"),
                       _div_coeff_grad_lines(grid, np.ones(grid.shape)))):
         assert abs(mat - ref).max() <= MATRIX_RTOL * abs(ref).max()
     f = _smooth(grid, 3)
     closure = "periodic" if grid.boundary == "periodic" else "zero"
     for axis in range(grid.dim):
-        mat = partial_matrix(grid, axis)
+        mat = grid.central(axis, "zero")
         ref = _d1(f, axis, grid.h[axis], closure)
         scale = MATRIX_RTOL * abs(mat).max() * np.abs(f).max()
         assert np.abs(mat @ f.ravel() - ref.ravel()).max() <= scale
