@@ -11,15 +11,18 @@ the edge values, which matches the constant far field up to the
 exponential tail; see the grid module docstring), and their Newton
 Jacobians are assembled from the same matrices.  Newton steps are
 computed from the bordered system that appends the discrete translation
-mode (and, for field variables, the gauge rotation mode) to keep the
-linearization invertible.
+modes and the gauge mode (the phase constant, or for field variables the
+rotation) to keep the linearization invertible.  The bordered system is
+solved by block elimination on one sparse LU of the Jacobian deflated
+along those directions, with one step of iterative refinement (see
+_bordered_solve); neither the bordered matrix nor A + C^T C is formed.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from . import shooting
 from .functionals import energy as field_energy
@@ -101,20 +104,46 @@ def residual_norm(wave):
 def _bordered_solve(matrix, rhs, constraints, targets=None):
     """Solve [[A, C^T], [C, 0]] [x; mu] = [rhs; targets] and return x.
 
-    Each constraint row (and its target) is scaled to a largest entry of
-    1e-4 times A's, which leaves x unchanged.  SuperLU's partial pivoting
-    then takes a pivot from the dense border rows only where A is nearly
-    singular; an early border pivot fills the factors of a 2D system.
+    The constraints are the directions along which the Newton Jacobian A
+    is singular (the gauge) or nearly so (translations, which a 1D grid
+    breaks only by roundoff), so A itself is never factored.  One sparse
+    LU factors the deflated matrix A + s sum_i e_ki e_ki^T, with
+    s = max|A| and k_i the node where |C_i| is largest (nodes kept
+    distinct).  The border carries each -s e_ki as one more column, with
+    row e_ki^T and corner -1: its unknown nu_i = x_ki takes the deflation
+    back out.  The 2p x 2p Schur complement of the p constraints and the
+    nu_i comes from 2p back-solves.  One step of iterative refinement
+    against the full bordered residual brings x to the accuracy of a
+    direct sparse solve of the bordered matrix.
     """
     cons = np.stack(constraints)
-    scale = 1e-4 * abs(matrix).max() / np.abs(cons).max(axis=1)
-    cons = sp.csr_matrix(cons * scale[:, None])
-    m = sp.bmat([[matrix, cons.T], [cons, None]], format="csc")
-    if targets is None:
-        targets = np.zeros(len(constraints))
-    sol = spsolve(m, np.concatenate([rhs, scale * np.asarray(targets,
-                                                             dtype=float)]))
-    return sol[: rhs.size]
+    p = len(constraints)
+    targets = np.zeros(p) if targets is None else np.asarray(targets, float)
+    nodes = []
+    for row in np.abs(cons):
+        row[nodes] = 0.0
+        nodes.append(int(np.argmax(row)))
+    sigma = abs(matrix).max()
+    lu = splu(sp.csc_matrix(matrix + sp.csr_matrix(
+        (np.full(p, sigma), (nodes, nodes)), shape=matrix.shape)),
+        permc_spec="MMD_AT_PLUS_A")
+    rows = np.vstack([cons, np.zeros((p, rhs.size))])
+    rows[p + np.arange(p), nodes] = 1.0
+    border = np.hstack([cons.T, np.zeros((rhs.size, p))])
+    border[nodes, p + np.arange(p)] = -sigma
+    w = lu.solve(border)
+    schur = -rows @ w
+    schur[p:, p:] -= np.eye(p)
+
+    def solve(top, bottom):
+        z = lu.solve(top)
+        y = np.linalg.solve(schur, np.concatenate([bottom, np.zeros(p)])
+                            - rows @ z)
+        return z - w @ y, y[:p]
+
+    x, mu = solve(rhs, targets)
+    dx, _ = solve(rhs - matrix @ x - cons.T @ mu, targets - cons @ x)
+    return x + dx
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ shooting parameter, phi = du/dalpha, which solves the linearized equation
 phi'' + (N-1)/r phi' + g'(u) phi = 0, phi(0) = 1, phi'(0) = 0.  Bisection
 on alpha between "crossing" trajectories (u hits zero while decreasing)
 and "undershoot" trajectories (u turns around while still positive)
-locates the ground-state amplitude alpha0.  The trajectory is integrated
+locates the ground-state amplitude alpha0; the bisection classifies on
+(u, u') alone, since neither event reads phi.  The trajectory is integrated
 only until the amplitude drops below a small multiple of the expected
 exponential tail; past that point the tail is grafted analytically with
 decay rate sqrt(-g'(0)), which avoids chasing machine-zero tails whose
@@ -92,25 +93,19 @@ def _series_start(constants, alpha, ndim, r_start):
     return np.array([u, up, phi, phip])
 
 
-def _rhs(constants, ndim):
+def _rhs(constants, ndim, variational):
     def rhs(r, y):
-        u, up, phi, phip = y
         friction = (ndim - 1) / r
-        return [up,
-                -friction * up - constants.g(u),
-                phip,
-                -friction * phip - constants.gprime(u) * phi]
+        du = [y[1], -friction * y[1] - constants.g(y[0])]
+        if not variational:
+            return du
+        return du + [y[3], -friction * y[3] - constants.gprime(y[0]) * y[2]]
     return rhs
 
 
-def integrate(alpha, constants, ndim, r_max=60.0, tol=1e-12, events=True,
-              tail_eps=None):
-    """Integrate (u, u', phi, phi') out to r_max (or a terminal event).
-
-    Returns (classification, solution) where classification is one of
-    ``crossing``, ``undershoot`` or ``ground`` (no event fired).  With
-    ``events=False`` the trajectory runs to r_max unconditionally.
-    """
+def _shoot(alpha, constants, ndim, r_max, tol, events, variational):
+    """Integrate (u, u') from the series start, with (phi, phi') when
+    ``variational``; returns (classification, solution)."""
     if not (0.0 < alpha < constants.amp):
         raise ValueError("shooting amplitude must lie in (0, sqrt(rho0))")
     if ndim < 1:
@@ -126,9 +121,10 @@ def integrate(alpha, constants, ndim, r_max=60.0, tol=1e-12, events=True,
     turn.direction = 1.0
     evs = [cross, turn] if events else None
 
-    sol = solve_ivp(_rhs(constants, ndim), (r_start, r_max), y0,
+    sol = solve_ivp(_rhs(constants, ndim, variational), (r_start, r_max),
+                    y0 if variational else y0[:2],
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    events=evs, dense_output=True, max_step=0.25)
+                    events=evs, dense_output=variational, max_step=0.25)
     if not sol.success:
         raise RuntimeError("radial integration failed: %s" % sol.message)
     if events and sol.t_events[0].size:
@@ -136,6 +132,16 @@ def integrate(alpha, constants, ndim, r_max=60.0, tol=1e-12, events=True,
     if events and sol.t_events[1].size:
         return UNDERSHOOT, sol
     return GROUND, sol
+
+
+def integrate(alpha, constants, ndim, r_max=60.0, tol=1e-12, events=True):
+    """Integrate (u, u', phi, phi') out to r_max (or a terminal event).
+
+    Returns (classification, solution) where classification is one of
+    ``crossing``, ``undershoot`` or ``ground`` (no event fired).  With
+    ``events=False`` the trajectory runs to r_max unconditionally.
+    """
+    return _shoot(alpha, constants, ndim, r_max, tol, events, True)
 
 
 def integrate_samples(alpha, constants, ndim, r_max=60.0, tol=1e-12,
@@ -148,7 +154,9 @@ def integrate_samples(alpha, constants, ndim, r_max=60.0, tol=1e-12,
 
 
 def classify(alpha, constants, ndim, r_max=60.0, tol=1e-12):
-    label, _ = integrate(alpha, constants, ndim, r_max, tol)
+    """Label of the trajectory from alpha; the events read u and u' only,
+    so phi is not integrated."""
+    label, _ = _shoot(alpha, constants, ndim, r_max, tol, True, False)
     if label == GROUND:
         # ran to r_max without crossing or turning: treat by tail sign
         return UNDERSHOOT

@@ -172,6 +172,25 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines", [
+    ["nonlinearity.kind=gp", "spectrum.kind=LcPlusK2"],
+    ["nonlinearity.kind=gp", "spectrum.kind=Mc"],
+    ["nonlinearity.kind=gp", "spectrum.kind=McInfty"],
+    ["nonlinearity.kind=gp", "spectrum.kind=M0"],
+    ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
+     "nonlinearity.alpha3=1.0", "nonlinearity.alpha5=1.0",
+     "profile.kind=bubble-line", "grid.L=30", "speed.c=0.01",
+     "spectrum.kind=M0"],
+], ids=["LcPlusK2", "Mc-on-uv", "McInfty-on-uv", "M0-on-uv", "M0-moving"])
+def test_spectrum_kind_the_profile_cannot_take_is_config_error(
+        tmp_path, capsys, lines):
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=spectrum", "grid.N=512"] + lines))
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "spectrum.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     # the same config and seed on one and on two BLAS threads
     cases = [

@@ -61,6 +61,24 @@ def test_bisection_witness(ground, cq02):
     assert {up, dn} == {shooting.CROSSING, shooting.UNDERSHOOT}
 
 
+def test_classify_agrees_with_the_events_of_integrate(ground, cq02):
+    # classify integrates (u, u') alone; integrate carries phi along
+    lo, hi = cq02.u1 + 1e-9, cq02.amp * (1.0 - 1e-7)   # default bracket
+    alphas = list(np.linspace(lo, hi, 9)) + [ground.alpha0 - 1e-8,
+                                             ground.alpha0 + 1e-8]
+    labels = []
+    for alpha in alphas:
+        label, _ = shooting.integrate(alpha, cq02, 2)
+        labels.append(shooting.UNDERSHOOT if label == shooting.GROUND
+                      else label)
+        assert shooting.classify(alpha, cq02, 2) == labels[-1], alpha
+    assert set(labels) == {shooting.CROSSING, shooting.UNDERSHOOT}
+
+
+def test_ground_amplitude_is_pinned(ground):
+    assert abs(ground.alpha0 - 0.8484081744540632) <= 2e-12
+
+
 def test_bracket_mismatch_raises(cq02):
     with pytest.raises(ValueError):
         shooting.find_alpha0(cq02, 2, bracket=(cq02.u1 + 1e-9,
