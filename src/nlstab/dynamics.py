@@ -4,14 +4,30 @@ traveling frame, with conserved-quantity monitors and growth-rate fits.
 The linear flow du/dt = J*(sym op)*u is advanced by Crank-Nicolson,
 (I - dt/2 J A) u+ = (I + dt/2 J A) u, which conserves the cross form
 <A u(t), v(t)> of any two trajectories exactly (up to solver roundoff).
+The step is taken in its Cayley form: with G = J A and a = dt/2,
+(I - aG)^-1 (I + aG) u = 2 (I - aG)^-1 u - u, so one LU of (I - aG) is
+all that is stored and a step is one solve and one axpy, no matvec.
 The nonlinear flow keeps the stiff constant-coefficient part implicit
 (Laplacian, frame transport, frozen background potential) and treats the
-remaining nonlinear terms explicitly with fixed-point corrections; the
-scheme is time-symmetric, so runs can be reversed by negating dt.  The
+remaining nonlinear terms explicitly with fixed-point corrections; in
+Cayley form its step is (I - aL)^-1 (2 phi + dt r) - phi.  That scheme
+is time-symmetric, so runs can be reversed by negating dt.  The
 perturbation of the background takes the ``zero`` closure of nlstab.grid
 and the background itself the ``edge`` closure of the traveling-wave
 residual (see the grid module docstring).
+
+A block of linear right-hand sides shares one LU.  A wide block is split
+by column into one chunk per core in the process's affinity mask (at
+least ``_MIN_CHUNK`` columns each), and every chunk runs all its steps on
+a thread of its own, since the sparse solve releases the GIL.  The
+triangular solves treat each column of a block on its own, and a column's
+step and norm use that column alone, so every stepped field and every
+monitor is bitwise the same for any split and any core count (the tests
+check this against one chunk).
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +75,7 @@ class Trajectory:
 
 _N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
 _MIN_DT = 1e-5       # floor of the nonlinear dt halving
+_MIN_CHUNK = 3       # fewest columns worth a thread of their own
 
 
 def _snapshot_steps(n_steps):
@@ -71,10 +88,62 @@ def _snapshot_steps(n_steps):
 
 
 def _crank_nicolson(gen, dt):
-    """LU of (I - dt/2 gen) and the CSR matrix (I + dt/2 gen)."""
+    """LU of (I - dt/2 gen); the step is its Cayley form, see the module."""
     eye = sp.identity(gen.shape[0], format="csc", dtype=gen.dtype)
-    return (splu((eye - 0.5 * dt * gen).tocsc()),
-            (eye + 0.5 * dt * gen).tocsr())
+    return splu((eye - 0.5 * dt * gen).tocsc())
+
+
+def _cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
+    """One Trajectory per field of the linear flow, with norm monitors;
+    field snapshots are kept only if ``snapshots``.
+
+    The columns take Cayley steps u+ = 2 lu.solve(u) - u through one LU,
+    in column chunks that each run on a thread of their own (see the
+    module docstring).
+    """
+    n_steps = int(round(abs(T) / abs(dt)))
+    marks = _snapshot_steps(n_steps) if snapshots else ()
+    lu = _crank_nicolson((j_matrix(op.grid) @ op.matrix).tocsc(), dt)
+    block = np.stack([f.ravel() for f in fields], axis=1)
+    trajs = [Trajectory() for _ in fields]
+
+    def record(step, t, cols, state):
+        snap = step in marks
+        mon = step % monitor_every == 0 or step == n_steps
+        if not (snap or mon):
+            return
+        for j, vec in zip(range(cols.start, cols.stop), state.T.copy()):
+            field = PairField.from_vector(op.grid, vec, fields[j].rep)
+            if snap:
+                trajs[j].add_snapshot(t, field)
+            if mon:
+                trajs[j].add_monitor(t, norm=norm(field))
+
+    def run(cols):
+        state, t = block[:, cols], 0.0
+        record(0, t, cols, state)
+        for step in range(1, n_steps + 1):
+            new = lu.solve(state)
+            new *= 2.0
+            new -= state
+            state = new
+            t += dt
+            record(step, t, cols, state)
+
+    width = len(fields)
+    n_chunks = max(1, min(_cores(), width // _MIN_CHUNK))
+    edges = [width * k // n_chunks for k in range(n_chunks + 1)]
+    with ThreadPoolExecutor(n_chunks) as pool:
+        list(pool.map(run, [slice(a, b) for a, b in zip(edges, edges[1:])]))
+    return trajs
 
 
 def evolve_linear(op, w0, T, dt, monitor_every=1):
@@ -86,27 +155,8 @@ def evolve_linear(op, w0, T, dt, monitor_every=1):
     backward.  The field norm is monitored.
     """
     single = isinstance(w0, PairField)
-    fields = [w0] if single else list(w0)
-    n_steps = int(round(abs(T) / abs(dt)))
-    lhs, rhs = _crank_nicolson((j_matrix(op.grid) @ op.matrix).tocsc(), dt)
-    trajs = [Trajectory() for _ in fields]
-    marks = _snapshot_steps(n_steps)
-    block = np.stack([f.ravel() for f in fields], axis=1)
-    t = 0.0
-    for step in range(n_steps + 1):
-        snap = step in marks
-        mon = step % monitor_every == 0 or step == n_steps
-        if snap or mon:
-            for traj, f, vec in zip(trajs, fields, block.T.copy()):
-                field = PairField.from_vector(op.grid, vec, f.rep)
-                if snap:
-                    traj.add_snapshot(t, field)
-                if mon:
-                    traj.add_monitor(t, norm=norm(field))
-        if step == n_steps:
-            break
-        block = lhs.solve(rhs @ block)
-        t += dt
+    trajs = _linear_flow(op, [w0] if single else list(w0), T, dt,
+                         monitor_every, snapshots=True)
     return trajs[0] if single else trajs
 
 
@@ -141,7 +191,7 @@ class NonlinearStepper:
 
     def set_dt(self, dt):
         self.dt = dt
-        self._lhs, self._rhs = _crank_nicolson(self._lin, dt)
+        self._lu = _crank_nicolson(self._lin, dt)
 
     def remainder(self, phi_flat):
         if not self.include_nonlinearity:
@@ -150,12 +200,12 @@ class NonlinearStepper:
         return self._i_tw + 1j * (self.spec.f(np.abs(u) ** 2) - self._pot) * u
 
     def step(self, phi_flat):
-        base = self._rhs @ phi_flat
+        two_phi = 2.0 * phi_flat
         r = self.remainder(phi_flat)
-        new = self._lhs.solve(base + self.dt * r)
+        new = self._lu.solve(two_phi + self.dt * r) - phi_flat
         for _ in range(self.corrections):
             r = self.remainder(0.5 * (phi_flat + new))
-            new = self._lhs.solve(base + self.dt * r)
+            new = self._lu.solve(two_phi + self.dt * r) - phi_flat
         return new
 
 
@@ -201,14 +251,23 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
             vals.update(proj_u=cu, proj_s=cs)
         return vals
 
-    def record(step_idx, t, u_field):
-        if step_idx in marks:
+    def field(phi_flat):
+        return pair_from_complex(grid, bg + phi_flat.reshape(grid.shape))
+
+    def record(step_idx, t, u_field=None):
+        snap = step_idx in marks
+        mon = step_idx % monitor_every == 0 or step_idx == n_steps
+        if not (snap or mon):
+            return
+        if u_field is None:
+            u_field = field(phi)
+        if snap:
             traj.add_snapshot(t, u_field)
-        if step_idx % monitor_every == 0 or step_idx == n_steps:
+        if mon:
             traj.add_monitor(t, **monitors(u_field))
 
     phi = (u0.as_complex() - bg).ravel()
-    u_field = pair_from_complex(grid, bg + phi.reshape(grid.shape))
+    u_field = field(phi)
     t = 0.0
     step_idx = 0
     record(step_idx, t, u_field)
@@ -217,8 +276,9 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
         e_scale = max(abs(e_prev), 1e-30)
     while step_idx < n_steps:
         new = stepper.step(phi)
-        u_field = pair_from_complex(grid, bg + new.reshape(grid.shape))
+        u_field = None
         if drift_guard is not None:
+            u_field = field(new)
             e_new = field_energy(u_field, spec)
             if (abs(e_new - e_prev) / e_scale > drift_guard
                     and abs(stepper.dt) / 2.0 >= _MIN_DT):
@@ -301,10 +361,10 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
     report = {"rate": rate}
 
     t_back = min(T, 4.0 / rate)
-    back = evolve_linear(op, basis.w_u, t_back, -dt, monitor_every=20)
+    back, = _linear_flow(op, [basis.w_u], t_back, -dt, 20, snapshots=False)
     times, norms = back.series("norm")
     report["backward_slope"] = fit_log_slope(np.abs(times), norms)
-    fwd = evolve_linear(op, basis.w_u, t_back, dt, monitor_every=20)
+    fwd, = _linear_flow(op, [basis.w_u], t_back, dt, 20, snapshots=False)
     times, norms = fwd.series("norm")
     report["forward_slope"] = fit_log_slope(times, norms)
 
@@ -316,7 +376,7 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
             op.grid, f.ravel() - cu * basis.w_u.ravel(), f.rep))
         if i < max(4, n_draws // 4):
             centers.append(center)
-    trajs = evolve_linear(op, cs_fields + centers, T, dt, monitor_every=50)
+    trajs = _linear_flow(op, cs_fields + centers, T, dt, 50, snapshots=False)
 
     cs_slopes, m_fits = [], []
     for traj in trajs[:n_draws]:

@@ -82,7 +82,8 @@ def momentum(field, kind="classical", spec=None):
         if grid.dim != 1 or field.rep != "uv":
             raise ValueError("renormalized momentum is 1D, uv only")
         mod2 = field.c1 ** 2 + field.c2 ** 2
-        if mod2.min() <= 0.0:
+        # 1 - 1/|u|^2 magnifies the roundoff of a near zero beyond any use
+        if mod2.min() < np.sqrt(np.finfo(float).eps) * mod2.max():
             raise ValueError("renormalized momentum needs |u| > 0")
         im_part = (field.c1 * _dx(grid, field.c2)
                    - field.c2 * _dx(grid, field.c1))

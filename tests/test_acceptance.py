@@ -2,13 +2,14 @@
 PASS/FAIL line.  Run with  pytest tests/test_acceptance.py -v -s
 
 Shared heavy computations (branches, eigensolves, growth runs) live in
-module-scoped fixtures.  Criterion 12's z1 < r0 clause (z1 the first zero
-of the variational solution phi, r0 the radius where the ground state
-passes the interior zero u0 of g) is a step of the non-degeneracy
-argument: it follows from the supposition that phi decays, i.e. that the
-ground state is degenerate.  The actual ground state is non-degenerate and
-has z1 > r0, so the clause is checked in the contrapositive form the
-argument uses: if z1 >= r0, phi does not decay.
+module-scoped fixtures; the dichotomy basis of criteria 10 and 11 is the
+session fixture ``wide_bubble_basis`` of conftest.py.  Criterion 12's
+z1 < r0 clause (z1 the first zero of the variational solution phi, r0 the
+radius where the ground state passes the interior zero u0 of g) is a step
+of the non-degeneracy argument: it follows from the supposition that phi
+decays, i.e. that the ground state is degenerate.  The actual ground state
+is non-degenerate and has z1 > r0, so the clause is checked in the
+contrapositive form the argument uses: if z1 >= r0, phi does not decay.
 """
 
 import json
@@ -35,8 +36,7 @@ from nlstab.profiles import (TravelingWave, _newton_hydro,
                              dark_soliton, dark_soliton_momentum_exact,
                              polish_field_wave, stationary_bubble,
                              translation_mode)
-from nlstab.spectra import (dichotomy_basis, sym_spectrum, transversal_band,
-                            unstable_mode)
+from nlstab.spectra import sym_spectrum, transversal_band, unstable_mode
 from oracles import ham_spectrum
 
 SQRT2 = np.sqrt(2.0)
@@ -87,17 +87,6 @@ def slow_branch_2d(cq):
     plus = continue_branch(bubble, speeds)
     minus = continue_branch(bubble, [-0.004])
     return bubble, plus, minus
-
-
-@pytest.fixture(scope="module")
-def wide_bubble_basis(cq):
-    grid = GridSpec(1, 200.0, 1024)
-    bubble = stationary_bubble(cq, "line", grid)
-    lo = continue_branch(bubble, [-0.01])[0]
-    hi = continue_branch(bubble, [0.01])[0]
-    branch = [lo, bubble, hi]
-    basis = dichotomy_basis(bubble, 0.0, branch, spec=cq.spec)
-    return bubble, branch, basis
 
 
 @pytest.fixture(scope="module")

@@ -146,14 +146,17 @@ def test_evolve_and_report(tmp_path):
 
 
 def test_evolve_reports_no_drift_for_an_undefined_momentum(tmp_path):
-    # the c=0 soliton vanishes at x=0: its renormalized momentum is undefined
+    # the c=0 soliton vanishes at x=0 and stays near 0 there (|u|^2 of
+    # 1e-35 at t=0.05): its renormalized momentum is undefined at both times
     code, out = _run_cli(tmp_path, "\n".join([
         "command=evolve", "nonlinearity.kind=gp", "grid.N=512", "grid.L=40",
         "speed.c=0.0", "evolve.T=0.05", "evolve.dt=0.01",
     ]))
     assert code == 0
+    rows = (out / "monitors.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["nan", "nan"]
     drift = json.loads((out / "evolve.json").read_text())
-    assert drift["P_drift"] is None and drift["P_undefined"] == 1
+    assert drift["P_drift"] is None and drift["P_undefined"] == 2
     assert drift["E_undefined"] == 0 and drift["E_drift"] <= 1e-6
 
 
@@ -202,6 +205,10 @@ def test_determinism_byte_identical(tmp_path):
         (["command=spectrum", "nonlinearity.kind=gp", "grid.N=2048",
           "grid.L=40", "speed.c=0.5"],
          ("spectrum.json", "nondegeneracy.json")),
+        (["command=evolve", "nonlinearity.kind=gp", "grid.N=512",
+          "grid.L=40", "speed.c=0.5", "evolve.perturbation=1e-3",
+          "evolve.T=0.1", "evolve.dt=1e-3"],
+         ("monitors.csv", "evolve.json", "final.bin")),
         (["command=transversal", "nonlinearity.kind=gp", "grid.N=2048",
           "grid.L=40", "speed.c=0.0", "transversal.samples=5",
           "transversal.hamN=512"], ("band.csv", "band.json")),

@@ -1,12 +1,19 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from nlstab.dynamics import (NonlinearStepper, evolve_linear,
+from nlstab import dynamics
+from nlstab.dynamics import (NonlinearStepper, Trajectory,
+                             dichotomy_growth_test, evolve_linear,
                              evolve_nonlinear, fit_log_slope,
                              monitor_invariants)
 from nlstab.grid import GridSpec, PairField, norm
-from nlstab.operators import AssembledOperator, assemble, random_smooth_pair
+from nlstab.operators import (AssembledOperator, assemble, j_matrix,
+                              random_smooth_pair)
 from nlstab.profiles import dark_soliton, polish_field_wave, translation_mode
 from nlstab.spectra import sym_spectrum, unstable_mode
 
@@ -180,3 +187,115 @@ def test_nonlinear_remainder_on_periodic_grid(gp_spec):
     stepper = NonlinearStepper(bg, c, gp_spec, g, 1e-3)
     err = np.abs(stepper.remainder(phi) - ref).max()
     assert err <= 1e-8 * np.abs(ref).max()
+
+
+def _split_runs(monkeypatch, run):
+    """``run()`` on 1 and on 3 cores, with the most column chunks it used."""
+    out = []
+    for n in (1, 3):
+        chunks = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, workers):
+                chunks.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(dynamics, "_cores", lambda n=n: n)
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", Spy)
+        out.append((run(), max(chunks)))
+    return out
+
+
+def _stripe_2d(gp_spec):
+    # 64^2 pair operator: the dark soliton of speed 0.5 extruded along y
+    g = GridSpec(2, 20.0, 64)
+    x = g.axis(0)[:, None] + np.zeros(g.shape)
+    prof = PairField(g, np.sqrt(1.0 - 0.125) * np.tanh(np.sqrt(1.75) / 2 * x),
+                     np.full(g.shape, 0.5 / np.sqrt(2.0)), "uv")
+    return assemble("Lc", base=prof, c=0.5, spec=gp_spec)
+
+
+@pytest.mark.parametrize("case", ["Mc line bubble", "Lc 64x64"])
+def test_column_split_changes_no_bit(monkeypatch, case, bubble_1d, cq02,
+                                     gp_spec):
+    if case == "Mc line bubble":
+        op, steps = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec), 40
+    else:
+        op, steps = _stripe_2d(gp_spec), 20
+    rng = np.random.default_rng(7)
+    fields = [random_smooth_pair(op.grid, rng) for _ in range(25)]
+    (one, n_one), (split, n_split) = _split_runs(
+        monkeypatch, lambda: evolve_linear(op, fields, steps * 5e-3, 5e-3,
+                                           monitor_every=3))
+    assert n_one == 1 and n_split == 3
+    for a, b in zip(one, split):
+        assert a.times == b.times and a.monitor_times == b.monitor_times
+        assert a.monitors["norm"] == b.monitors["norm"]
+        assert len(a.snapshots) == steps + 1
+        for fa, fb in zip(a.snapshots, b.snapshots):
+            assert np.array_equal(fa.ravel(), fb.ravel())
+
+
+def test_growth_report_is_the_same_split_or_not(monkeypatch,
+                                                wide_bubble_basis):
+    # criterion 10's settings; the growth test keeps no field snapshots
+    _, _, basis = wide_bubble_basis
+
+    def refuse(self, t, field):
+        raise AssertionError("growth test stored a snapshot")
+
+    monkeypatch.setattr(Trajectory, "add_snapshot", refuse)
+    (one, n_one), (split, n_split) = _split_runs(
+        monkeypatch, lambda: dichotomy_growth_test(
+            basis, T=20.0, dt=5e-3, n_draws=20,
+            rng=np.random.default_rng(21)))
+    assert n_one == 1 and n_split == 3
+    assert one == split
+
+
+def test_cores_fall_back_to_the_cpu_count(monkeypatch):
+    assert dynamics._cores() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert dynamics._cores() == (os.cpu_count() or 1)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_linear_cayley_step_matches_the_crank_nicolson_product(
+        polished_soliton, gp_spec, rng):
+    op = assemble("Lc", base=polished_soliton, c=0.8, spec=gp_spec)
+    u0 = random_smooth_pair(op.grid, rng)
+    dt, steps = 1e-2, 100
+    traj = evolve_linear(op, u0, steps * dt, dt, monitor_every=steps)
+    gen = (j_matrix(op.grid) @ op.matrix).tocsc()
+    eye = sp.identity(gen.shape[0], format="csc")
+    lhs = splu((eye - 0.5 * dt * gen).tocsc())
+    rhs = (eye + 0.5 * dt * gen).tocsr()
+    u = u0.ravel()
+    for _ in range(steps):
+        u = lhs.solve(rhs @ u)
+    assert _rel(traj.snapshots[-1].ravel(), u) <= 1e-13
+
+
+def test_nonlinear_cayley_step_matches_the_crank_nicolson_product(
+        polished_soliton, gp_spec, rng):
+    g = polished_soliton.grid
+    bg = polished_soliton.profile.as_complex()
+    dt, steps = 1e-2, 100
+    stepper = NonlinearStepper(bg, 0.8, gp_spec, g, dt, corrections=2)
+    eye = sp.identity(g.size, format="csc", dtype=complex)
+    lhs = splu((eye - 0.5 * dt * stepper._lin).tocsc())
+    rhs = (eye + 0.5 * dt * stepper._lin).tocsr()
+    noise = random_smooth_pair(g, rng)
+    phi = phi_ref = 1e-3 * noise.as_complex().ravel()
+    for _ in range(steps):
+        phi = stepper.step(phi)
+        base = rhs @ phi_ref
+        new = lhs.solve(base + dt * stepper.remainder(phi_ref))
+        for _ in range(2):
+            r = stepper.remainder(0.5 * (phi_ref + new))
+            new = lhs.solve(base + dt * r)
+        phi_ref = new
+    assert _rel(phi, phi_ref) <= 1e-13
