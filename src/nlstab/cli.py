@@ -110,6 +110,9 @@ def build_profile(cfg, spec, grid):
         return profiles.dark_soliton(c, grid, spec,
                                      polish=_get(cfg, "profile.polish", "0") == "1")
     if kind in ("bubble-line", "bubble-radial"):
+        if spec.kind != "cubic-quintic":
+            raise ConfigError("profile.kind=%s needs "
+                              "nonlinearity.kind=cubic-quintic" % kind)
         k = cq_constants(spec.params["alpha1"], spec.params["alpha3"],
                          spec.params["alpha5"])
         geometry = "line" if kind == "bubble-line" else "radial-2D"
@@ -143,6 +146,9 @@ def cmd_branch(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
     speeds = _float_list(_get(cfg, "speed.list"))
+    if len(speeds) < 3:
+        raise ConfigError("speed.list needs at least three speeds for a "
+                          "central-difference dP/dc")
     if spec.kind == "gp":
         branch = [profiles.dark_soliton(c, grid, spec) for c in speeds]
     else:
@@ -196,13 +202,20 @@ def cmd_spectrum(cfg, out, rng):
 def cmd_transversal(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
-    wave = build_profile(cfg, spec, grid)
     ham_n = _get(cfg, "transversal.hamN", 0, int)
+    coarse = None
+    if ham_n:
+        if spec.kind != "gp" or grid.dim != 1:
+            raise ConfigError("transversal.hamN re-grids only the 1D dark "
+                              "soliton of nonlinearity.kind=gp")
+        try:
+            coarse = GridSpec(1, grid.half_length[0], ham_n, grid.boundary)
+        except ValueError as exc:
+            raise ConfigError("bad transversal.hamN: %s" % exc)
+    wave = build_profile(cfg, spec, grid)
     ham_base = None
-    if ham_n and grid.dim == 1:
-        coarse = GridSpec(1, grid.half_length[0], ham_n, grid.boundary)
-        ham_base = profiles.dark_soliton(wave.c, coarse, spec) \
-            if spec.kind == "gp" else wave
+    if coarse is not None:
+        ham_base = profiles.dark_soliton(wave.c, coarse, spec)
     result = spectra.transversal_band(
         wave, wave.c, spec,
         n_samples=_get(cfg, "transversal.samples", 5, int),
@@ -219,6 +232,13 @@ def cmd_transversal(cfg, out, rng):
 def cmd_evolve(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
+    dt = _get(cfg, "evolve.dt", 1e-3, float)
+    corrections = _get(cfg, "evolve.corrections", 1, int)
+    if not dt > 0.0:
+        raise ConfigError("evolve.dt must be positive, not %r" % dt)
+    if corrections < 0:
+        raise ConfigError("evolve.corrections must be 0 or more, not %d"
+                          % corrections)
     wave = build_profile(cfg, spec, grid)
     if wave.profile.rep == "hydro":
         u0 = hydro_to_uv(wave.profile)
@@ -230,9 +250,7 @@ def cmd_evolve(cfg, out, rng):
         u0 = type(u0)(grid, u0.c1 + eps * noise.c1, u0.c2 + eps * noise.c2, "uv")
     traj = dynamics.evolve_nonlinear(
         u0, wave.c, spec,
-        _get(cfg, "evolve.T", 10.0, float),
-        _get(cfg, "evolve.dt", 1e-3, float),
-        corrections=_get(cfg, "evolve.corrections", 1, int))
+        _get(cfg, "evolve.T", 10.0, float), dt, corrections=corrections)
     traj.monitors_to_csv(os.path.join(out, "monitors.csv"))
     save_binary(traj.snapshots[-1], os.path.join(out, "final.bin"))
     drift = dynamics.monitor_invariants(traj)
@@ -246,9 +264,11 @@ def cmd_shoot(cfg, out, rng):
         raise ConfigError("shooting needs a cubic-quintic law")
     k = cq_constants(spec.params["alpha1"], spec.params["alpha3"],
                      spec.params["alpha5"])
+    dim = _get(cfg, "shoot.dim", 2, int)
+    if dim < 1:
+        raise ConfigError("shoot.dim must be 1 or more, not %d" % dim)
     res = shooting.find_alpha0(
-        k, _get(cfg, "shoot.dim", 2, int),
-        r_max=_get(cfg, "shoot.rmax", 60.0, float),
+        k, dim, r_max=_get(cfg, "shoot.rmax", 60.0, float),
         tol=_get(cfg, "shoot.tol", 1e-12, float))
     diag = shooting.phi_diagnostics(res, k)
     res.to_csv(os.path.join(out, "shoot.csv"))

@@ -3,19 +3,22 @@
 Closed-form 1D dark solitons of the unit-background defocusing equation,
 stationary bubbles of cubic-quintic laws (1D by quadrature of the first
 integral, radial 2D by shooting), and Newton continuation of slow
-traveling waves in density/phase variables.
+traveling waves, which are stored in density/phase variables.
 
-Residuals of the traveling-wave equations are products with the stencil
-matrices of nlstab.grid in the ``edge`` closure (ghost cells replicate
-the edge values, which matches the constant far field up to the
-exponential tail; see the grid module docstring), and their Newton
-Jacobians are assembled from the same matrices.  Newton steps are
+Every wave is solved by one damped Newton loop (_newton) on the
+traveling-wave residual in field variables (u1, u2), tw_residual_uv, a
+product with the stencil matrices of nlstab.grid in the ``edge`` closure
+(ghost cells replicate the edge values, which matches the constant far
+field up to the exponential tail; see the grid module docstring).  Its
+Jacobian is the operator ``Lc`` assembled in the same closure.  A
+density/phase wave is converted to (u1, u2) for the solve and back
+afterwards, so the solve itself does not need rho > 0.  Newton steps are
 computed from the bordered system that appends the discrete translation
-modes and the gauge mode (the phase constant, or for field variables the
-rotation) to keep the linearization invertible.  The bordered system is
-solved by block elimination on one sparse LU of the Jacobian deflated
-along those directions, with one step of iterative refinement (see
-_bordered_solve); neither the bordered matrix nor A + C^T C is formed.
+modes and the gauge rotation i U to keep the linearization invertible.
+The bordered system is solved by block elimination on one sparse LU of
+the Jacobian deflated along those directions, with one step of iterative
+refinement (see _bordered_solve); neither the bordered matrix nor
+A + C^T C is formed.
 """
 
 import numpy as np
@@ -27,12 +30,17 @@ from scipy.sparse.linalg import splu
 from . import shooting
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .grid import PairField, norm, translation_mode
+from .grid import (PairField, hydro_to_uv, norm, translation_mode,
+                   uv_to_hydro)
 from .nonlinearity import NonlinearitySpec
-from .operators import assemble, vector_grad_matrix
+from .operators import assemble
 
 SQRT2 = np.sqrt(2.0)
+_TOL = 1e-11          # projected residual at which Newton stops
+_MAX_ITER = 25        # Newton iterations per solve
 _STALL_FLOOR = 5e-7   # projected residual a stalled Newton may stop at
+_MAX_STEP = 0.01      # largest continuation step in c
+_MIN_STEP = 1e-4      # a failed step is halved down to this size
 
 
 class TravelingWave:
@@ -82,23 +90,13 @@ def tw_residual_uv(field, c, spec):
     return PairField.from_vector(grid, np.concatenate([r1, r2]), "uv")
 
 
-def tw_residual_hydro_amp(field, c, spec):
-    """Traveling-wave residual with the first equation in amplitude form.
-
-    Multiplying the Bernoulli equation by sqrt(rho) collapses the quantum
-    pressure to a plain Laplacian of the amplitude; this is the form
-    whose exact discrete zeros the Newton continuation produces, and the
-    form reported as a wave's residual norm.
-    """
-    grid = field.grid
-    vec = _amp_residual(np.sqrt(field.c1), field.c2, c, spec, grid)
-    return PairField.from_vector(grid, vec, "uv")
+def _as_uv(field):
+    return hydro_to_uv(field) if field.rep == "hydro" else field
 
 
 def residual_norm(wave):
-    res = (tw_residual_hydro_amp if wave.profile.rep == "hydro"
-           else tw_residual_uv)(wave.profile, wave.c, wave.spec)
-    return norm(res)
+    """Norm of the (u1, u2) residual, in either storage of the wave."""
+    return norm(tw_residual_uv(_as_uv(wave.profile), wave.c, wave.spec))
 
 
 def _bordered_solve(matrix, rhs, constraints, targets=None):
@@ -172,7 +170,7 @@ def dark_soliton(c, grid, spec=None, polish=False):
                      np.full_like(x, c / SQRT2), "uv")
     wave = TravelingWave(c, prof, spec, 0.0, symmetry="none")
     if polish:
-        wave = polish_field_wave(wave)
+        return polish_field_wave(wave)
     wave.residual_norm = residual_norm(wave)
     return wave
 
@@ -184,26 +182,9 @@ def dark_soliton_momentum_exact(c):
     return 2.0 * (d * nu - np.arctan2(nu, d))
 
 
-def polish_field_wave(wave, tol=1e-11, max_iter=16):
-    """Newton-polish a (u1, u2) profile to a discrete traveling wave."""
-    field = wave.profile.copy()
-    c, spec, grid = wave.c, wave.spec, wave.grid
-    iters = 0
-    for _ in range(max_iter):
-        res = tw_residual_uv(field, c, spec)
-        if norm(res) < tol:
-            break
-        jac = assemble("Lc", base=field, c=c, spec=spec,
-                       closure="edge").matrix
-        t_mode = translation_mode(field).ravel()
-        gauge = np.concatenate([-field.c2.ravel(), field.c1.ravel()])
-        delta = _bordered_solve(jac, res.ravel(), [t_mode, gauge])
-        field = PairField(grid, field.c1 + delta[: grid.size].reshape(grid.shape),
-                          field.c2 + delta[grid.size:].reshape(grid.shape), "uv")
-        iters += 1
-    out = TravelingWave(c, field, spec, 0.0, wave.symmetry, newton_iters=iters)
-    out.residual_norm = residual_norm(out)
-    return out
+def polish_field_wave(wave):
+    """Newton-polish a profile to a discrete traveling wave at its speed."""
+    return _newton(wave, wave.c)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +245,7 @@ def stationary_bubble(constants, geometry, grid, polish=True):
     prof = PairField(grid, phi ** 2, np.zeros(grid.shape), "hydro")
     wave = TravelingWave(0.0, prof, spec, 0.0, symmetry=symmetry)
     if polish:
-        wave = _newton_hydro(wave, 0.0, tol=1e-11, max_iter=20)[0]
-        wave.symmetry = symmetry
+        return _newton(wave, 0.0)
     wave.residual_norm = residual_norm(wave)
     return wave
 
@@ -303,152 +283,115 @@ def _symmetrize(field, symmetry):
     return PairField(field.grid, c1, c2, field.rep)
 
 
-def _amp_residual(psi, theta, c, spec, grid):
-    """Stacked amplitude-form traveling-wave residual (S1, S2), flat.
+def _polar_step(state, delta, step):
+    """The point at `step` along a Newton update of a stacked (u1, u2) state.
 
-    S1 = -Lap(psi) - psi F(psi^2) - c psi th_x1 + psi |grad th|^2; the
-    quantum pressure collapses to a plain Laplacian, which keeps the
-    Newton matrix consistent with the residual stencils even on coarse
-    grids.  S2 = c rho_x1 - 2 div(rho grad th) with rho = psi^2 averaged
-    onto the faces; the outermost faces carry no flux.
+    A phase change is a rotation, which is nonlinear in (u1, u2): a
+    straight-line step along it also shrinks |u|, and the line search
+    would then cut full steps short.  The step therefore follows the
+    polar curve (|u| + s d psi) exp(i(theta + s d theta)), with
+    d psi = Re(conj(u) du)/|u| and d theta = Im(conj(u) du)/|u|^2; where
+    u = 0 it is u + s du.
     """
-    psi, theta = psi.ravel(), theta.ravel()
-    rho = psi ** 2
-    grads = [grid.central(a, "edge") @ theta for a in range(grid.dim)]
-    s1 = (grid.neg_laplacian("edge") @ psi - psi * spec.f(rho)
-          - c * psi * grads[0] + psi * sum(g ** 2 for g in grads))
-    s2 = (c * (grid.central(0, "edge") @ rho)
-          + 2.0 * (grid.div_coeff_grad(rho, "edge") @ theta))
-    return np.concatenate([s1, s2])
+    n = state.size // 2
+    u1, u2, d1, d2 = state[:n], state[n:], delta[:n], delta[n:]
+    mod = np.hypot(u1, u2)
+    live = mod > 0.0
+    safe = np.where(live, mod, 1.0)
+    amp = mod + step * (u1 * d1 + u2 * d2) / safe
+    turn = step * (u1 * d2 - u2 * d1) / safe ** 2
+    cos, sin = np.cos(turn), np.sin(turn)
+    e1, e2 = u1 / safe, u2 / safe
+    return np.concatenate([
+        np.where(live, amp * (e1 * cos - e2 * sin), u1 + step * d1),
+        np.where(live, amp * (e2 * cos + e1 * sin), u2 + step * d2)])
 
 
-def _amp_jacobian(psi, theta, c, spec, grid):
-    """Exact Jacobian of _amp_residual in (psi, theta)."""
-    psi, theta = psi.ravel(), theta.ravel()
-    mod2 = psi ** 2
-    fval, fp = spec.f(mod2), spec.fprime(mod2)
-    d1 = grid.central(0, "edge")
-    grads_th = [grid.central(a, "edge") @ theta for a in range(grid.dim)]
-    gth_sq = sum(g ** 2 for g in grads_th)
-    # d/d rho of -div(rho_face grad th), rho_face = A rho on each axis
-    flux = None
-    for a in range(grid.dim):
-        d, avg = grid.faces(a, "edge")
-        term = d.T @ sp.diags(d @ theta) @ avg / grid.h[a] ** 2
-        flux = term if flux is None else flux + term
-    a11 = grid.neg_laplacian("edge") + sp.diags(
-        -fval - 2.0 * fp * mod2 - c * grads_th[0] + gth_sq)
-    a12 = sp.diags(psi) @ (-c * d1 + 2.0 * vector_grad_matrix(
-        grid, grads_th, "edge"))
-    a21 = (c * d1 + 2.0 * flux) @ sp.diags(2.0 * psi)
-    a22 = 2.0 * grid.div_coeff_grad(mod2, "edge")
-    return sp.bmat([[a11, a12], [a21, a22]], format="csr")
+def _newton(wave, c, anchor=None):
+    """Damped bordered Newton for the traveling wave of speed c.
 
-
-def _newton_hydro(wave, c, tol=1e-11, max_iter=25, damping=True,
-                  anchor=None):
-    """Damped bordered Newton at speed c, iterating in (sqrt(rho), theta).
-
-    Solves the traveling-wave system projected off the translation and
-    phase-constant directions (the discrete symmetry breaking leaves an
+    Iterates in (u1, u2) on tw_residual_uv with the Jacobian Lc (edge
+    closure), and drives that residual projected off the translation and
+    gauge directions below _TOL (the discrete symmetry breaking leaves an
     irreducible residual component along those directions, reported but
     not chased).  The appended constraint rows pin the same directions in
     the update, anchored at `anchor` (default: the seed), which makes the
     endpoint locally unique.  Mirror symmetries are imposed on the seed.
+    The result keeps the seed's representation.  A solve that stops above
+    _STALL_FLOOR (no descent along the step, or _MAX_ITER iterations)
+    raises RuntimeError; between _TOL and the floor it stops at the
+    discretization floor.
     """
-    spec = wave.spec
-    grid = wave.grid
-    seed = _symmetrize(PairField(grid, np.sqrt(wave.profile.c1),
-                                 wave.profile.c2, "uv"), wave.symmetry)
-    psi = seed.c1
-    theta = seed.c2.copy()
-    if anchor is None:
-        anchor = wave.profile
-    anchor_amp = PairField(grid, np.sqrt(anchor.c1), anchor.c2, "uv")
-    anchor_vec = anchor_amp.ravel()
-    a_modes = [translation_mode(anchor_amp, a).ravel()
-               for a in range(grid.dim)]
-    gauge = np.concatenate([np.zeros(grid.size), np.ones(grid.size)])
-    proj_basis, _ = np.linalg.qr(np.stack(a_modes + [gauge], axis=1))
+    spec, grid = wave.spec, wave.grid
+    state = _symmetrize(_as_uv(wave.profile), wave.symmetry).ravel()
+    anchor = _as_uv(wave.profile if anchor is None else anchor)
+    constraints = np.stack(
+        [translation_mode(anchor, a).ravel() for a in range(grid.dim)]
+        + [np.concatenate([-anchor.c2.ravel(), anchor.c1.ravel()])])
+    proj_basis, _ = np.linalg.qr(constraints.T)
     root_vol = np.sqrt(grid.cell_volume)
 
-    def residual(ps, th):
-        vec = _amp_residual(ps, th, c, spec, grid)
-        perp = vec - proj_basis @ (proj_basis.T @ vec)
-        return vec, np.linalg.norm(perp) * root_vol
+    def residual(vec):
+        res = tw_residual_uv(PairField.from_vector(grid, vec, "uv"), c,
+                             spec).ravel()
+        perp = res - proj_basis @ (proj_basis.T @ res)
+        return res, np.linalg.norm(perp) * root_vol
 
-    svec, rn = residual(psi, theta)
+    res, rn = residual(state)
     iters = 0
     floored = False
-    while rn > tol and iters < max_iter:
-        jac = _amp_jacobian(psi, theta, c, spec, grid)
-        state = np.concatenate([psi.ravel(), theta.ravel()])
-        constraints = list(a_modes)
-        targets = [-float(mode @ (state - anchor_vec)) for mode in a_modes]
-        constraints.append(gauge)
-        targets.append(0.0)
-        delta = _bordered_solve(jac, -svec, constraints, targets)
+    while rn > _TOL and iters < _MAX_ITER:
+        jac = assemble("Lc", base=PairField.from_vector(grid, state, "uv"),
+                       c=c, spec=spec, closure="edge").matrix
+        delta = _bordered_solve(jac, res, list(constraints),
+                                constraints @ (anchor.ravel() - state))
         # increments at machine precision mean the residual hit its
         # float64 evaluation floor for this stencil scale
-        scale = np.linalg.norm(state)
-        if np.linalg.norm(delta) <= 1e-12 * max(scale, 1.0):
+        if np.linalg.norm(delta) <= 1e-12 * max(np.linalg.norm(state), 1.0):
             floored = True
             break
-        step = 1.0
-        moved = False
-        for _ in range(12):
-            psi_t = psi + step * delta[: grid.size].reshape(grid.shape)
-            th_t = theta + step * delta[grid.size:].reshape(grid.shape)
-            th_t = th_t - th_t.mean()   # pin the gauge
-            if psi_t.min() > 0.0:
-                trial_vec, trial_rn = residual(psi_t, th_t)
-                if (trial_rn < tol or trial_rn < rn * (1.0 - 1e-4 * step)
-                        or not damping):
-                    moved = True
-                    break
-            step *= 0.5
-        if not moved:
-            if rn < max(50.0 * tol, _STALL_FLOOR):
-                break             # stalled at the discretization floor
-            raise RuntimeError(
-                "Newton line search stalled at |perp S| = %.3g" % rn)
-        psi, theta, svec, rn = psi_t, th_t, trial_vec, trial_rn
+        for step in 0.5 ** np.arange(12):
+            trial = _polar_step(state, delta, step)
+            trial_res, trial_rn = residual(trial)
+            if trial_rn < _TOL or trial_rn < rn * (1.0 - 1e-4 * step):
+                break
+        else:
+            break                 # the line search found no descent
+        state, res, rn = trial, trial_res, trial_rn
         iters += 1
-    if rn > max(50.0 * tol, _STALL_FLOOR) and not floored:
-        raise RuntimeError(
-            "Newton stagnation after %d iterations, |perp S| = %.3g"
-            % (iters, rn))
-    field = PairField(grid, psi ** 2, theta, "hydro")
-    out = TravelingWave(c, field, spec, norm(tw_residual_hydro_amp(
-        field, c, spec)), wave.symmetry, newton_iters=iters)
-    out.projected_residual = rn
-    return out, rn
+    if rn > _STALL_FLOOR and not floored:
+        raise RuntimeError("Newton stalled after %d iterations at "
+                           "|perp S| = %.3g" % (iters, rn))
+    field = PairField.from_vector(grid, state, "uv")
+    if wave.profile.rep == "hydro":
+        field = uv_to_hydro(field)
+        field.c2 -= field.c2.mean()   # the stored gauge: zero-mean phase
+    out = TravelingWave(c, field, spec, 0.0, wave.symmetry,
+                        newton_iters=iters)
+    out.residual_norm = residual_norm(out)
+    return out
 
 
 def kernel_coefficient(wave):
     """Component of the full residual along the translation direction."""
-    res = tw_residual_hydro_amp(wave.profile, wave.c, wave.spec)
-    amp_pair = PairField(wave.grid, np.sqrt(wave.profile.c1),
-                         wave.profile.c2, "uv")
-    k0 = translation_mode(amp_pair)
+    field = _as_uv(wave.profile)
+    res = tw_residual_uv(field, wave.c, wave.spec)
+    k0 = translation_mode(field)
     denom = norm(k0) ** 2
     return float(res.ravel() @ k0.ravel()) * wave.grid.cell_volume / denom
 
 
-def continue_branch(start, c_targets, tol=1e-11, max_iter=25,
-                    max_step=0.01, min_step=1e-4):
+def continue_branch(start, c_targets):
     """Continue a density/phase wave to each target speed by warm starts.
 
     Each target starts from the nearest wave solved so far, the start
     included; a target at the speed of such a wave is a copy of it with
-    ``newton_iters=0``.  Steps in c never exceed ``max_step``; a failed
-    Newton solve halves the step down to ``min_step``.  Returns one wave
-    per target speed, in the order given.
+    ``newton_iters=0``.  Steps in c never exceed _MAX_STEP; a failed
+    Newton solve halves the step down to _MIN_STEP.  Returns one wave per
+    target speed, in the order given.
     """
     if start.profile.rep != "hydro":
-        raise ValueError("continuation runs in density/phase variables")
-    if start.profile.c1.min() <= 0.0:
-        raise ValueError("continuation needs a vortex-free start")
+        raise ValueError("continuation stores density/phase waves")
     out = []
     solved = [start]
     if start.grid.dim == 2 and start.symmetry == "radial":
@@ -463,25 +406,21 @@ def continue_branch(start, c_targets, tol=1e-11, max_iter=25,
                                      current.spec, current.residual_norm,
                                      current.symmetry, newton_iters=0))
             continue
-        c_now = current.c
-        step = np.sign(target - c_now) * min(max_step, abs(target - c_now))
-        while abs(target - c_now) > 1e-15:
-            c_try = c_now + step
-            if (target - c_try) * (target - c_now) < 0.0:
+        step = np.sign(target - current.c) * min(_MAX_STEP,
+                                                 abs(target - current.c))
+        while abs(target - current.c) > 1e-15:
+            c_try = current.c + step
+            if (target - c_try) * (target - current.c) < 0.0:
                 c_try = target
             try:
-                nxt, _ = _newton_hydro(current, c_try, tol, max_iter)
+                current = _newton(current, c_try)
             except RuntimeError:
-                if abs(step) / 2.0 < min_step:
+                if abs(step) / 2.0 < _MIN_STEP:
                     raise
                 step /= 2.0
                 continue
-            current = nxt
-            c_now = c_try
-            step = np.sign(target - c_now) * min(max_step, abs(target - c_now)
-                                                 if target != c_now else max_step)
-            if step == 0.0:
-                break
+            step = np.sign(target - current.c) * min(_MAX_STEP,
+                                                     abs(target - current.c))
         out.append(current)
         solved.append(current)
     return out

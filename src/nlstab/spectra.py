@@ -477,39 +477,41 @@ class DichotomyBasis:
         self.cross = float(w_u @ (mat @ w_s)) * vol
         self.self_u = float(w_u @ (mat @ w_u)) * vol
         self.self_s = float(w_s @ (mat @ w_s)) * vol
-        jit = j_inverse_apply(t_mode).ravel()
-        jic = j_inverse_apply(c_mode).ravel()
-        self.pair_denominator = float(c_mode.ravel() @ jit) * vol
-        self._jit = jit
-        self._jic = jic
+        self._jit = j_inverse_apply(t_mode).ravel()
+        self._jic = j_inverse_apply(c_mode).ravel()
         self._vol = vol
+        self._modes = np.stack([t_mode.ravel(), c_mode.ravel(), w_u, w_s])
+        self._pairing_matrix = np.stack(
+            [self._pairings(mode) for mode in self._modes], axis=1)
+
+    def _pairings(self, v):
+        """<op v, w_u>, <op v, w_s>, <v, J^-1 t>, <v, J^-1 c>: the four
+        pairings that vanish on a center field."""
+        mv = self.op.matrix @ v
+        return self._vol * np.array([mv @ self.w_u.ravel(),
+                                     mv @ self.w_s.ravel(),
+                                     v @ self._jit, v @ self._jic])
 
     def split(self, field):
-        """Coefficients (a, b, c_u, c_s) and the remaining center part."""
+        """Coefficients (a, b, c_u, c_s) and the remaining center part.
+
+        The coefficients of (t_mode, c_mode, w_u, w_s) solve the 4 x 4
+        system of the four center pairings, so the center part satisfies
+        all of them to roundoff.  The system is not block-diagonal: c_mode
+        differences a branch solved in another discretization than op,
+        and the two differ at O(h^2).
+        """
         u = field.ravel()
-        vol = self._vol
-        d = self.pair_denominator
-        b = float(u @ self._jit) * vol / d
-        a = -float(u @ self._jic) * vol / d
-        v = u - a * self.t_mode.ravel() - b * self.c_mode.ravel()
-        mat = self.op.matrix
-        c_u = float((mat @ v) @ self.w_s.ravel()) * vol / self.cross
-        c_s = float((mat @ v) @ self.w_u.ravel()) * vol / self.cross
-        v1 = v - c_u * self.w_u.ravel() - c_s * self.w_s.ravel()
-        center = PairField.from_vector(field.grid, v1, field.rep)
-        return a, b, c_u, c_s, center
+        coef = np.linalg.solve(self._pairing_matrix, self._pairings(u))
+        center = PairField.from_vector(field.grid, u - coef @ self._modes,
+                                       field.rep)
+        return (*(float(x) for x in coef), center)
 
     def center_constraint_residual(self, center):
         """How far a center field is from satisfying its defining pairings."""
-        mat = self.op.matrix
         v = center.ravel()
-        vol = self._vol
-        scale = max(np.linalg.norm(v), 1e-300)
-        vals = [float((mat @ v) @ self.w_u.ravel()) * vol,
-                float((mat @ v) @ self.w_s.ravel()) * vol,
-                float(v @ self._jit) * vol,
-                float(v @ self._jic) * vol]
-        return max(abs(x) for x in vals) / scale
+        return (float(np.abs(self._pairings(v)).max())
+                / max(np.linalg.norm(v), 1e-300))
 
 
 def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):

@@ -31,7 +31,7 @@ from nlstab.grid import GridSpec, PairField, hydro_to_uv, norm, uv_to_hydro
 from nlstab.nonlinearity import cq_constants, critical_ratio, ratio_margin
 from nlstab.operators import (assemble, coercivity_constant, ghost_jacobian,
                               quadratic_form, random_smooth_pair, tc_map)
-from nlstab.profiles import (TravelingWave, _newton_hydro,
+from nlstab.profiles import (TravelingWave, _newton,
                              branch_momentum_sweep, continue_branch,
                              dark_soliton, dark_soliton_momentum_exact,
                              polish_field_wave, stationary_bubble,
@@ -432,8 +432,8 @@ def test_criterion_13_continuation_contract(slow_branch_1d, slow_branch_2d,
     noise2 -= (overlap / scale) * k0.c2
     seed = PairField(grid, wave.profile.c1 + noise1,
                      wave.profile.c2 + noise2, "hydro")
-    redo, _ = _newton_hydro(TravelingWave(wave.c, seed, cq.spec, 1.0),
-                            wave.c, anchor=wave.profile)
+    redo = _newton(TravelingWave(wave.c, seed, cq.spec, 1.0), wave.c,
+                   anchor=wave.profile)
     dev = norm(PairField(grid, redo.profile.c1 - wave.profile.c1,
                          redo.profile.c2 - wave.profile.c2, "uv"))
     ok &= dev <= 1e-8

@@ -175,6 +175,36 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
+            "nonlinearity.alpha3=1.0", "nonlinearity.alpha5=1.0"]
+
+
+@pytest.mark.parametrize("lines", [
+    ["command=profile", "nonlinearity.kind=gp", "profile.kind=bubble-line"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=0.01",
+     "evolve.dt=0"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=0.01",
+     "evolve.corrections=-1"],
+    ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
+                                     "speed.list=0.01,0.02"],
+    ["command=shoot"] + CQ_LINES + ["shoot.dim=0"],
+    ["command=transversal"] + CQ_LINES + [
+        "profile.kind=bubble-line", "grid.N=512", "grid.L=30",
+        "transversal.samples=1", "transversal.hamN=256"],
+    ["command=transversal"] + CQ_LINES + [
+        "profile.kind=bubble-radial", "grid.dim=2", "grid.N=64",
+        "grid.L=30", "transversal.samples=1", "transversal.hamN=32"],
+    ["command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+     "transversal.samples=1", "transversal.hamN=100"],
+], ids=["bubble-under-gp", "dt-zero", "negative-corrections",
+        "two-speeds", "shoot-dim-zero", "hamN-cubic-quintic", "hamN-2D",
+        "hamN-off-the-grid-sizes"])
+def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
+    code, _ = _run_cli(tmp_path, "\n".join(lines))
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lines", [
     ["nonlinearity.kind=gp", "spectrum.kind=LcPlusK2"],
     ["nonlinearity.kind=gp", "spectrum.kind=Mc"],

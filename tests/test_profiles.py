@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from nlstab.grid import GridSpec, PairField, norm, translation_mode
-from nlstab.nonlinearity import cq_constants
-from nlstab.profiles import (_amp_jacobian, _bordered_solve,
+from nlstab.grid import (GridSpec, PairField, hydro_to_uv, norm,
+                         translation_mode)
+from nlstab.operators import assemble
+from nlstab.profiles import (TravelingWave, _bordered_solve, _newton,
                              branch_momentum_sweep, bubble_amplitude_monotone,
                              continue_branch, dark_soliton,
                              dark_soliton_momentum_exact, kernel_coefficient,
                              polish_field_wave, residual_norm,
                              stationary_bubble, sweep_to_csv,
-                             tw_residual_hydro_amp)
+                             tw_residual_uv)
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -103,7 +104,6 @@ def test_branch_kernel_coefficient(bubble_1d_small):
 
 
 def test_branch_local_uniqueness(bubble_1d_small, rng):
-    from nlstab.profiles import _newton_hydro, translation_mode
     wave = continue_branch(bubble_1d_small, [0.02])[0]
     grid = wave.grid
     noise1 = 1e-3 * np.cos(grid.axis(0) / 7.0) * np.exp(-grid.axis(0) ** 2 / 60.0)
@@ -116,8 +116,7 @@ def test_branch_local_uniqueness(bubble_1d_small, rng):
     noise2 -= (overlap / scale) * k0.c2
     seed = PairField(grid, wave.profile.c1 + noise1,
                      wave.profile.c2 + noise2, "hydro")
-    from nlstab.profiles import TravelingWave
-    reconverged, _ = _newton_hydro(
+    reconverged = _newton(
         TravelingWave(0.02, seed, wave.spec, 1.0, wave.symmetry), 0.02,
         anchor=wave.profile)
     diff = norm(PairField(grid, reconverged.profile.c1 - wave.profile.c1,
@@ -126,21 +125,37 @@ def test_branch_local_uniqueness(bubble_1d_small, rng):
 
 
 def test_translation_equivariance(bubble_1d_small):
-    from nlstab.profiles import TravelingWave, _newton_hydro
+    # Newton from a seed off the wave and from that seed shifted by one
+    # node ends on waves one node apart
     grid = bubble_1d_small.grid
     prof = bubble_1d_small.profile
-    shifted = PairField(grid, np.roll(prof.c1, 1), np.roll(prof.c2, 1), "hydro")
-    one_step, _ = _newton_hydro(
-        TravelingWave(0.0, shifted, bubble_1d_small.spec, 1.0, "none"),
-        0.0, max_iter=1, damping=False)
-    ref, _ = _newton_hydro(
-        TravelingWave(0.0, prof, bubble_1d_small.spec, 1.0, "none"),
-        0.0, max_iter=1, damping=False)
-    ref_shifted = PairField(grid, np.roll(ref.profile.c1, 1),
-                            np.roll(ref.profile.c2, 1), "hydro")
-    diff = norm(PairField(grid, one_step.profile.c1 - ref_shifted.c1,
-                          one_step.profile.c2 - ref_shifted.c2, "uv"))
+    x = grid.axis(0)
+    seed_c1 = prof.c1 + 1e-3 * np.exp(-(x - 2.0) ** 2 / 4.0)
+    seed_c2 = 1e-3 * np.sin(x / 5.0) * np.exp(-x ** 2 / 40.0)
+    ref, shifted = (_newton(TravelingWave(
+        0.0, PairField(grid, np.roll(seed_c1, s), np.roll(seed_c2, s),
+                       "hydro"), bubble_1d_small.spec, 1.0, "none"), 0.0)
+        for s in (0, 1))
+    assert ref.newton_iters >= 1 and shifted.newton_iters >= 1
+    diff = norm(PairField(
+        grid, shifted.profile.c1 - np.roll(ref.profile.c1, 1),
+        shifted.profile.c2 - np.roll(ref.profile.c2, 1), "uv"))
     assert diff < 1e-8
+
+
+def test_wide_bubble_continuation_takes_full_steps(wide_bubble_basis):
+    # with straight-line steps in (u1, u2) these solves run into the
+    # 25-iteration cap; steps along the polar curve are taken in full
+    _, (lo, _, hi), _ = wide_bubble_basis
+    assert lo.newton_iters <= 5 and hi.newton_iters <= 5
+
+
+def test_polish_that_does_not_converge_raises(small_grid, cq02):
+    # a dark soliton seed is no wave of the cubic-quintic law
+    wave = dark_soliton(0.5, small_grid)
+    wave.spec = cq02.spec
+    with pytest.raises(RuntimeError):
+        polish_field_wave(wave)
 
 
 def test_momentum_sweep_gp_family(soliton_grid):
@@ -185,13 +200,16 @@ def test_continuation_starts_from_nearest_solved_wave(bubble_1d_small):
 def _newton_system(wave):
     """Jacobian and constraint rows of a Newton step at a density/phase wave."""
     grid = wave.grid
-    psi, theta = np.sqrt(wave.profile.c1), wave.profile.c2
-    jac = _amp_jacobian(psi, theta, wave.c, wave.spec, grid)
-    amp = PairField(grid, psi, theta, "uv")
-    modes = [translation_mode(amp, a).ravel() for a in range(grid.dim)]
-    gauge = np.concatenate([np.zeros(grid.size), np.ones(grid.size)])
-    # the gauge is an exact kernel direction of the Jacobian
-    assert np.abs(jac @ gauge).max() <= 1e-12 * abs(jac).max()
+    field = hydro_to_uv(wave.profile)
+    jac = assemble("Lc", base=field, c=wave.c, spec=wave.spec,
+                   closure="edge").matrix
+    modes = [translation_mode(field, a).ravel() for a in range(grid.dim)]
+    gauge = np.concatenate([-field.c2.ravel(), field.c1.ravel()])
+    # the residual R is gauge equivariant, so Lc (i U) = -i R exactly: the
+    # gauge is a kernel direction of the Jacobian up to the residual
+    res = tw_residual_uv(field, wave.c, wave.spec)
+    i_res = np.concatenate([-res.c2.ravel(), res.c1.ravel()])
+    assert np.abs(jac @ gauge + i_res).max() <= 1e-12 * abs(jac).max()
     return jac, np.stack(modes + [gauge])
 
 

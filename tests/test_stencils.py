@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from nlstab.grid import GridSpec, PairField
 from nlstab.operators import assemble, ghost_jacobian
-from nlstab.profiles import _amp_jacobian, _amp_residual, tw_residual_uv
+from nlstab.profiles import tw_residual_uv
 
 # float64 rounding of a handful of terms of size max|entry|
 MATRIX_RTOL = 1e-13
@@ -191,22 +191,6 @@ def _fd_check(jac, residual, state, seed):
     fd /= 2.0 * FD_STEP
     jv = jac @ v
     return np.abs(jv - fd).max() / np.abs(jv).max()
-
-
-@pytest.mark.parametrize("grid", GRIDS[:2], ids=_grid_id)
-def test_amp_jacobian_matches_newton_residual(grid, cq02):
-    c = 0.3
-    psi = np.sqrt(cq02.rho0) * (1.0 - 0.4 * np.exp(-sum(m ** 2 for m in
-                                                       grid.meshes()) / 8.0))
-    theta = 0.5 * _smooth(grid, 6)
-    n = grid.size
-
-    def residual(state):
-        return _amp_residual(state[:n], state[n:], c, cq02.spec, grid)
-
-    jac = _amp_jacobian(psi, theta, c, cq02.spec, grid)
-    state = np.concatenate([psi.ravel(), theta.ravel()])
-    assert _fd_check(jac, residual, state, 7) <= FD_RTOL
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
