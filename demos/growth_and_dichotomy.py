@@ -16,7 +16,6 @@ from nlstab.dynamics import (dichotomy_growth_test, evolve_nonlinear,
                              fit_log_slope)
 from nlstab.grid import GridSpec, PairField, hydro_to_uv
 from nlstab.nonlinearity import cq_constants
-from nlstab.operators import tc_map
 from nlstab.profiles import continue_branch, stationary_bubble
 from nlstab.spectra import center_positivity_sample, dichotomy_basis
 
@@ -41,10 +40,9 @@ print("center draws, uniform bound C = %.2f" % out["center_bound_max"])
 
 print("\nnonlinear growth run (this is the long part)...")
 eps = 1e-4
-pert = tc_map(PairField.from_vector(grid, basis.w_u.ravel(), "uv"), bubble)
 background = hydro_to_uv(bubble.profile)
-u0 = PairField(grid, background.c1 + eps * pert.c1,
-               background.c2 + eps * pert.c2, "uv")
+u0 = PairField(grid, background.c1 + eps * basis.w_u.c1,
+               background.c2 + eps * basis.w_u.c2, "uv")
 horizon = np.log(2e3) / basis.rate
 traj = evolve_nonlinear(u0, 0.0, k.spec, horizon, 0.02, corrections=2,
                         background=background, basis=basis, base_wave=bubble,

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import dynamics, profiles, shooting, spectra
-from .grid import GridSpec, hydro_to_uv, save_binary, save_csv
+from .grid import GridSpec, as_uv, save_binary, save_csv
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
 from .operators import (SYMMETRIC_KINDS, coercivity_constant,
                         random_smooth_pair)
@@ -178,8 +178,7 @@ def cmd_spectrum(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
     wave = build_profile(cfg, spec, grid)
-    kind = _get(cfg, "spectrum.kind",
-                "Mc" if wave.profile.rep == "hydro" else "Lc")
+    kind = _get(cfg, "spectrum.kind", "Lc")
     if kind not in SYMMETRIC_KINDS:
         raise ConfigError("unknown spectrum.kind %r" % kind)
     if kind == "LcPlusK2":
@@ -240,10 +239,7 @@ def cmd_evolve(cfg, out, rng):
         raise ConfigError("evolve.corrections must be 0 or more, not %d"
                           % corrections)
     wave = build_profile(cfg, spec, grid)
-    if wave.profile.rep == "hydro":
-        u0 = hydro_to_uv(wave.profile)
-    else:
-        u0 = wave.profile
+    u0 = as_uv(wave.profile)
     eps = _get(cfg, "evolve.perturbation", 0.0, float)
     if eps:
         noise = random_smooth_pair(grid, rng)

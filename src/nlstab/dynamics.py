@@ -35,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .grid import PairField, norm, pair_from_complex, uv_to_hydro
+from .grid import PairField, as_uv, norm, pair_from_complex, uv_to_hydro
 from .operators import j_matrix, random_smooth_pair
 from .profiles import tw_residual_uv
 
@@ -62,7 +62,7 @@ class Trajectory:
         return np.asarray(self.monitor_times), np.asarray(self.monitors[key])
 
     def monitors_to_csv(self, path):
-        keys = ["E", "P", "crossform", "proj_u", "proj_s"]
+        keys = ["E", "P", "proj_u", "proj_s"]
         with open(path, "w") as fh:
             fh.write("t," + ",".join(keys) + "\n")
             for i, t in enumerate(self.monitor_times):
@@ -220,7 +220,9 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     a per-step relative energy drift beyond ``drift_guard`` rejects the
     step and halves dt (floored at ``_MIN_DT``); each accepted time is
     recorded once.  When a dichotomy basis and its base wave are given,
-    the density/phase deviation projections are recorded.
+    the deviation u - U from the (u1, u2) form U of the base wave is
+    split by the basis, and its unstable and stable coefficients are
+    recorded as ``proj_u`` and ``proj_s``.
     """
     grid = u0.grid
     if background is None:
@@ -231,6 +233,8 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     n_steps = int(round(abs(T) / abs(dt)))
     marks = _snapshot_steps(n_steps)
     traj = Trajectory()
+    base_uv = (as_uv(base_wave.profile).ravel()
+               if basis is not None and base_wave is not None else None)
 
     def monitors(u_field):
         vals = {"E": field_energy(u_field, spec), "norm": norm(u_field)}
@@ -245,8 +249,8 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
                 vals["P"] = field_momentum(u_field, kind, spec)
         except ValueError:
             vals["P"] = np.nan
-        if basis is not None and base_wave is not None:
-            dev = _hydro_deviation(u_field, base_wave)
+        if base_uv is not None:
+            dev = PairField.from_vector(grid, u_field.ravel() - base_uv, "uv")
             a, b, cu, cs, _ = basis.split(dev)
             vals.update(proj_u=cu, proj_s=cs)
         return vals
@@ -293,17 +297,6 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
         step_idx += 1
         record(step_idx, t, u_field)
     return traj
-
-
-def _hydro_deviation(u_field, base_wave):
-    """Density/phase deviation from a base wave, gauge pinned at the edges."""
-    hyd = uv_to_hydro(u_field)
-    base = base_wave.profile
-    drho = hyd.c1 - base.c1
-    dth = hyd.c2 - base.c2
-    edge = 0.5 * (dth.flat[0] + dth.flat[-1])
-    dth = dth - edge
-    return PairField(u_field.grid, drho, dth, "uv")
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,11 @@ def hydro_to_uv(field):
     return PairField(field.grid, amp * np.cos(field.c2), amp * np.sin(field.c2), "uv")
 
 
+def as_uv(field):
+    """The (u1, u2) form of a field stored in either representation."""
+    return hydro_to_uv(field) if field.rep == "hydro" else field
+
+
 def translation_mode(profile, axis=0):
     """Discrete derivative of a profile along one axis (edge closure)."""
     grid = profile.grid

@@ -30,9 +30,10 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .grid import PairField, chi_multiplier_array, hydro_to_uv, inner
+from .grid import PairField, as_uv, chi_multiplier_array, inner
 
 SYMMETRIC_KINDS = ("Lc", "LcInfty", "Mc", "McInfty", "M0", "A", "LcPlusK2")
+_KERNEL_FACTOR = 5.0   # kernel threshold over the translation residual
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +125,8 @@ class AssembledOperator:
             return [amp]
         if self.rep == "hydro" and profile.rep != "hydro":
             raise ValueError("hydro operator with non-hydro base")
-        if self.rep == "uv" and profile.rep == "hydro":
-            uv = hydro_to_uv(profile)
-            return [uv.c1, uv.c2]
+        if self.rep == "uv":
+            profile = as_uv(profile)
         return [profile.c1, profile.c2]
 
     def translation_modes(self):
@@ -173,18 +173,18 @@ class AssembledOperator:
         return max(float(np.linalg.norm(self.matrix @ vec - shift * vec)
                          / np.linalg.norm(vec)) for vec in modes)
 
-    def zero_threshold(self, factor=5.0):
+    def zero_threshold(self):
         """Kernel classification threshold.
 
-        Anchored at the measured discrete residual of the analytic kernel
-        identity (an O(h^2) quantity) when the attached base wave has a
-        translation mode; otherwise falls back to 50 h^2 for
-        unit-normalized far fields.
+        ``_KERNEL_FACTOR`` times the measured discrete residual of the
+        analytic kernel identity (an O(h^2) quantity) when the attached
+        base wave has a translation mode; otherwise falls back to 50 h^2
+        for unit-normalized far fields.
         """
         if self._kernel_residual is None and self.base is not None:
             self._kernel_residual = self.kernel_residual()
         if self._kernel_residual is not None:
-            return max(factor * self._kernel_residual, 1e-11)
+            return max(_KERNEL_FACTOR * self._kernel_residual, 1e-11)
         h2 = max(h ** 2 for h in self.grid.h)
         return 50.0 * h2
 
@@ -221,8 +221,7 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         raise ValueError("far-field kinds still need a grid")
 
     if kind in ("Lc", "LcPlusK2"):
-        if field.rep == "hydro":
-            field = hydro_to_uv(field)
+        field = as_uv(field)
         if field.rep != "uv":
             raise ValueError("Lc needs a uv (or hydro) base")
         u1, u2 = field.c1, field.c2

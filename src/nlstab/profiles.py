@@ -30,8 +30,7 @@ from scipy.sparse.linalg import splu
 from . import shooting
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .grid import (PairField, hydro_to_uv, norm, translation_mode,
-                   uv_to_hydro)
+from .grid import PairField, as_uv, norm, translation_mode, uv_to_hydro
 from .nonlinearity import NonlinearitySpec
 from .operators import assemble
 
@@ -90,13 +89,9 @@ def tw_residual_uv(field, c, spec):
     return PairField.from_vector(grid, np.concatenate([r1, r2]), "uv")
 
 
-def _as_uv(field):
-    return hydro_to_uv(field) if field.rep == "hydro" else field
-
-
 def residual_norm(wave):
     """Norm of the (u1, u2) residual, in either storage of the wave."""
-    return norm(tw_residual_uv(_as_uv(wave.profile), wave.c, wave.spec))
+    return norm(tw_residual_uv(as_uv(wave.profile), wave.c, wave.spec))
 
 
 def _bordered_solve(matrix, rhs, constraints, targets=None):
@@ -323,8 +318,8 @@ def _newton(wave, c, anchor=None):
     discretization floor.
     """
     spec, grid = wave.spec, wave.grid
-    state = _symmetrize(_as_uv(wave.profile), wave.symmetry).ravel()
-    anchor = _as_uv(wave.profile if anchor is None else anchor)
+    state = _symmetrize(as_uv(wave.profile), wave.symmetry).ravel()
+    anchor = as_uv(wave.profile if anchor is None else anchor)
     constraints = np.stack(
         [translation_mode(anchor, a).ravel() for a in range(grid.dim)]
         + [np.concatenate([-anchor.c2.ravel(), anchor.c1.ravel()])])
@@ -374,7 +369,7 @@ def _newton(wave, c, anchor=None):
 
 def kernel_coefficient(wave):
     """Component of the full residual along the translation direction."""
-    field = _as_uv(wave.profile)
+    field = as_uv(wave.profile)
     res = tw_residual_uv(field, wave.c, wave.spec)
     k0 = translation_mode(field)
     denom = norm(k0) ** 2
@@ -427,11 +422,12 @@ def continue_branch(start, c_targets):
 
 
 def speed_derivative(branch, index=None):
-    """Central-difference derivative of the profile along the branch.
+    """Central-difference derivative of the (u1, u2) profile along the
+    branch, for waves stored in either representation.
 
     Adjacent profiles are registered by the integer shift maximizing the
-    correlation of their first components before differencing (removes
-    the translation gauge).
+    correlation of their u1 components before differencing (removes the
+    translation gauge).
     """
     if len(branch) < 2:
         raise ValueError("need at least two branch points")
@@ -442,19 +438,19 @@ def speed_derivative(branch, index=None):
     dc = hi.c - lo.c
     if dc == 0.0:
         raise ValueError("branch speeds must be distinct")
-    ref = branch[index].profile
-    a = _register(ref.c1, lo.profile.c1, lo.profile)
-    b = _register(ref.c1, hi.profile.c1, hi.profile)
+    ref = as_uv(branch[index].profile)
+    a = _register(ref.c1, as_uv(lo.profile))
+    b = _register(ref.c1, as_uv(hi.profile))
     d1 = (b[0] - a[0]) / dc
     d2 = (b[1] - a[1]) / dc
     return PairField(ref.grid, d1, d2, "uv")
 
 
-def _register(ref_c1, other_c1, other):
+def _register(ref_c1, other):
     flat_ref = ref_c1 - ref_c1.mean()
     best_shift, best_score = 0, -np.inf
     for shift in range(-3, 4):
-        cand = np.roll(other_c1, shift, axis=0)
+        cand = np.roll(other.c1, shift, axis=0)
         score = float(np.sum(flat_ref * (cand - cand.mean())))
         if score > best_score:
             best_shift, best_score = shift, score

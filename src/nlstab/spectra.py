@@ -3,7 +3,9 @@
 Symmetric spectra give the negative index and kernel dimension; products
 with the symplectic matrix J give growth rates of the linearized flow.
 Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi);
-the dense Hamiltonian eigensolve survives only as a test oracle.
+the dense Hamiltonian eigensolve survives only as a test oracle.  Every
+verdict takes the second variation Lc by default, whether the wave is
+stored in (u1, u2) or as density/phase.
 Truncating an unbounded domain turns essential spectrum into extended
 "box" modes, so eigenvector mass near the boundary is used to separate
 genuine localized modes from truncation artifacts before counting: any
@@ -14,7 +16,7 @@ Down the file, `dichotomy_basis` assembles the ingredients of the
 invariant splitting E^u + E^s + E^e + (generalized kernel) used to bound
 the linearized flow: the +/- growth eigenmodes, the translation and
 speed-derivative directions, and the projector coefficients derived from
-the conserved cross form <op u, v>.
+the conserved cross form <op u, v>, all in (u1, u2).
 """
 
 import json
@@ -24,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from .grid import PairField, translation_mode
+from .grid import PairField, as_uv, translation_mode
 from .operators import (assemble, ghost_symmetrized, j_inverse_apply, j_matrix,
                         quadratic_form, random_smooth_pair)
 from .profiles import speed_derivative
@@ -232,19 +234,17 @@ def sym_spectrum(op):
                           kernel_vecs[:_KEEP_VECTORS], thr, spurious=len(drop))
 
 
-def nondegeneracy_check(base, c, spec=None, kind=None):
+def nondegeneracy_check(base, c, spec=None, kind="Lc"):
     """Verdict on ker(op) = span{translation modes of the base wave}.
 
     The kernel dimension is compared against the number of translation
     symmetries and every kernel vector is projected onto the discrete
     translation modes; the verdict is non-degenerate iff the residual
-    projections stay below 1e-3 relative.
+    projections stay below 1e-3 relative.  The default operator is Lc,
+    whatever the storage of the wave.
     """
     spec = spec or base.spec
-    profile = base.profile
-    grid = profile.grid
-    if kind is None:
-        kind = "Mc" if profile.rep == "hydro" else "Lc"
+    grid = base.profile.grid
     op = assemble(kind, base=base, c=c, spec=spec)
     report = sym_spectrum(op)
     basis = _orthonormal(op.translation_modes())
@@ -498,8 +498,9 @@ class DichotomyBasis:
         The coefficients of (t_mode, c_mode, w_u, w_s) solve the 4 x 4
         system of the four center pairings, so the center part satisfies
         all of them to roundoff.  The system is not block-diagonal: c_mode
-        differences a branch solved in another discretization than op,
-        and the two differ at O(h^2).
+        is a central difference along the branch, so the identity
+        op c_mode = J t_mode that would decouple it holds only to O(dc^2)
+        (relative 0.18 at dc = 0.01 on the L = 200 line bubble).
         """
         u = field.ravel()
         coef = np.linalg.solve(self._pairing_matrix, self._pairings(u))
@@ -517,20 +518,22 @@ class DichotomyBasis:
 def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
     """Build the +/- eigenmodes and generalized-kernel projectors at a wave.
 
-    The rate and the modes w_u, w_s come from ``unstable_mode``; the
-    speed-derivative direction from central differencing the branch
-    profiles.  Raises if the cross pairing <op w_u, w_s> falls
-    below `rate_floor` times the mode norms (a degenerate pairing would
-    contradict the splitting and flags a discretization failure).
+    The operator is the ghost-symmetrized Lc, and every mode is in
+    (u1, u2), whatever the storage of the waves.  The rate and the modes
+    w_u, w_s come from ``unstable_mode``; the translation direction from
+    the base wave and the speed-derivative direction from central
+    differencing the branch profiles.  Raises if the cross pairing
+    <op w_u, w_s> falls below `rate_floor` times the mode norms (a
+    degenerate pairing would contradict the splitting and flags a
+    discretization failure).
     """
     spec = spec or base.spec
-    factor = "Mc" if base.profile.rep == "hydro" else "Lc"
-    op = ghost_symmetrized(assemble(factor, base=base, c=c, spec=spec))
+    op = ghost_symmetrized(assemble("Lc", base=base, c=c, spec=spec))
     found = unstable_mode(op)
     if found is None:
         raise ValueError("no unstable mode: dichotomy basis needs growth")
     rate, _max_real, _defect, (w_u, w_s) = found
-    t_mode = translation_mode(base.profile)
+    t_mode = translation_mode(as_uv(base.profile))
     idx = min(range(len(branch)), key=lambda i: abs(branch[i].c - c))
     c_mode = speed_derivative(branch, idx)
     basis = DichotomyBasis(op, rate, w_u, w_s, t_mode, c_mode)

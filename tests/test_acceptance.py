@@ -307,11 +307,10 @@ def test_criterion_11_nonlinear_rates(wide_bubble_basis, cq, gp):
     bubble, _, basis = wide_bubble_basis
     grid = bubble.grid
     eps = 1e-4
-    pert = tc_map(PairField.from_vector(grid, basis.w_u.ravel(), "uv"),
-                  bubble)
+    # the basis is in (u1, u2): perturb the wave along w_u itself
     u0_field = hydro_to_uv(bubble.profile)
-    u0 = PairField(grid, u0_field.c1 + eps * pert.c1,
-                   u0_field.c2 + eps * pert.c2, "uv")
+    u0 = PairField(grid, u0_field.c1 + eps * basis.w_u.c1,
+                   u0_field.c2 + eps * basis.w_u.c2, "uv")
     horizon = np.log(2e3) / basis.rate
     traj = evolve_nonlinear(u0, 0.0, cq.spec, horizon, 0.02, corrections=2,
                             background=u0_field, basis=basis,
@@ -321,7 +320,8 @@ def test_criterion_11_nonlinear_rates(wide_bubble_basis, cq, gp):
     proj = np.abs(proj)
     window = (proj >= 10 * np.abs(proj[0])) & (proj <= 1e-2)
     slope = fit_log_slope(times[window], proj[window])
-    rate_ok = abs(slope - basis.rate) <= 0.10 * basis.rate
+    rel = abs(slope - basis.rate) / basis.rate
+    rate_ok = rel <= 0.10
     # stable side: perturbed dark soliton stays close in d1 up to T=20;
     # the random perturbation is scaled to d1-size 1e-3
     sg = GridSpec(1, 40.0, 512)
@@ -338,8 +338,8 @@ def test_criterion_11_nonlinear_rates(wide_bubble_basis, cq, gp):
     dev = max(d1_distance(snap, sol.profile) for snap in straj.snapshots)
     stable_ok = dev <= 1e-2
     ok = rate_ok and stable_ok
-    assert _report(11, ok, "slope=%.5f rate=%.5f d1max=%.2e"
-                   % (slope, basis.rate, dev))
+    assert _report(11, ok, "slope=%.5f rate=%.5f (rel %.1e) d1max=%.2e"
+                   % (slope, basis.rate, rel, dev))
 
 
 def test_criterion_12_shooting_suite(ground_state, cq):

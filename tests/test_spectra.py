@@ -207,11 +207,26 @@ def test_dichotomy_pairing_matches_momentum_slope(bubble_basis, cq02):
     from nlstab.functionals import momentum
     dpdc = (momentum(branch[2].profile, "hydro", cq02.spec)
             - momentum(branch[0].profile, "hydro", cq02.spec)) / 0.02
-    # hydro second variation generates twice the energy-momentum Hessian
+    # Lc is the energy-momentum Hessian: <Lc dcU, dcU> = -dP/dc
     q = quadratic_form(basis.op, PairField.from_vector(
         basis.op.grid, basis.c_mode.ravel(), "uv"))
-    assert abs(q - (-2.0 * dpdc)) <= 0.05 * abs(2.0 * dpdc)
+    assert abs(q - (-dpdc)) <= 0.05 * abs(dpdc)
     assert dpdc < 0.0
+
+
+def test_hydro_rate_converges_to_the_verdict_rate(cq02):
+    # Mc, kept for the paper's hydrodynamic identities, discretizes the
+    # same second variation as the verdict operator Lc: on the L=200 line
+    # bubble their rates close as h^2 (gaps 2.5e-4, 6.2e-5, 1.5e-5)
+    gaps = []
+    for n in (1024, 2048, 4096):
+        bubble = stationary_bubble(cq02, "line", GridSpec(1, 200.0, n))
+        rates = [unstable_mode(assemble(kind, base=bubble, c=0.0,
+                                        spec=cq02.spec))[0]
+                 for kind in ("Lc", "Mc")]
+        gaps.append(abs(rates[0] - rates[1]))
+    assert gaps[1] <= gaps[0] / 3.5
+    assert 0.0 < gaps[2] <= gaps[1] / 3.5
 
 
 def test_center_block_positive(bubble_basis):
