@@ -184,12 +184,9 @@ def cmd_spectrum(cfg, out, rng):
     if kind == "LcPlusK2":
         raise ConfigError("spectrum.kind=LcPlusK2 needs a transverse wave "
                           "number, which no config key sets")
-    if kind in ("Mc", "McInfty", "M0") and wave.profile.rep != "hydro":
+    if kind in ("Mc", "McInfty") and wave.profile.rep != "hydro":
         raise ConfigError("spectrum.kind=%s needs a density/phase profile "
                           "(profile.kind=bubble-line or bubble-radial)" % kind)
-    if kind == "M0" and wave.c != 0.0:
-        raise ConfigError("spectrum.kind=M0 is the stationary operator and "
-                          "needs speed.c=0")
     check = spectra.nondegeneracy_check(wave, wave.c, spec, kind=kind)
     report = check.pop("report")
     with open(os.path.join(out, "spectrum.json"), "w") as fh:

@@ -15,30 +15,9 @@ The coordinate map psi(w) = 1 + w1 - chi(D)(w2^2/2) + i w2 parametrizes
 finite-energy fields near the unit background by pairs in H1 x H1dot.
 """
 
-import json
-
 import numpy as np
 
-from .grid import PairField, chi_multiplier_array, hydro_to_uv
-
-
-class FunctionalReport:
-    def __init__(self, energy=None, momentum=None, momentum_kind=None,
-                 pohozaev=None, rep=None):
-        self.energy = energy
-        self.momentum = momentum
-        self.momentum_kind = momentum_kind
-        self.pohozaev = pohozaev
-        self.rep = rep
-
-    def to_json(self):
-        return json.dumps({
-            "energy": self.energy,
-            "momentum": self.momentum,
-            "momentum_kind": self.momentum_kind,
-            "pohozaev": self.pohozaev,
-            "representation": self.rep,
-        }, sort_keys=True)
+from .grid import PairField, chi_multiplier, hydro_to_uv
 
 
 def _quad(grid, values):
@@ -99,7 +78,7 @@ def momentum(field, kind="classical", spec=None):
             raise ValueError("extended momentum needs w coordinates, periodic")
         w1, w2 = field.c1, field.c2
         half_sq = 0.5 * w2 ** 2
-        high = half_sq - chi_multiplier_array(grid, half_sq)
+        high = half_sq - chi_multiplier(grid, half_sq)
         return -_quad(grid, (w1 + high).ravel() * _dx(grid, w2))
     raise ValueError("unknown momentum kind %r" % kind)
 
@@ -108,7 +87,7 @@ def psi_map(w):
     """Coordinate map w -> 1 + w1 - chi(D)(w2^2/2) + i*w2 (as a uv pair)."""
     if w.rep != "w":
         raise ValueError("psi_map expects w coordinates")
-    low = chi_multiplier_array(w.grid, 0.5 * w.c2 ** 2)
+    low = chi_multiplier(w.grid, 0.5 * w.c2 ** 2)
     return PairField(w.grid, 1.0 + w.c1 - low, w.c2.copy(), "uv")
 
 
@@ -117,7 +96,7 @@ def psi_inverse(u):
     if u.rep != "uv":
         raise ValueError("psi_inverse expects a uv field")
     w2 = u.c2
-    low = chi_multiplier_array(u.grid, 0.5 * w2 ** 2)
+    low = chi_multiplier(u.grid, 0.5 * w2 ** 2)
     return PairField(u.grid, u.c1 - 1.0 + low, w2.copy(), "w")
 
 
@@ -149,15 +128,3 @@ def d1_distance(u, v):
     term1 = np.sqrt(_quad(grid, grad_sq))
     term2 = np.sqrt(_quad(grid, (mod_u - mod_v) ** 2))
     return float(term1 + term2)
-
-
-def report(field, spec, momentum_kind=None, c=None):
-    """Bundle E, P (and the constraint functional for w fields) as a report."""
-    kinds = {"uv": "classical", "hydro": "hydro", "w": "extended"}
-    kind = momentum_kind or kinds[field.rep]
-    rep = FunctionalReport(rep=field.rep, momentum_kind=kind)
-    rep.energy = energy(field, spec)
-    rep.momentum = momentum(field, kind, spec)
-    if field.rep == "w" and c is not None:
-        rep.pohozaev = pohozaev(field, c, spec)
-    return rep

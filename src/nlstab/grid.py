@@ -304,21 +304,13 @@ def _xi_norm_grid(grid):
     return np.sqrt(xi0 ** 2 + xi1 ** 2)
 
 
-def apply_multiplier(field, symbol):
-    """Apply a real Fourier multiplier (array over fft-ordered modes)."""
-    if field.grid.boundary != "periodic":
+def chi_multiplier(grid, data):
+    """Low-pass multiplier chi(D) used by the coordinate map, applied to
+    an array on a periodic grid."""
+    if grid.boundary != "periodic":
         raise ValueError("Fourier multipliers require a periodic grid")
-    fhat = np.fft.fftn(field.data)
-    return ScalarField(field.grid, np.real(np.fft.ifftn(symbol * fhat)))
-
-
-def chi_multiplier(field):
-    """Low-pass multiplier chi(D) used by the coordinate map."""
-    return apply_multiplier(field, chi_profile(_xi_norm_grid(field.grid)))
-
-
-def chi_multiplier_array(grid, data):
-    return chi_multiplier(ScalarField(grid, data)).data
+    symbol = chi_profile(_xi_norm_grid(grid))
+    return np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +325,12 @@ def inner(f, g, kind="L2"):
 
     Kinds: ``L2`` both components in L2; ``H1xHdot1`` adds first-component
     gradients to its L2 part and keeps only gradients for the second
-    component; ``duality`` is the plain L2 pairing (used for dual products).
+    component.
     """
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
     vol = f.grid.cell_volume
-    if kind in ("L2", "duality"):
+    if kind == "L2":
         return _dot(f.c1, g.c1, vol) + _dot(f.c2, g.c2, vol)
     if kind == "H1xHdot1":
         total = _dot(f.c1, g.c1, vol)

@@ -20,19 +20,17 @@ Kinds
     + Lap(rho)/(2rho^2) - F'(rho), M22 = -2 div(rho grad),
     M21 = c d1 - 2 div(grad(theta) .), M12 = M21^T.
 ``McInfty``      far-field form with M11 replaced by -div(grad/(2rho)) + 1/rho.
-``M0``           Mc of a stationary bubble (c = 0, theta = 0); block diagonal.
 ``A``            scalar linearization -Lap - F(phi^2) - 2F'(phi^2) phi^2 of the
     steady equation at a bubble amplitude phi.
 ``LcPlusK2``     Lc shifted by k^2 (transverse wave number k).
 """
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
-from .grid import PairField, as_uv, chi_multiplier_array, inner
+from .grid import PairField, as_uv, chi_multiplier, inner
 
-SYMMETRIC_KINDS = ("Lc", "LcInfty", "Mc", "McInfty", "M0", "A", "LcPlusK2")
+SYMMETRIC_KINDS = ("Lc", "LcInfty", "Mc", "McInfty", "A", "LcPlusK2")
 _KERNEL_FACTOR = 5.0   # kernel threshold over the translation residual
 
 
@@ -254,15 +252,12 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         mat = _block(grid, lap + gap * eye, -c * d1, c * d1, lap)
         return AssembledOperator(kind, mat, grid, c=c, rep="uv", spec=spec)
 
-    if kind in ("Mc", "M0"):
+    if kind == "Mc":
         if field.rep != "hydro":
             raise ValueError("hydro kinds need a hydro base")
         rho, theta = field.c1, field.c2
         if rho.min() <= 1e-12:
             raise ValueError("vortex detected: min rho <= 0")
-        if kind == "M0":
-            if abs(c) > 0.0 or np.max(np.abs(theta)) > 1e-12:
-                raise ValueError("M0 is the stationary operator (c=0, theta=0)")
         rho_flat = rho.ravel()
         grads_rho = [grid.central(a, "edge") @ rho_flat
                      for a in range(grid.dim)]
@@ -330,14 +325,14 @@ def j_matrix(grid):
 def k_map(f, base):
     """Isomorphism (f1, f2) -> (f1 - chi(D)(v f2), f2) with v = Im(base)."""
     v = _base_fields(base).c2
-    low = chi_multiplier_array(f.grid, v * f.c2)
+    low = chi_multiplier(f.grid, v * f.c2)
     return PairField(f.grid, f.c1 - low, f.c2.copy(), f.rep)
 
 
 def k_adjoint(f, base):
     """Adjoint map (f1, f2) -> (f1, f2 - v chi(D) f1)."""
     v = _base_fields(base).c2
-    low = chi_multiplier_array(f.grid, f.c1)
+    low = chi_multiplier(f.grid, f.c1)
     return PairField(f.grid, f.c1.copy(), f.c2 - v * low, f.rep)
 
 
@@ -463,7 +458,3 @@ def precondition(f):
     c1 = np.real(np.fft.ifftn(mult1 * np.fft.fftn(f.c1)))
     c2 = np.real(np.fft.ifftn(mult2 * np.fft.fftn(f.c2)))
     return PairField(grid, c1, c2, f.rep)
-
-
-def export_matrix_market(op, path):
-    scipy.io.mmwrite(path, op.matrix)

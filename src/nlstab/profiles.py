@@ -3,7 +3,7 @@
 Closed-form 1D dark solitons of the unit-background defocusing equation,
 stationary bubbles of cubic-quintic laws (1D by quadrature of the first
 integral, radial 2D by shooting), and Newton continuation of slow
-traveling waves, which are stored in density/phase variables.
+traveling waves.
 
 Every wave is solved by one damped Newton loop (_newton) on the
 traveling-wave residual in field variables (u1, u2), tw_residual_uv, a
@@ -377,16 +377,15 @@ def kernel_coefficient(wave):
 
 
 def continue_branch(start, c_targets):
-    """Continue a density/phase wave to each target speed by warm starts.
+    """Continue a wave to each target speed by warm starts.
 
     Each target starts from the nearest wave solved so far, the start
     included; a target at the speed of such a wave is a copy of it with
     ``newton_iters=0``.  Steps in c never exceed _MAX_STEP; a failed
     Newton solve halves the step down to _MIN_STEP.  Returns one wave per
-    target speed, in the order given.
+    target speed, in the order given.  Every wave keeps the storage of
+    ``start``.
     """
-    if start.profile.rep != "hydro":
-        raise ValueError("continuation stores density/phase waves")
     out = []
     solved = [start]
     if start.grid.dim == 2 and start.symmetry == "radial":
@@ -425,9 +424,8 @@ def speed_derivative(branch, index=None):
     """Central-difference derivative of the (u1, u2) profile along the
     branch, for waves stored in either representation.
 
-    Adjacent profiles are registered by the integer shift maximizing the
-    correlation of their u1 components before differencing (removes the
-    translation gauge).
+    No registration is needed: Newton pins each wave's translation to
+    the wave it was continued from (see _newton).
     """
     if len(branch) < 2:
         raise ValueError("need at least two branch points")
@@ -438,24 +436,8 @@ def speed_derivative(branch, index=None):
     dc = hi.c - lo.c
     if dc == 0.0:
         raise ValueError("branch speeds must be distinct")
-    ref = as_uv(branch[index].profile)
-    a = _register(ref.c1, as_uv(lo.profile))
-    b = _register(ref.c1, as_uv(hi.profile))
-    d1 = (b[0] - a[0]) / dc
-    d2 = (b[1] - a[1]) / dc
-    return PairField(ref.grid, d1, d2, "uv")
-
-
-def _register(ref_c1, other):
-    flat_ref = ref_c1 - ref_c1.mean()
-    best_shift, best_score = 0, -np.inf
-    for shift in range(-3, 4):
-        cand = np.roll(other.c1, shift, axis=0)
-        score = float(np.sum(flat_ref * (cand - cand.mean())))
-        if score > best_score:
-            best_shift, best_score = shift, score
-    return (np.roll(other.c1, best_shift, axis=0),
-            np.roll(other.c2, best_shift, axis=0))
+    a, b = as_uv(lo.profile), as_uv(hi.profile)
+    return PairField(a.grid, (b.c1 - a.c1) / dc, (b.c2 - a.c2) / dc, "uv")
 
 
 def branch_momentum_sweep(branch, kind=None, spec=None):

@@ -21,8 +21,6 @@ argument derives z1 < r0 from the supposition that phi decays; computed
 ground states (N = 1, 2, 3) have a non-decaying phi and z1 > r0.
 """
 
-import json
-
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
@@ -309,7 +307,3 @@ def phi_diagnostics(result, constants):
         "verdict": "non-degenerate" if nondegenerate else "degenerate",
         "regime": regime,
     }
-
-
-def verdict_json(diag):
-    return json.dumps(diag, sort_keys=True, default=float)

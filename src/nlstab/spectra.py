@@ -36,8 +36,7 @@ class SpectralReport:
     """Sorted eigenvalues with localization-aware counts."""
 
     def __init__(self, kind, eigenvalues, n_negative, kernel_dim,
-                 kernel_vectors, zero_threshold, spurious=0,
-                 max_real=None, pairing_defect=None, unstable_rate=None):
+                 kernel_vectors, zero_threshold, spurious=0):
         self.kind = kind
         self.eigenvalues = eigenvalues
         self.n_negative = n_negative
@@ -45,28 +44,16 @@ class SpectralReport:
         self.kernel_vectors = kernel_vectors
         self.zero_threshold = zero_threshold
         self.spurious = spurious
-        self.max_real = max_real
-        self.pairing_defect = pairing_defect
-        self.unstable_rate = unstable_rate
 
     def to_json(self):
-        ev = self.eigenvalues
-        data = {
+        return json.dumps({
             "kind": self.kind,
             "n_negative": self.n_negative,
             "kernel_dim": self.kernel_dim,
             "zero_threshold": self.zero_threshold,
             "spurious_modes": self.spurious,
-            "max_real": self.max_real,
-            "pairing_defect": self.pairing_defect,
-            "unstable_rate": self.unstable_rate,
-        }
-        if np.iscomplexobj(ev):
-            data["eigenvalues_re"] = [float(v) for v in np.real(ev)]
-            data["eigenvalues_im"] = [float(v) for v in np.imag(ev)]
-        else:
-            data["eigenvalues"] = [float(v) for v in ev]
-        return json.dumps(data, sort_keys=True)
+            "eigenvalues": [float(v) for v in self.eigenvalues],
+        }, sort_keys=True)
 
 
 def boundary_mass_fraction(grid, vec, n_components=2):

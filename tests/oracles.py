@@ -12,16 +12,26 @@ import numpy as np
 import scipy.linalg
 
 from nlstab.operators import assemble, j_matrix
-from nlstab.spectra import SpectralReport, _growth, _oriented, _realify
+from nlstab.spectra import _growth, _oriented, _realify
+
+
+class HamiltonianSpectrum:
+    """Every eigenpair of J * op, sorted by decreasing real part, with the
+    maximal real part over localized modes, the +/- pairing defect and
+    the real growth rate (None without one)."""
+
+    def __init__(self, operator, eigenvalues, eigenvectors, max_real,
+                 pairing_defect, unstable_rate):
+        self.operator = operator
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+        self.max_real = max_real
+        self.pairing_defect = pairing_defect
+        self.unstable_rate = unstable_rate
 
 
 def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
-    """Dense eigensolve of J * (symmetric factor).
-
-    Reports the full complex spectrum with its eigenvectors, the maximal
-    real part over localized modes, the +/- pairing defect, and the
-    unstable rate when positive growth is present.
-    """
+    """Dense eigensolve of J * (symmetric factor), as a HamiltonianSpectrum."""
     if op is None:
         factor = {"JLc": "Lc", "JMc": "Mc", "JLcK": "LcPlusK2"}[kind]
         op = assemble(factor, base=base, c=c, spec=spec or base.spec, k=k)
@@ -38,12 +48,7 @@ def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
         defect = max(defect, float(dists.max()))
 
     max_real, rate, _mode = _growth(op, w, v)
-    report = SpectralReport(kind, w, None, None, [], op.zero_threshold(),
-                            max_real=max_real, pairing_defect=defect,
-                            unstable_rate=rate)
-    report.eigenvectors = v
-    report.operator = op
-    return report
+    return HamiltonianSpectrum(op, w, v, max_real, defect, rate)
 
 
 def unstable_pair(report):

@@ -66,3 +66,35 @@ def test_the_benchmark_calls_bind_to_their_signatures():
         signature = inspect.signature(_resolve(_dotted(call.func)))
         # raises TypeError on a dropped parameter or a surplus positional
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def _growth_keys():
+    """The keys ``UnstableManifold1D.result`` copies from the growth
+    report: the constants of the loop that reads ``growth[key]``."""
+    cls = next(node for node in _tree().body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "UnstableManifold1D")
+    result = next(node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "result")
+    keys = set()
+    for loop in ast.walk(result):
+        if not isinstance(loop, ast.For):
+            continue
+        reads = {node.slice.id for node in ast.walk(loop)
+                 if isinstance(node, ast.Subscript)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "growth"
+                 and isinstance(node.slice, ast.Name)}
+        if loop.target.id in reads:
+            keys |= {elt.value for elt in loop.iter.elts}
+    return keys
+
+
+def test_the_growth_report_has_every_key_the_benchmark_reads(
+        wide_bubble_basis):
+    from nlstab.dynamics import dichotomy_growth_test
+    keys = _growth_keys()
+    assert {"backward_slope", "cs_slope_max", "center_bound_max"} <= keys
+    _, _, basis = wide_bubble_basis
+    report = dichotomy_growth_test(basis, T=2.0, dt=5e-3, n_draws=4)
+    assert keys <= set(report)

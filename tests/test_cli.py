@@ -179,7 +179,7 @@ def test_evolve_reports_no_drift_for_an_undefined_momentum(tmp_path):
     ]))
     assert code == 0
     rows = (out / "monitors.csv").read_text().splitlines()
-    assert rows[0] == "t,E,P,proj_u,proj_s"
+    assert rows[0] == "t,E,P"
     assert [row.split(",")[2] for row in rows[1:]] == ["nan", "nan"]
     drift = json.loads((out / "evolve.json").read_text())
     assert drift["P_drift"] is None and drift["P_undefined"] == 2
@@ -235,12 +235,7 @@ def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     ["nonlinearity.kind=gp", "spectrum.kind=LcPlusK2"],
     ["nonlinearity.kind=gp", "spectrum.kind=Mc"],
     ["nonlinearity.kind=gp", "spectrum.kind=McInfty"],
-    ["nonlinearity.kind=gp", "spectrum.kind=M0"],
-    ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
-     "nonlinearity.alpha3=1.0", "nonlinearity.alpha5=1.0",
-     "profile.kind=bubble-line", "grid.L=30", "speed.c=0.01",
-     "spectrum.kind=M0"],
-], ids=["LcPlusK2", "Mc-on-uv", "McInfty-on-uv", "M0-on-uv", "M0-moving"])
+], ids=["LcPlusK2", "Mc-on-uv", "McInfty-on-uv"])
 def test_spectrum_kind_the_profile_cannot_take_is_config_error(
         tmp_path, capsys, lines):
     code, out = _run_cli(tmp_path, "\n".join(

@@ -93,16 +93,20 @@ def test_speed_derivative_drifts_linearly(gp_spec):
     assert abs(slope - norm(t_mode)) <= 0.02 * norm(t_mode)
 
 
-def test_nonlinear_scheme_reduces_to_linear(polished_soliton, gp_spec, rng):
+def test_nonlinear_scheme_reduces_to_linear(polished_soliton, gp_spec, rng,
+                                            monkeypatch):
     g = polished_soliton.grid
     c = 0.8
     eps = 1e-3
     noise = random_smooth_pair(g, rng)
     u0 = PairField(g, polished_soliton.profile.c1 + eps * noise.c1,
                    polished_soliton.profile.c2 + eps * noise.c2, "uv")
+    # without its explicit remainder the stepper is the linear CN flow
+    monkeypatch.setattr(NonlinearStepper, "remainder",
+                        lambda self, phi_flat: np.zeros_like(phi_flat))
     traj = evolve_nonlinear(u0, c, gp_spec, 0.5, 1e-3,
                             background=polished_soliton.profile,
-                            include_nonlinearity=False, drift_guard=None)
+                            drift_guard=None)
     # frozen-background generator: J times the symmetric factor below
     pot = gp_spec.f(polished_soliton.profile.c1 ** 2
                     + polished_soliton.profile.c2 ** 2)
@@ -299,3 +303,13 @@ def test_nonlinear_cayley_step_matches_the_crank_nicolson_product(
             new = lhs.solve(base + dt * r)
         phi_ref = new
     assert _rel(phi, phi_ref) <= 1e-13
+
+
+def test_monitors_csv_writes_the_recorded_series(tmp_path):
+    traj = Trajectory()
+    for t in (0.0, 0.5):
+        traj.add_monitor(t, E=1.0, P=2.0, proj_u=3.0, proj_s=4.0)
+    path = tmp_path / "monitors.csv"
+    traj.monitors_to_csv(path)
+    rows = path.read_text().splitlines()
+    assert rows == ["t,E,P,proj_u,proj_s", "0,1,2,3,4", "0.5,1,2,3,4"]

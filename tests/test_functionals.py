@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from nlstab.functionals import (d1_distance, energy, momentum, pohozaev,
-                                psi_inverse, psi_map, report)
+                                psi_inverse, psi_map)
 from nlstab.grid import GridSpec, PairField, norm, uv_to_hydro
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import random_smooth_pair
@@ -155,11 +155,3 @@ def test_d1_oracle_dark_soliton():
     mod2, _ = quad(lambda x: np.cosh(b * x) ** -4, -40, 40)
     exact = np.sqrt(grad2) + np.sqrt(mod2)
     assert abs(num - exact) / exact < 1e-6
-
-
-def test_report_serialization(gp_spec):
-    g = GridSpec(1, 40.0, 512)
-    wave = dark_soliton(0.5, g)
-    rep = report(wave.profile, gp_spec, momentum_kind="renormalized1D")
-    text = rep.to_json()
-    assert '"energy"' in text and '"momentum_kind": "renormalized1D"' in text

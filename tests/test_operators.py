@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from nlstab.grid import GridSpec, PairField, inner, uv_to_hydro
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import (assemble, coercivity_constant,
-                              export_matrix_market, ghost_symmetrized,
-                              j_apply, j_inverse_apply, k_adjoint, k_map,
+                              ghost_symmetrized, j_apply, j_inverse_apply, k_adjoint, k_map,
                               precondition, quadratic_form,
                               random_smooth_pair, tc_map)
 from nlstab.profiles import dark_soliton, translation_mode
@@ -26,7 +24,7 @@ def test_far_field_blocks(gp_spec):
 
 
 def test_block_diagonal_at_rest(bubble_1d_small, cq02):
-    op = assemble("M0", base=bubble_1d_small, c=0.0, spec=cq02.spec)
+    op = assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec)
     n = bubble_1d_small.grid.size
     assert abs(op.matrix[:n, n:]).max() == 0.0
     assert abs(op.matrix[n:, :n]).max() == 0.0
@@ -84,8 +82,8 @@ def test_k_adjoint_pairing(rng):
     for _ in range(20):
         f = random_smooth_pair(g, rng)
         h = random_smooth_pair(g, rng)
-        lhs = inner(k_map(f, base), h, "duality")
-        rhs = inner(f, k_adjoint(h, base), "duality")
+        lhs = inner(k_map(f, base), h, "L2")
+        rhs = inner(f, k_adjoint(h, base), "L2")
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -149,7 +147,7 @@ def test_quadratic_form_zero_and_kernel(gp_spec):
 
 
 def test_hydro_second_block_positive(bubble_1d_small, cq02, rng):
-    op = assemble("M0", base=bubble_1d_small, c=0.0, spec=cq02.spec)
+    op = assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec)
     g = bubble_1d_small.grid
     for _ in range(5):
         theta = random_smooth_pair(g, rng).c1
@@ -216,14 +214,6 @@ def test_precondition_identities(gp_spec, rng):
         phi = random_smooth_pair(g, rng, zero_mean2=True)
         q = quadratic_form(op, precondition(phi))
         assert q >= delta * inner(phi, phi, "L2") * (1.0 - 1e-10)
-
-
-def test_matrix_market_round_trip(tmp_path, bubble_1d_small, cq02):
-    op = assemble("A", base=bubble_1d_small, spec=cq02.spec)
-    path = tmp_path / "op.mtx"
-    export_matrix_market(op, str(path))
-    back = scipy.io.mmread(str(path)).tocsr()
-    assert abs(back - op.matrix).max() < 1e-15
 
 
 def test_j_matrices_exact(rng):

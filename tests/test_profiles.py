@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlstab.grid import (GridSpec, PairField, hydro_to_uv, norm,
+from nlstab.functionals import momentum
+from nlstab.grid import (GridSpec, PairField, as_uv, hydro_to_uv, norm,
                          translation_mode)
 from nlstab.operators import assemble
 from nlstab.profiles import (TravelingWave, _bordered_solve, _newton,
@@ -197,6 +198,59 @@ def test_continuation_starts_from_nearest_solved_wave(bubble_1d_small):
     assert np.array_equal(out[2].profile.c2, alone.profile.c2)
 
 
+def test_continuation_of_a_uv_wave():
+    # the GP dark soliton is stored in (u1, u2); continuation keeps that
+    g = GridSpec(1, 40.0, 512)
+    start = dark_soliton(0.5, g, polish=True)
+    wave = continue_branch(start, [0.6])[0]
+    assert wave.profile.rep == "uv" and wave.c == 0.6
+    p = momentum(wave.profile, "renormalized1D")
+    ref = momentum(dark_soliton(0.6, g, polish=True).profile,
+                   "renormalized1D")
+    assert abs(p - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.fixture(scope="module")
+def radial_branch(cq02):
+    start = stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 64))
+    return start, continue_branch(start, [0.01])
+
+
+def _translation_overlap(anchor, field):
+    """max over the translation modes t_a of the anchor U of
+    |<t_a, u - U>| / (|t_a| |u - U|)."""
+    base = as_uv(anchor.profile)
+    dev = as_uv(field).ravel() - base.ravel()
+    worst = 0.0
+    for a in range(anchor.grid.dim):
+        t_a = translation_mode(base, a).ravel()
+        worst = max(worst, abs(t_a @ dev)
+                    / (np.linalg.norm(t_a) * np.linalg.norm(dev)))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["line L=30", "line L=200", "radial 64x64"])
+def test_continuation_pins_the_translation(case, bubble_1d_small,
+                                           wide_bubble_basis, radial_branch):
+    # speed_derivative differences branch waves without registering them:
+    # each continued wave must move off its anchor orthogonally to the
+    # anchor's translation modes, and a one-cell shift must show
+    if case == "line L=30":
+        start = bubble_1d_small
+        waves = continue_branch(start, [-0.01, 0.01])
+    elif case == "line L=200":
+        start, (lo, _, hi), _ = wide_bubble_basis
+        waves = [lo, hi]
+    else:
+        start, waves = radial_branch
+    for wave in waves:
+        assert _translation_overlap(start, wave.profile) <= 1e-2
+        u = as_uv(wave.profile)
+        shifted = PairField(start.grid, np.roll(u.c1, 1, axis=0),
+                            np.roll(u.c2, 1, axis=0), "uv")
+        assert _translation_overlap(start, shifted) > 1e-2
+
+
 def _newton_system(wave):
     """Jacobian and constraint rows of a Newton step at a density/phase wave."""
     grid = wave.grid
@@ -239,12 +293,11 @@ def test_bordered_solve_matches_dense_on_the_line_bubble(cq02, c):
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_bordered_solve_residual_on_the_radial_bubble(cq02):
+def test_bordered_solve_residual_on_the_radial_bubble(radial_branch):
     # the median over draws: single residuals at roundoff level scatter
     # over two decades (2e-13 to 2e-11 here; 2e-11 to 2e-10 without the
     # refinement step)
-    wave = continue_branch(stationary_bubble(
-        cq02, "radial-2D", GridSpec(2, 30.0, 64)), [0.01])[0]
+    wave = radial_branch[1][0]
     jac, cons = _newton_system(wave)
     rng = np.random.default_rng(5)
     residuals = []

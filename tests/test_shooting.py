@@ -133,7 +133,7 @@ def test_serialization(tmp_path, ground, cq02):
     header = csv.read_text().splitlines()[0]
     assert header == "r,u,uprime,phi"
     diag = shooting.phi_diagnostics(ground, cq02)
-    text = shooting.verdict_json(diag)
+    text = json.dumps(diag, sort_keys=True, default=float)
     assert json.loads(text)["verdict"] == "non-degenerate"
 
 
