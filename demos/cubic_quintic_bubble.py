@@ -9,6 +9,7 @@ solution diagnostics behind the non-degeneracy verdict.
 import numpy as np
 
 from nlstab import shooting
+from nlstab.cli import write_csv
 from nlstab.grid import GridSpec
 from nlstab.nonlinearity import check_G_conditions, cq_constants
 from nlstab.profiles import bubble_amplitude_monotone, stationary_bubble
@@ -33,7 +34,8 @@ print("variational solution: %d sign change(s), terminal value %.2e"
 print("theta(r) increasing below the g-threshold radius:",
       diag["theta_increasing"])
 print("verdict:", diag["verdict"])
-res.to_csv("ground_state.csv")
+write_csv("ground_state.csv", ["r", "u", "uprime", "phi"],
+          [res.r, res.u, res.uprime, res.phi])
 
 print("\nrevolving onto a Cartesian grid and polishing...")
 bubble = stationary_bubble(k, "radial-2D", GridSpec(2, 30.0, 128))

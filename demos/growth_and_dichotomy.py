@@ -12,6 +12,7 @@ regime.
 
 import numpy as np
 
+from nlstab.cli import write_csv
 from nlstab.dynamics import (dichotomy_growth_test, evolve_nonlinear,
                              fit_log_slope)
 from nlstab.grid import GridSpec, PairField, hydro_to_uv
@@ -54,5 +55,6 @@ window = (proj >= 10 * proj[0]) & (proj <= 1e-2)
 slope = fit_log_slope(times[window], proj[window])
 print("fitted growth of the unstable projection: %.6f (linear rate %.6f)"
       % (slope, basis.rate))
-traj.monitors_to_csv("unstable_run_monitors.csv")
+write_csv("unstable_run_monitors.csv", ["t"] + list(traj.monitors),
+          [traj.monitor_times] + list(traj.monitors.values()))
 print("wrote unstable_run_monitors.csv")

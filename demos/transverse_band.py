@@ -10,9 +10,10 @@ at the endpoints.
 
 import numpy as np
 
+from nlstab.cli import write_csv
 from nlstab.grid import GridSpec
 from nlstab.profiles import dark_soliton
-from nlstab.spectra import band_to_csv, transversal_band
+from nlstab.spectra import transversal_band
 
 wave = dark_soliton(0.0, GridSpec(1, 40.0, 2048))
 coarse = dark_soliton(0.0, GridSpec(1, 40.0, 512))
@@ -27,5 +28,7 @@ for s in out["samples"]:
     print("%6.3f   %-6s  %8.5f   %d"
           % (s["k"], s["inside"], s["growth_rate"], s["n_negative"]))
 
-band_to_csv(out, "transverse_band.csv")
+write_csv("transverse_band.csv", ["k", "lambda_u", "n_neg"],
+          [[s[key] for s in out["samples"]]
+           for key in ("k", "growth_rate", "n_negative")])
 print("\nwrote transverse_band.csv")

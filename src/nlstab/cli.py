@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import dynamics, profiles, shooting, spectra
-from .grid import GridSpec, as_uv, save_binary, save_csv
+from .grid import GridSpec, as_uv, save_binary
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
 from .operators import (SYMMETRIC_KINDS, coercivity_constant,
                         random_smooth_pair)
@@ -103,6 +103,11 @@ def build_grid(cfg):
         raise ConfigError("bad grid: %s" % exc)
 
 
+def _cq_constants(spec):
+    """Derived constants of the cubic-quintic law ``spec``."""
+    return cq_constants(**spec.params)
+
+
 def build_profile(cfg, spec, grid):
     kind = _get(cfg, "profile.kind", "dark-soliton")
     c = _get(cfg, "speed.c", 0.0, float)
@@ -113,14 +118,33 @@ def build_profile(cfg, spec, grid):
         if spec.kind != "cubic-quintic":
             raise ConfigError("profile.kind=%s needs "
                               "nonlinearity.kind=cubic-quintic" % kind)
-        k = cq_constants(spec.params["alpha1"], spec.params["alpha3"],
-                         spec.params["alpha5"])
         geometry = "line" if kind == "bubble-line" else "radial-2D"
-        wave = profiles.stationary_bubble(k, geometry, grid)
+        wave = profiles.stationary_bubble(_cq_constants(spec), geometry, grid)
         if c != 0.0:
             wave = profiles.continue_branch(wave, [c])[-1]
         return wave
     raise ConfigError("unsupported profile.kind %r" % kind)
+
+
+def write_csv(path, header, columns):
+    """Write the ``header`` names, then row i of the equal-length
+    ``columns``: every value as %.17g, None as an empty field."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join("" if v is None else "%.17g" % v
+                              for v in row) + "\n")
+
+
+def report_payload(report):
+    """The JSON object of ``spectrum.json`` for a ``SpectralReport``."""
+    return {
+        "kind": report.kind, "n_negative": report.n_negative,
+        "kernel_dim": report.kernel_dim,
+        "zero_threshold": report.zero_threshold,
+        "spurious_modes": report.spurious,
+        "eigenvalues": [float(v) for v in report.eigenvalues],
+    }
 
 
 def _write_json(path, payload):
@@ -133,11 +157,16 @@ def cmd_profile(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
     wave = build_profile(cfg, spec, grid)
-    save_binary(wave.profile, os.path.join(out, "profile.bin"))
-    save_csv(wave.profile, os.path.join(out, "profile.csv"))
+    field = wave.profile
+    save_binary(field, os.path.join(out, "profile.bin"))
+    write_csv(os.path.join(out, "profile.csv"),
+              ["x", "y"][: grid.dim] + ["comp1", "comp2"],
+              [m.ravel() for m in grid.meshes()]
+              + [field.c1.ravel(), field.c2.ravel()])
     _write_json(os.path.join(out, "profile.json"), {
         "c": wave.c, "residual": wave.residual_norm,
-        "representation": wave.profile.rep, "symmetry": wave.symmetry,
+        "projected_residual": wave.projected_residual,
+        "representation": field.rep, "symmetry": wave.symmetry,
     })
     return 0
 
@@ -152,13 +181,17 @@ def cmd_branch(cfg, out, rng):
     if spec.kind == "gp":
         branch = [profiles.dark_soliton(c, grid, spec) for c in speeds]
     else:
-        k = cq_constants(spec.params["alpha1"], spec.params["alpha3"],
-                         spec.params["alpha5"])
         geometry = "line" if grid.dim == 1 else "radial-2D"
-        bubble = profiles.stationary_bubble(k, geometry, grid)
+        bubble = profiles.stationary_bubble(_cq_constants(spec), geometry,
+                                            grid)
         branch = profiles.continue_branch(bubble, speeds)
     samples = profiles.branch_momentum_sweep(branch, spec=spec)
-    profiles.sweep_to_csv(samples, os.path.join(out, "branch.csv"))
+    write_csv(os.path.join(out, "branch.csv"),
+              ["c", "P", "E", "dPdc", "newton_iters", "residual",
+               "projected_residual"],
+              [[getattr(s, name) for s in samples]
+               for name in ("c", "momentum", "energy", "dpdc", "newton_iters",
+                            "residual", "projected_residual")])
     interior = [s for s in samples if s.dpdc is not None]
     signs = [np.sign(s.dpdc) for s in interior]
     if all(s > 0 for s in signs):
@@ -189,8 +222,7 @@ def cmd_spectrum(cfg, out, rng):
                           "(profile.kind=bubble-line or bubble-radial)" % kind)
     check = spectra.nondegeneracy_check(wave, wave.c, spec, kind=kind)
     report = check.pop("report")
-    with open(os.path.join(out, "spectrum.json"), "w") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_json(os.path.join(out, "spectrum.json"), report_payload(report))
     _write_json(os.path.join(out, "nondegeneracy.json"), check)
     return 0
 
@@ -216,7 +248,9 @@ def cmd_transversal(cfg, out, rng):
         wave, wave.c, spec,
         n_samples=_get(cfg, "transversal.samples", 5, int),
         ham_base=ham_base)
-    spectra.band_to_csv(result, os.path.join(out, "band.csv"))
+    write_csv(os.path.join(out, "band.csv"), ["k", "lambda_u", "n_neg"],
+              [[s[key] for s in result["samples"]]
+               for key in ("k", "growth_rate", "n_negative")])
     _write_json(os.path.join(out, "band.json"), {
         "band": result.get("band"), "lambda0": result.get("lambda0"),
         "lambda1": result.get("lambda1"),
@@ -244,7 +278,8 @@ def cmd_evolve(cfg, out, rng):
     traj = dynamics.evolve_nonlinear(
         u0, wave.c, spec,
         _get(cfg, "evolve.T", 10.0, float), dt, corrections=corrections)
-    traj.monitors_to_csv(os.path.join(out, "monitors.csv"))
+    write_csv(os.path.join(out, "monitors.csv"), ["t"] + list(traj.monitors),
+              [traj.monitor_times] + list(traj.monitors.values()))
     save_binary(traj.snapshots[-1], os.path.join(out, "final.bin"))
     drift = dynamics.monitor_invariants(traj)
     _write_json(os.path.join(out, "evolve.json"), drift)
@@ -255,8 +290,7 @@ def cmd_shoot(cfg, out, rng):
     spec = build_spec(cfg)
     if spec.kind != "cubic-quintic":
         raise ConfigError("shooting needs a cubic-quintic law")
-    k = cq_constants(spec.params["alpha1"], spec.params["alpha3"],
-                     spec.params["alpha5"])
+    k = _cq_constants(spec)
     dim = _get(cfg, "shoot.dim", 2, int)
     if dim < 1:
         raise ConfigError("shoot.dim must be 1 or more, not %d" % dim)
@@ -264,7 +298,8 @@ def cmd_shoot(cfg, out, rng):
         k, dim, r_max=_get(cfg, "shoot.rmax", 60.0, float),
         tol=_get(cfg, "shoot.tol", 1e-12, float))
     diag = shooting.phi_diagnostics(res, k)
-    res.to_csv(os.path.join(out, "shoot.csv"))
+    write_csv(os.path.join(out, "shoot.csv"), ["r", "u", "uprime", "phi"],
+              [res.r, res.u, res.uprime, res.phi])
     diag["alpha0"] = res.alpha0
     diag["conditions"] = check_G_conditions(k)
     _write_json(os.path.join(out, "shoot.json"), diag)

@@ -61,16 +61,6 @@ class Trajectory:
     def series(self, key):
         return np.asarray(self.monitor_times), np.asarray(self.monitors[key])
 
-    def monitors_to_csv(self, path):
-        """``t``, then whichever of E, P, proj_u and proj_s were recorded."""
-        keys = [k for k in ("E", "P", "proj_u", "proj_s") if k in self.monitors]
-        with open(path, "w") as fh:
-            fh.write(",".join(["t"] + keys) + "\n")
-            for i, t in enumerate(self.monitor_times):
-                row = ["%.17g" % t] + ["%.17g" % self.monitors[k][i]
-                                       for k in keys]
-                fh.write(",".join(row) + "\n")
-
 
 _N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
 _MIN_DT = 1e-5       # floor of the nonlinear dt halving

@@ -367,22 +367,6 @@ def scalar_norm(field, order=0, homogeneous=False):
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_csv(field, path):
-    grid = field.grid
-    mesh = grid.meshes()
-    cols = [m.ravel() for m in mesh]
-    if isinstance(field, ScalarField):
-        cols.append(field.data.ravel())
-        header = ",".join(["x", "y"][: grid.dim] + ["value"])
-    else:
-        cols += [field.c1.ravel(), field.c2.ravel()]
-        header = ",".join(["x", "y"][: grid.dim] + ["comp1", "comp2"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
 def save_binary(field, path):
     """Compact dump: 40-byte header (magic, version 2, dim, tag, component
     count, N, L, boundary code) + float64 data."""

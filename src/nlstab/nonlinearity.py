@@ -34,6 +34,7 @@ class NonlinearitySpec:
             self.r0 = 1.0
         elif kind == "cubic-quintic":
             a1, a3, a5 = (self.params[k] for k in ("alpha1", "alpha3", "alpha5"))
+            self._a1, self._a3, self._a5 = a1, a3, a5
             if min(a1, a3, a5) <= 0.0:
                 raise ValueError("cubic-quintic coefficients must be positive")
             ratio = a1 * a5 / a3 ** 2
@@ -75,8 +76,7 @@ class NonlinearitySpec:
         if self.kind == "gp":
             return 1.0 - s
         if self.kind == "cubic-quintic":
-            a1, a3, a5 = (self.params[k] for k in ("alpha1", "alpha3", "alpha5"))
-            return -a1 + a3 * s - a5 * s ** 2
+            return -self._a1 + self._a3 * s - self._a5 * s ** 2
         return self._spline(s)
 
     def fprime(self, s):
@@ -84,8 +84,7 @@ class NonlinearitySpec:
         if self.kind == "gp":
             return -np.ones_like(s)
         if self.kind == "cubic-quintic":
-            a3, a5 = self.params["alpha3"], self.params["alpha5"]
-            return a3 - 2.0 * a5 * s
+            return self._a3 - 2.0 * self._a5 * s
         return self._spline(s, 1)
 
     def v(self, s):
@@ -94,7 +93,7 @@ class NonlinearitySpec:
         if self.kind == "gp":
             return 0.5 * (1.0 - s) ** 2
         if self.kind == "cubic-quintic":
-            a1, a3, a5 = (self.params[k] for k in ("alpha1", "alpha3", "alpha5"))
+            a1, a3, a5 = self._a1, self._a3, self._a5
             anti = lambda t: -a1 * t + a3 * t ** 2 / 2.0 - a5 * t ** 3 / 3.0
             return anti(self.r0) - anti(s)
         anti = self._spline.antiderivative()

@@ -43,16 +43,22 @@ _MIN_STEP = 1e-4      # a failed step is halved down to this size
 
 
 class TravelingWave:
-    """A wave profile with speed c, its nonlinearity and residual norm."""
+    """A wave profile with speed c, its nonlinearity and residual norm.
+
+    ``projected_residual`` is the residual norm off the translation and
+    gauge directions at which Newton stopped; None for a wave that Newton
+    did not solve.
+    """
 
     def __init__(self, c, profile, spec, residual_norm, symmetry="none",
-                 newton_iters=0):
+                 newton_iters=0, projected_residual=None):
         self.c = c
         self.profile = profile
         self.spec = spec
         self.residual_norm = residual_norm
         self.symmetry = symmetry
         self.newton_iters = newton_iters
+        self.projected_residual = projected_residual
 
     @property
     def grid(self):
@@ -65,13 +71,14 @@ class TravelingWave:
 
 class BranchSample:
     def __init__(self, c, momentum, energy, dpdc=None, newton_iters=0,
-                 residual=0.0):
+                 residual=0.0, projected_residual=None):
         self.c = c
         self.momentum = momentum
         self.energy = energy
         self.dpdc = dpdc
         self.newton_iters = newton_iters
         self.residual = residual
+        self.projected_residual = projected_residual
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +369,7 @@ def _newton(wave, c, anchor=None):
         field = uv_to_hydro(field)
         field.c2 -= field.c2.mean()   # the stored gauge: zero-mean phase
     out = TravelingWave(c, field, spec, 0.0, wave.symmetry,
-                        newton_iters=iters)
+                        newton_iters=iters, projected_residual=rn)
     out.residual_norm = residual_norm(out)
     return out
 
@@ -392,13 +399,14 @@ def continue_branch(start, c_targets):
         # a moving wave keeps only the transverse mirror symmetry
         solved = [TravelingWave(start.c, start.profile, start.spec,
                                 start.residual_norm, "even-in-transverse",
-                                start.newton_iters)]
+                                start.newton_iters, start.projected_residual)]
     for target in c_targets:
         current = min(solved, key=lambda wave: abs(target - wave.c))
         if abs(target - current.c) < 1e-15:
-            out.append(TravelingWave(target, current.profile.copy(),
-                                     current.spec, current.residual_norm,
-                                     current.symmetry, newton_iters=0))
+            out.append(TravelingWave(
+                target, current.profile.copy(), current.spec,
+                current.residual_norm, current.symmetry, newton_iters=0,
+                projected_residual=current.projected_residual))
             continue
         step = np.sign(target - current.c) * min(_MAX_STEP,
                                                  abs(target - current.c))
@@ -451,20 +459,11 @@ def branch_momentum_sweep(branch, kind=None, spec=None):
     for wave in branch:
         p = field_momentum(wave.profile, kind, spec)
         e = field_energy(wave.profile, spec)
-        samples.append(BranchSample(wave.c, p, e,
-                                    newton_iters=wave.newton_iters,
-                                    residual=wave.residual_norm))
+        samples.append(BranchSample(
+            wave.c, p, e, newton_iters=wave.newton_iters,
+            residual=wave.residual_norm,
+            projected_residual=wave.projected_residual))
     for i in range(1, len(samples) - 1):
         dc = samples[i + 1].c - samples[i - 1].c
         samples[i].dpdc = (samples[i + 1].momentum - samples[i - 1].momentum) / dc
     return samples
-
-
-def sweep_to_csv(samples, path):
-    with open(path, "w") as fh:
-        fh.write("c,P,E,dPdc,newton_iters,residual\n")
-        for s in samples:
-            dpdc = "" if s.dpdc is None else "%.17g" % s.dpdc
-            fh.write("%.17g,%.17g,%.17g,%s,%d,%.17g\n" %
-                     (s.c, s.momentum, s.energy, dpdc, s.newton_iters,
-                      s.residual))

@@ -67,12 +67,6 @@ class ShootResult:
         out[~below] = u_end * np.exp(-self.kappa * (r[~below] - ts)) * geom
         return out
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("r,u,uprime,phi\n")
-            for row in zip(self.r, self.u, self.uprime, self.phi):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-
 
 def _series_start(constants, alpha, ndim, r_start):
     """Taylor start at r_start resolving the coordinate singularity at r=0."""

@@ -19,8 +19,6 @@ speed-derivative directions, and the projector coefficients derived from
 the conserved cross form <op u, v>, all in (u1, u2).
 """
 
-import json
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -44,16 +42,6 @@ class SpectralReport:
         self.kernel_vectors = kernel_vectors
         self.zero_threshold = zero_threshold
         self.spurious = spurious
-
-    def to_json(self):
-        return json.dumps({
-            "kind": self.kind,
-            "n_negative": self.n_negative,
-            "kernel_dim": self.kernel_dim,
-            "zero_threshold": self.zero_threshold,
-            "spurious_modes": self.spurious,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-        }, sort_keys=True)
 
 
 def boundary_mass_fraction(grid, vec, n_components=2):
@@ -429,14 +417,6 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
         "samples": samples,
         "report": rep,
     }
-
-
-def band_to_csv(result, path):
-    with open(path, "w") as fh:
-        fh.write("k,lambda_u,n_neg\n")
-        for s in result["samples"]:
-            fh.write("%.17g,%.17g,%d\n" % (s["k"], s["growth_rate"],
-                                           s["n_negative"]))
 
 
 # ---------------------------------------------------------------------------

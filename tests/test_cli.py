@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nlstab import cli, spectra
-from nlstab.cli import ConfigError, main, parse_config, run
+from nlstab.cli import ConfigError, main, parse_config, run, write_csv
+from nlstab.profiles import dark_soliton_momentum_exact
 
 
 def _run_cli(tmp_path, text, name="run", seed=0, threads=1):
@@ -51,6 +52,33 @@ def test_missing_config_file(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("header, columns, rows", [
+    (["x", "comp1", "comp2"], [[-1.0, 0.5], [1.0, 1.0], [0.0, 0.1]],
+     ["-1,1,0", "0.5,1,0.10000000000000001"]),
+    (["c", "P", "E", "dPdc", "newton_iters", "residual",
+      "projected_residual"],
+     [[0.25, 0.5], [-1.5, -2.0], [1.0, 1.25], [None, -4.0], [4, 0],
+      [0.125, 2.0 ** -40], [2.0 ** -45, None]],
+     ["0.25,-1.5,1,,4,0.125,2.8421709430404007e-14",
+      "0.5,-2,1.25,-4,0,9.0949470177292824e-13,"]),
+    (["k", "lambda_u", "n_neg"], [[0.0, 0.5], [0.25, 0.0], [1, 0]],
+     ["0,0.25,1", "0.5,0,0"]),
+    (["t", "E", "P", "proj_u", "proj_s"],
+     [[0.0, 0.5], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+     ["0,1,2,3,4", "0.5,1,2,3,4"]),
+    (["r", "u", "uprime", "phi"],
+     [np.array([0.0, 1.5]), np.array([1.0, 0.5]), np.array([0.0, -0.25]),
+      np.array([1.0, -2.0])],
+     ["0,1,0,1", "1.5,0.5,-0.25,-2"]),
+], ids=["profile", "branch", "band", "monitors", "shoot"])
+def test_write_csv(tmp_path, header, columns, rows):
+    # the header line, then every value at 17 significant digits (ints
+    # as integers) and None as an empty field
+    path = tmp_path / "out.csv"
+    write_csv(path, header, columns)
+    assert path.read_text().splitlines() == [",".join(header)] + rows
+
+
 def test_profile_command(tmp_path):
     code, out = _run_cli(tmp_path, "\n".join([
         "command=profile",
@@ -63,6 +91,20 @@ def test_profile_command(tmp_path):
     meta = json.loads((out / "profile.json").read_text())
     assert meta["c"] == 0.0
     assert meta["residual"] <= 1e-2
+    assert meta["projected_residual"] is None    # a closed form, not solved
+    lines = (out / "profile.csv").read_text().splitlines()
+    assert lines[0] == "x,comp1,comp2"
+    assert len(lines) == 513
+
+
+def test_profile_command_moving_bubble(tmp_path):
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=profile", "profile.kind=bubble-line", "grid.N=512",
+         "speed.c=0.01"] + CQ_BUBBLE))
+    assert code == 0
+    meta = json.loads((out / "profile.json").read_text())
+    assert meta["c"] == 0.01 and meta["representation"] == "hydro"
+    assert meta["projected_residual"] <= 1e-11
 
 
 def test_branch_command_slow_wave_verdict(tmp_path):
@@ -79,7 +121,25 @@ def test_branch_command_slow_wave_verdict(tmp_path):
     verdict = json.loads((out / "branch.json").read_text())
     assert verdict["verdict"] == "unstable (dP/dc<0)"
     lines = (out / "branch.csv").read_text().splitlines()
-    assert lines[0] == "c,P,E,dPdc,newton_iters,residual"
+    assert lines[0] == "c,P,E,dPdc,newton_iters,residual,projected_residual"
+    assert len(lines) == 4
+    assert all(float(line.split(",")[-1]) <= 1e-11 for line in lines[1:])
+
+
+def test_branch_command_dark_soliton_verdict(tmp_path):
+    code, out = _run_cli(tmp_path, "\n".join([
+        "command=branch", "nonlinearity.kind=gp", "grid.N=512", "grid.L=40",
+        "speed.list=0.3,0.4,0.5",
+    ]))
+    assert code == 0
+    verdict = json.loads((out / "branch.json").read_text())
+    assert verdict["verdict"] == "stable (dP/dc>0)"
+    rows = (out / "branch.csv").read_text().splitlines()[1:]
+    for row in rows:
+        c, p = (float(v) for v in row.split(",")[:2])
+        exact = dark_soliton_momentum_exact(c)
+        assert abs(p - exact) <= 1e-2 * abs(exact)
+        assert row.endswith(",")     # closed forms: no Newton residual
 
 
 def test_spectrum_command(tmp_path):
@@ -146,6 +206,8 @@ def test_shoot_command(tmp_path):
     assert code == 0
     verdict = json.loads((out / "shoot.json").read_text())
     assert verdict["verdict"] == "non-degenerate"
+    lines = (out / "shoot.csv").read_text().splitlines()
+    assert lines[0] == "r,u,uprime,phi"
     assert verdict["conditions"]["G1"] is True
 
 

@@ -303,13 +303,3 @@ def test_nonlinear_cayley_step_matches_the_crank_nicolson_product(
             new = lhs.solve(base + dt * r)
         phi_ref = new
     assert _rel(phi, phi_ref) <= 1e-13
-
-
-def test_monitors_csv_writes_the_recorded_series(tmp_path):
-    traj = Trajectory()
-    for t in (0.0, 0.5):
-        traj.add_monitor(t, E=1.0, P=2.0, proj_u=3.0, proj_s=4.0)
-    path = tmp_path / "monitors.csv"
-    traj.monitors_to_csv(path)
-    rows = path.read_text().splitlines()
-    assert rows == ["t,E,P,proj_u,proj_s", "0,1,2,3,4", "0.5,1,2,3,4"]

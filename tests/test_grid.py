@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nlstab.grid import (GridSpec, PairField, ScalarField, chi_multiplier,
-                         inner, load_binary, norm, save_binary, save_csv,
+                         inner, load_binary, norm, save_binary,
                          uv_to_hydro, hydro_to_uv)
 
 
@@ -239,16 +239,6 @@ def test_load_binary_rejects_malformed(tmp_path, blob, message):
     path.write_bytes(blob)
     with pytest.raises(ValueError, match=message):
         load_binary(path)
-
-
-def test_csv_dump(tmp_path):
-    g = GridSpec(1, 40.0, 64)
-    f = PairField(g, np.ones(g.shape), np.zeros(g.shape), "uv")
-    path = tmp_path / "field.csv"
-    save_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,comp1,comp2"
-    assert len(lines) == 65
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,13 +5,12 @@ from nlstab.functionals import momentum
 from nlstab.grid import (GridSpec, PairField, as_uv, hydro_to_uv, norm,
                          translation_mode)
 from nlstab.operators import assemble
-from nlstab.profiles import (TravelingWave, _bordered_solve, _newton,
+from nlstab.profiles import (_TOL, TravelingWave, _bordered_solve, _newton,
                              branch_momentum_sweep, bubble_amplitude_monotone,
                              continue_branch, dark_soliton,
                              dark_soliton_momentum_exact, kernel_coefficient,
                              polish_field_wave, residual_norm,
-                             stationary_bubble, sweep_to_csv,
-                             tw_residual_uv)
+                             stationary_bubble, tw_residual_uv)
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -174,17 +173,6 @@ def test_stationary_bubble_momentum_zero(bubble_1d, cq02):
     assert abs(momentum(bubble_1d.profile, "hydro", cq02.spec)) < 1e-14
 
 
-def test_sweep_csv(tmp_path, soliton_grid):
-    speeds = [0.5, 0.6, 0.7]
-    branch = [dark_soliton(c, soliton_grid) for c in speeds]
-    sweep = branch_momentum_sweep(branch)
-    path = tmp_path / "branch.csv"
-    sweep_to_csv(sweep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "c,P,E,dPdc,newton_iters,residual"
-    assert len(lines) == 4
-
-
 def test_continuation_starts_from_nearest_solved_wave(bubble_1d_small):
     # c = 0 is the start itself, not a re-solve from c = -0.004, and
     # c = 0.004 continues from the start as a lone target does
@@ -214,6 +202,19 @@ def test_continuation_of_a_uv_wave():
 def radial_branch(cq02):
     start = stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 64))
     return start, continue_branch(start, [0.01])
+
+
+def test_newton_keeps_the_projected_residual(radial_branch):
+    # in 2D the full residual is dominated by the translation component
+    # Newton leaves by design; the residual it drives below _TOL is kept
+    start, (moving,) = radial_branch
+    for wave in (start, moving):
+        assert wave.projected_residual <= _TOL
+    assert moving.residual_norm > 1e-6
+    # a target at a solved speed is a copy; a closed form is not solved
+    copy = continue_branch(start, [0.0])[0]
+    assert copy.projected_residual == start.projected_residual
+    assert dark_soliton(0.5, GridSpec(1, 40.0, 256)).projected_residual is None
 
 
 def _translation_overlap(anchor, field):

@@ -127,11 +127,7 @@ def test_bubble_reconstruction_matches_shooting(ground, cq02):
     assert np.abs(np.sqrt(wave.profile.c1) - phi_ref).max() <= 1e-10
 
 
-def test_serialization(tmp_path, ground, cq02):
-    csv = tmp_path / "shoot.csv"
-    ground.to_csv(csv)
-    header = csv.read_text().splitlines()[0]
-    assert header == "r,u,uprime,phi"
+def test_serialization(ground, cq02):
     diag = shooting.phi_diagnostics(ground, cq02)
     text = json.dumps(diag, sort_keys=True, default=float)
     assert json.loads(text)["verdict"] == "non-degenerate"

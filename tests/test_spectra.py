@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nlstab import spectra
+from nlstab import cli, spectra
 from nlstab.grid import GridSpec, PairField, norm
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import (assemble, quadratic_form, random_smooth_pair)
@@ -299,8 +300,12 @@ def test_mode_filters():
 
 def test_report_serialization(gp_l0_spectrum, tmp_path):
     _, _, rep = gp_l0_spectrum
-    text = rep.to_json()
+    path = str(tmp_path / "spectrum.json")
+    cli._write_json(path, cli.report_payload(rep))
+    with open(path) as fh:
+        text = fh.read()
     assert '"n_negative": 1' in text
+    assert json.loads(text)["kernel_dim"] == rep.kernel_dim
 
 
 # ---------------------------------------------------------------------------
