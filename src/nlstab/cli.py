@@ -26,8 +26,7 @@ import numpy as np
 from . import dynamics, profiles, shooting, spectra
 from .grid import GridSpec, as_uv, save_binary
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
-from .operators import (SYMMETRIC_KINDS, coercivity_constant,
-                        random_smooth_pair)
+from .operators import coercivity_constant, random_smooth_pair
 
 
 class ConfigError(Exception):
@@ -37,9 +36,9 @@ class ConfigError(Exception):
 # every key a command reads through _get; run rejects any other
 KEYS = frozenset("""
     nonlinearity.kind nonlinearity.alpha1 nonlinearity.alpha3 nonlinearity.alpha5
-    grid.dim grid.boundary grid.L grid.N grid.L1 grid.L2 grid.N1 grid.N2
-    profile.kind profile.polish speed.c speed.list spectrum.kind
-    transversal.hamN transversal.samples shoot.dim shoot.rmax shoot.tol
+    grid.dim grid.L grid.N grid.L1 grid.L2 grid.N1 grid.N2
+    profile.kind profile.polish speed.c speed.list
+    transversal.hamN transversal.samples shoot.dim
     evolve.perturbation evolve.T evolve.dt evolve.corrections""".split())
 
 
@@ -52,7 +51,10 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError("line %d: expected key=value" % line_no)
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key in cfg:
+            raise ConfigError("line %d: repeated key %r" % (line_no, key))
+        cfg[key] = value.strip()
     return cfg
 
 
@@ -88,7 +90,6 @@ def build_spec(cfg):
 
 def build_grid(cfg):
     dim = _get(cfg, "grid.dim", 1, int)
-    boundary = _get(cfg, "grid.boundary", "truncated")
     if dim == 1:
         L = _get(cfg, "grid.L", 40.0, float)
         N = _get(cfg, "grid.N", 2048, int)
@@ -98,7 +99,7 @@ def build_grid(cfg):
         N = (_get(cfg, "grid.N1", _get(cfg, "grid.N", 128, int), int),
              _get(cfg, "grid.N2", _get(cfg, "grid.N", 128, int), int))
     try:
-        return GridSpec(dim, L, N, boundary)
+        return GridSpec(dim, L, N)
     except ValueError as exc:
         raise ConfigError("bad grid: %s" % exc)
 
@@ -111,9 +112,11 @@ def _cq_constants(spec):
 def build_profile(cfg, spec, grid):
     kind = _get(cfg, "profile.kind", "dark-soliton")
     c = _get(cfg, "speed.c", 0.0, float)
+    polish = _get(cfg, "profile.polish", "0")
+    if polish not in ("0", "1"):
+        raise ConfigError("profile.polish must be 0 or 1, not %r" % polish)
     if kind == "dark-soliton":
-        return profiles.dark_soliton(c, grid, spec,
-                                     polish=_get(cfg, "profile.polish", "0") == "1")
+        return profiles.dark_soliton(c, grid, spec, polish=polish == "1")
     if kind in ("bubble-line", "bubble-radial"):
         if spec.kind != "cubic-quintic":
             raise ConfigError("profile.kind=%s needs "
@@ -211,16 +214,7 @@ def cmd_spectrum(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
     wave = build_profile(cfg, spec, grid)
-    kind = _get(cfg, "spectrum.kind", "Lc")
-    if kind not in SYMMETRIC_KINDS:
-        raise ConfigError("unknown spectrum.kind %r" % kind)
-    if kind == "LcPlusK2":
-        raise ConfigError("spectrum.kind=LcPlusK2 needs a transverse wave "
-                          "number, which no config key sets")
-    if kind in ("Mc", "McInfty") and wave.profile.rep != "hydro":
-        raise ConfigError("spectrum.kind=%s needs a density/phase profile "
-                          "(profile.kind=bubble-line or bubble-radial)" % kind)
-    check = spectra.nondegeneracy_check(wave, wave.c, spec, kind=kind)
+    check = spectra.nondegeneracy_check(wave, wave.c, spec)
     report = check.pop("report")
     _write_json(os.path.join(out, "spectrum.json"), report_payload(report))
     _write_json(os.path.join(out, "nondegeneracy.json"), check)
@@ -231,23 +225,25 @@ def cmd_transversal(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
     ham_n = _get(cfg, "transversal.hamN", 0, int)
+    n_samples = _get(cfg, "transversal.samples", 5, int)
+    if n_samples < 1:
+        raise ConfigError("transversal.samples must be 1 or more, not %d"
+                          % n_samples)
     coarse = None
     if ham_n:
         if spec.kind != "gp" or grid.dim != 1:
             raise ConfigError("transversal.hamN re-grids only the 1D dark "
                               "soliton of nonlinearity.kind=gp")
         try:
-            coarse = GridSpec(1, grid.half_length[0], ham_n, grid.boundary)
+            coarse = GridSpec(1, grid.half_length[0], ham_n)
         except ValueError as exc:
             raise ConfigError("bad transversal.hamN: %s" % exc)
     wave = build_profile(cfg, spec, grid)
     ham_base = None
     if coarse is not None:
         ham_base = profiles.dark_soliton(wave.c, coarse, spec)
-    result = spectra.transversal_band(
-        wave, wave.c, spec,
-        n_samples=_get(cfg, "transversal.samples", 5, int),
-        ham_base=ham_base)
+    result = spectra.transversal_band(wave, wave.c, spec, n_samples=n_samples,
+                                      ham_base=ham_base)
     write_csv(os.path.join(out, "band.csv"), ["k", "lambda_u", "n_neg"],
               [[s[key] for s in result["samples"]]
                for key in ("k", "growth_rate", "n_negative")])
@@ -262,10 +258,12 @@ def cmd_transversal(cfg, out, rng):
 def cmd_evolve(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
+    T = _get(cfg, "evolve.T", 10.0, float)
     dt = _get(cfg, "evolve.dt", 1e-3, float)
     corrections = _get(cfg, "evolve.corrections", 1, int)
-    if not dt > 0.0:
-        raise ConfigError("evolve.dt must be positive, not %r" % dt)
+    for key, value in (("evolve.T", T), ("evolve.dt", dt)):
+        if not value > 0.0:
+            raise ConfigError("%s must be positive, not %r" % (key, value))
     if corrections < 0:
         raise ConfigError("evolve.corrections must be 0 or more, not %d"
                           % corrections)
@@ -275,9 +273,8 @@ def cmd_evolve(cfg, out, rng):
     if eps:
         noise = random_smooth_pair(grid, rng)
         u0 = type(u0)(grid, u0.c1 + eps * noise.c1, u0.c2 + eps * noise.c2, "uv")
-    traj = dynamics.evolve_nonlinear(
-        u0, wave.c, spec,
-        _get(cfg, "evolve.T", 10.0, float), dt, corrections=corrections)
+    traj = dynamics.evolve_nonlinear(u0, wave.c, spec, T, dt,
+                                     corrections=corrections)
     write_csv(os.path.join(out, "monitors.csv"), ["t"] + list(traj.monitors),
               [traj.monitor_times] + list(traj.monitors.values()))
     save_binary(traj.snapshots[-1], os.path.join(out, "final.bin"))
@@ -294,9 +291,7 @@ def cmd_shoot(cfg, out, rng):
     dim = _get(cfg, "shoot.dim", 2, int)
     if dim < 1:
         raise ConfigError("shoot.dim must be 1 or more, not %d" % dim)
-    res = shooting.find_alpha0(
-        k, dim, r_max=_get(cfg, "shoot.rmax", 60.0, float),
-        tol=_get(cfg, "shoot.tol", 1e-12, float))
+    res = shooting.find_alpha0(k, dim)
     diag = shooting.phi_diagnostics(res, k)
     write_csv(os.path.join(out, "shoot.csv"), ["r", "u", "uprime", "phi"],
               [res.r, res.u, res.uprime, res.phi])

@@ -2,15 +2,16 @@
 
 Symmetric spectra give the negative index and kernel dimension; products
 with the symplectic matrix J give growth rates of the linearized flow.
-Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi);
-the dense Hamiltonian eigensolve survives only as a test oracle.  Every
-verdict takes the second variation Lc by default, whether the wave is
-stored in (u1, u2) or as density/phase.
-Truncating an unbounded domain turns essential spectrum into extended
-"box" modes, so eigenvector mass near the boundary is used to separate
-genuine localized modes from truncation artifacts before counting: any
-mode carrying more than 20% of its mass within the outer 10% of the
-domain (per side) is flagged spurious and logged, not counted.
+Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi),
+the only eigensolvers of the package; dense eigensolves survive only as
+test oracles.  Every verdict takes the second variation Lc by default,
+whether the wave is stored in (u1, u2) or as density/phase.
+Spectra need a truncated grid.  Truncating an unbounded domain turns
+essential spectrum into extended "box" modes, so eigenvector mass near
+the boundary is used to separate genuine localized modes from truncation
+artifacts before counting: any mode carrying more than 20% of its mass
+within the outer 10% of the domain (per side) is flagged spurious and
+logged, not counted.
 
 Down the file, `dichotomy_basis` assembles the ingredients of the
 invariant splitting E^u + E^s + E^e + (generalized kernel) used to bound
@@ -20,7 +21,6 @@ the conserved cross form <op u, v>, all in (u1, u2).
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
@@ -122,14 +122,9 @@ def _lowest_pairs(mat, count):
     """The ``count`` lowest eigenpairs of a sparse symmetric matrix, sorted.
 
     Shift-invert Lanczos from a shift below the Gershgorin bound, where
-    mat - shift*I is positive definite.  ARPACK cannot return n - 1 or
-    more pairs, and from about n/8 pairs on its Lanczos basis costs more
-    than a dense solve (7.5 s against 8.7 s for 512 pairs at n = 4096),
-    so such counts get one dense subset solve.
+    mat - shift*I is positive definite.
     """
     n = mat.shape[0]
-    if 8 * count >= n:
-        return scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, count - 1))
     diag = mat.diagonal()
     radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
     floor = float(np.min(diag - radius))
@@ -142,12 +137,20 @@ def _lowest_pairs(mat, count):
     return w[order], v[:, order]
 
 
+def _require_truncated(op):
+    """The boundary-mass filter of artifact modes needs a truncated grid."""
+    if op.grid.boundary != "truncated":
+        raise ValueError("spectra need a truncated grid, not a %s one"
+                         % op.grid.boundary)
+
+
 def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
     The number of eigenvalues below the kernel threshold ``thr`` comes
     from an inertia count; exactly those eigenpairs (at least two) are
-    computed, and the report's counts and eigenvalues cover them.
+    computed, and the report's counts and eigenvalues cover them.  With
+    n/8 or more below ``thr``, ``thr`` is no kernel scale: RuntimeError.
 
     Truncating the domain turns essential spectrum into artifact modes
     that can pollute the near-zero counts: boundary-concentrated modes
@@ -157,56 +160,49 @@ def sym_spectrum(op):
     the discrete translation modes of the base wave or is genuinely
     localized; artifact modes are excluded and reported in ``spurious``.
     """
+    _require_truncated(op)
     thr = op.zero_threshold()
     screen = 10.0 * max(thr, 0.05)
     below = count_below(op, thr)
+    n = op.matrix.shape[0]
+    if 8 * below >= n:
+        raise RuntimeError("the threshold %.3g is no kernel scale: %d of "
+                           "%d eigenvalues lie below it" % (thr, below, n))
     w, v = _lowest_pairs(op.matrix, max(below, 2))
     found = int(np.sum(w < thr))
     if found != below:
         raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
                            "the inertia count gives %d" % (found, thr, below))
-    window = np.abs(w) <= screen
-    w_sub, v_sub = w[window], v[:, window]
     ncomp = op.n_components
     basis = _orthonormal(op.translation_modes())
-    drop = []            # eigenvalues excluded as truncation artifacts
-    kernel_vals, kernel_vecs = [], []
+    drop = np.zeros(w.size, dtype=bool)   # truncation artifacts
+    kernel_vecs = []
     extra_negative = 0   # localized non-translation modes inside the window
-    gated = op.grid.boundary == "truncated" and op.kind != "A"
-    if op.grid.boundary == "truncated":
-        for i, lam in enumerate(w_sub):
-            vec = v_sub[:, i]
-            near_boundary = gated and (
-                boundary_mass_fraction(op.grid, vec, ncomp) > 0.20)
-            extended = near_boundary or (
-                gated and participation_fraction(vec) > 0.15)
-            if abs(lam) <= thr:
-                translationish = (basis is not None
-                                  and _outside(basis, vec) <= 0.5)
-                if translationish or (basis is None and not extended):
-                    kernel_vals.append(lam)
-                    kernel_vecs.append(vec.copy())
-                elif extended:
-                    drop.append(lam)
-                elif lam < 0.0:
-                    # genuine localized eigenvalue, merely blurred into
-                    # the window by the coarse-grid kernel residual
-                    extra_negative += 1
-            elif near_boundary:
-                drop.append(lam)
-    else:
-        for i, lam in enumerate(w_sub):
-            if abs(lam) <= thr:
-                kernel_vals.append(lam)
-                kernel_vecs.append(v_sub[:, i].copy())
-    keep = np.ones(w.size, dtype=bool)
-    for lam in drop:
-        idx = int(np.argmin(np.abs(w - lam)))
-        keep[idx] = False
-    w_loc = w[keep]
+    gated = op.kind != "A"
+    for i in np.flatnonzero(np.abs(w) <= screen):
+        lam, vec = w[i], v[:, i]
+        near_boundary = gated and (
+            boundary_mass_fraction(op.grid, vec, ncomp) > 0.20)
+        extended = near_boundary or (
+            gated and participation_fraction(vec) > 0.15)
+        if abs(lam) <= thr:
+            translationish = (basis is not None
+                              and _outside(basis, vec) <= 0.5)
+            if translationish or (basis is None and not extended):
+                kernel_vecs.append(vec.copy())
+            elif extended:
+                drop[i] = True
+            elif lam < 0.0:
+                # genuine localized eigenvalue, merely blurred into
+                # the window by the coarse-grid kernel residual
+                extra_negative += 1
+        elif near_boundary:
+            drop[i] = True
+    w_loc = w[~drop]
     n_neg = int(np.sum(w_loc < -thr)) + extra_negative
-    return SpectralReport(op.kind, w_loc, n_neg, len(kernel_vals),
-                          kernel_vecs[:_KEEP_VECTORS], thr, spurious=len(drop))
+    return SpectralReport(op.kind, w_loc, n_neg, len(kernel_vecs),
+                          kernel_vecs[:_KEEP_VECTORS], thr,
+                          spurious=int(np.sum(drop)))
 
 
 def nondegeneracy_check(base, c, spec=None, kind="Lc"):
@@ -266,8 +262,8 @@ def _growth(op, w, v):
     """(max real part, real rate, its mode) over the localized eigenpairs
     of J*op with positive real part; ``w`` sorted by decreasing real part.
 
-    On a truncated grid a mode with over 20% of its mass within the outer
-    10% of the domain is a truncation artifact and is skipped.  So is a
+    A mode with over 20% of its mass within the outer 10% of the domain
+    is a truncation artifact and is skipped.  So is a
     mode with more than half of its norm in ``_kernel_span``: the Jordan
     blocks of the generalized kernel, which rounding scatters off zero.
     """
@@ -276,9 +272,8 @@ def _growth(op, w, v):
     for i, lam in enumerate(w):
         if np.real(lam) <= 1e-12:
             break
-        if op.grid.boundary == "truncated":
-            if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
-                continue
+        if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
+            continue
         if _outside(span, v[:, i]) <= 0.5:
             continue
         max_real = max(max_real, float(np.real(lam)))
@@ -305,8 +300,10 @@ def growth_near(op, shift):
     (rate, max real part, pairing defect, (w_u, w_s)) with the modes of
     +rate and -rate ``_oriented``, or (None, max real part, None, None)
     without a real rate.  A solve that does not converge within
-    ``_RESTARTS`` restarts raises ArpackNoConvergence.
+    ``_RESTARTS`` restarts raises ArpackNoConvergence, and a periodic
+    grid ValueError.
     """
+    _require_truncated(op)
     mat = (j_matrix(op.grid) @ op.matrix).tocsc()
     start = _start_vector(mat.shape[0])
     w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0,

@@ -24,6 +24,9 @@ def test_parse_config():
     assert cfg == {"a": "1", "b.c": "x=y"}
     with pytest.raises(ConfigError):
         parse_config("not a pair")
+    # a repeated key is an error, not a silent last-one-wins
+    with pytest.raises(ConfigError, match="line 3: repeated key 'grid.N'"):
+        parse_config("grid.N=512\n# again\ngrid.N = 1024\n")
 
 
 def test_unknown_command_is_config_error(tmp_path):
@@ -39,6 +42,17 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert not (out / "profile.json").exists()
     with pytest.raises(ConfigError, match="grid.n"):
         run({"command": "profile", "grid.n": "64"}, str(tmp_path / "direct"))
+    # keys that no command reads: spectra take Lc on a truncated grid, and
+    # shooting its own domain and tolerance
+    gp = ["nonlinearity.kind=gp", "grid.N=512"]
+    for lines in [["command=spectrum", "spectrum.kind=Lc"] + gp,
+                  ["command=profile", "grid.boundary=truncated"] + gp,
+                  ["command=shoot", "shoot.rmax=60"] + CQ_LINES,
+                  ["command=shoot", "shoot.tol=1e-12"] + CQ_LINES]:
+        key = lines[1].split("=")[0]
+        code, _ = _run_cli(tmp_path, "\n".join(lines), name=key)
+        assert code == 1, key
+        assert key in capsys.readouterr().err
 
 
 def test_keys_are_the_keys_read():
@@ -249,8 +263,8 @@ def test_evolve_reports_no_drift_for_an_undefined_momentum(tmp_path):
 
 
 @pytest.mark.parametrize("line", [
-    "grid.dim=3", "grid.boundary=sideways", "grid.N=100",
-    "nonlinearity.alpha1=1.0", "spectrum.kind=Foo",
+    "grid.dim=3", "grid.N=100", "nonlinearity.alpha1=1.0",
+    "profile.polish=yes",
 ], ids=lambda line: line.split("=")[0])
 def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     code, _ = _run_cli(tmp_path, "\n".join([
@@ -284,27 +298,20 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
         "grid.L=30", "transversal.samples=1", "transversal.hamN=32"],
     ["command=transversal", "nonlinearity.kind=gp", "grid.N=512",
      "transversal.samples=1", "transversal.hamN=100"],
+    ["command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+     "transversal.samples=0"],
+    ["command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+     "transversal.samples=-2"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=-0.02",
+     "evolve.dt=0.01"],
 ], ids=["bubble-under-gp", "dt-zero", "negative-corrections",
         "two-speeds", "shoot-dim-zero", "hamN-cubic-quintic", "hamN-2D",
-        "hamN-off-the-grid-sizes"])
+        "hamN-off-the-grid-sizes", "samples-zero", "samples-negative",
+        "T-negative"])
 def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     code, _ = _run_cli(tmp_path, "\n".join(lines))
     assert code == 1
     assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("lines", [
-    ["nonlinearity.kind=gp", "spectrum.kind=LcPlusK2"],
-    ["nonlinearity.kind=gp", "spectrum.kind=Mc"],
-    ["nonlinearity.kind=gp", "spectrum.kind=McInfty"],
-], ids=["LcPlusK2", "Mc-on-uv", "McInfty-on-uv"])
-def test_spectrum_kind_the_profile_cannot_take_is_config_error(
-        tmp_path, capsys, lines):
-    code, out = _run_cli(tmp_path, "\n".join(
-        ["command=spectrum", "grid.N=512"] + lines))
-    assert code == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "spectrum.json").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

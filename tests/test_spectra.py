@@ -105,8 +105,46 @@ def test_nondegeneracy_broken_base(small_grid, gp_spec, rng):
                       "uv")
     from nlstab.profiles import TravelingWave
     broken = TravelingWave(0.7, noisy, gp_spec, 1.0)
-    out = nondegeneracy_check(broken, 0.7, gp_spec)
-    assert out["verdict"] == "degenerate/invalid base"
+    # every eigenvalue lies below the threshold, which is no kernel scale
+    with pytest.raises(RuntimeError, match="kernel scale"):
+        nondegeneracy_check(broken, 0.7, gp_spec)
+
+
+def test_spectra_refuse_a_periodic_grid(periodic_grid, gp_spec):
+    # the artifact filters read the mass near a boundary
+    op = assemble("LcInfty", grid=periodic_grid, c=0.0, spec=gp_spec)
+    with pytest.raises(ValueError, match="truncated grid"):
+        sym_spectrum(op)
+    with pytest.raises(ValueError, match="truncated grid"):
+        growth_near(op, 0.1)
+
+
+def test_artifact_filter_drops_by_index(gp_spec, monkeypatch):
+    # two boundary-concentrated pairs with one bitwise-equal eigenvalue
+    # below -thr must both be dropped, and neither counted as negative
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    op = assemble("Lc", base=wave, c=0.0, spec=gp_spec)
+    true = sym_spectrum(op)
+    thr = op.zero_threshold()
+    count = count_below(op, thr)
+    w, v = scipy.linalg.eigh(op.matrix.toarray(),
+                             subset_by_index=(0, count - 1))
+    # replace two box modes inside the kernel window, which the filter
+    # drops anyway, so that the count below thr stays the inertia count
+    box = [i for i in range(count) if 0.0 < w[i] <= thr][:2]
+    assert len(box) == 2
+    w[box] = -2.0 * thr
+    v[:, box] = 0.0
+    v[0, box[0]] = v[-1, box[1]] = 1.0
+    order = np.argsort(w, kind="stable")
+    monkeypatch.setattr(spectra, "_lowest_pairs",
+                        lambda mat, k: (w[order], v[:, order]))
+    rep = sym_spectrum(op)
+    assert true.n_negative == 1
+    assert rep.n_negative == true.n_negative
+    assert rep.spurious == true.spurious
+    assert not np.any(rep.eigenvalues == -2.0 * thr)
+    assert rep.eigenvalues.size == true.eigenvalues.size
 
 
 def test_spectrally_stable_dark_soliton(soliton_c05, gp_spec):
