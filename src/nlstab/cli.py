@@ -177,10 +177,13 @@ def cmd_profile(cfg, out, rng):
 def cmd_branch(cfg, out, rng):
     spec = build_spec(cfg)
     grid = build_grid(cfg)
-    speeds = _float_list(_get(cfg, "speed.list"))
+    speeds = _get(cfg, "speed.list", cast=_float_list)
     if len(speeds) < 3:
         raise ConfigError("speed.list needs at least three speeds for a "
                           "central-difference dP/dc")
+    if not (np.all(np.isfinite(speeds)) and np.all(np.diff(speeds) > 0.0)):
+        raise ConfigError("speed.list must be finite and strictly "
+                          "increasing, not %r" % cfg["speed.list"])
     if spec.kind == "gp":
         branch = [profiles.dark_soliton(c, grid, spec) for c in speeds]
     else:

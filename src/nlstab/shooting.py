@@ -160,10 +160,13 @@ def find_alpha0(constants, ndim, bracket=None, r_max=60.0, tol=1e-12,
     """Bisect the shooting amplitude between undershoot and crossing.
 
     The default bracket is (u1, sqrt(rho0)); the ground-state amplitude
-    lies inside it.  Returns a ShootResult sampled on the bisection
-    midpoint with the exponential tail grafted past the last reliable
-    radius.
+    lies inside it.  Bisection stops once the bracket is no wider than
+    ``xtol`` (which must be positive) or its ends are adjacent floats.
+    Returns a ShootResult sampled on the bisection midpoint with the
+    exponential tail grafted past the last reliable radius.
     """
+    if not xtol > 0.0:
+        raise ValueError("xtol must be positive, not %r" % xtol)
     k = constants
     if bracket is None:
         # the upper endpoint keeps a distance from the rest amplitude:
@@ -178,6 +181,8 @@ def find_alpha0(constants, ndim, bracket=None, r_max=60.0, tol=1e-12,
     history = [(lo, lab_lo), (hi, lab_hi)]
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break   # xtol is below the float spacing at alpha0
         lab = classify(mid, k, ndim, r_max, tol)
         history.append((mid, lab))
         if lab == lab_lo:

@@ -43,6 +43,12 @@ def bubble_1d_small(cq02):
 
 
 @pytest.fixture(scope="session")
+def bubble_2d(cq02):
+    # the radial bubble of the slow-branch-2d benchmark workload
+    return stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 64))
+
+
+@pytest.fixture(scope="session")
 def wide_bubble_basis(cq02):
     # the line bubble at the settings of acceptance criteria 10 and 11
     grid = GridSpec(1, 200.0, 1024)

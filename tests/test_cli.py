@@ -188,10 +188,10 @@ def test_spectrum_defaults_to_lc_for_a_bubble(tmp_path, profile, grid, kernel):
     assert rep["n_negative"] == 1
     nd = json.loads((out / "nondegeneracy.json").read_text())
     assert nd["kernel_dim"] == kernel and nd["n_negative"] == 1
-    if profile == "bubble-line":
-        # in 2D the kernel vectors' projection residual (1.9e-2 at 64^2,
-        # falling as h^2) is above the check's fixed 1e-3 bound
-        assert nd["verdict"] == "non-degenerate"
+    # in 2D the kernel vectors resolve the translations only to the
+    # operator's O(h^2) translation residual (1.9e-2 at 64^2)
+    assert nd["verdict"] == "non-degenerate"
+    assert nd["worst_projection_residual"] <= nd["residual_bound"]
 
 
 def test_transversal_command(tmp_path):
@@ -289,6 +289,14 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
      "evolve.corrections=-1"],
     ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
                                      "speed.list=0.01,0.02"],
+    ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
+                                     "speed.list=0.1,abc,0.2"],
+    ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
+                                     "speed.list=0.004,-0.004,0.01"],
+    ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
+                                     "speed.list=0,0.01,0"],
+    ["command=branch"] + CQ_LINES + ["grid.N=512", "grid.L=30",
+                                     "speed.list=0,nan,0.01"],
     ["command=shoot"] + CQ_LINES + ["shoot.dim=0"],
     ["command=transversal"] + CQ_LINES + [
         "profile.kind=bubble-line", "grid.N=512", "grid.L=30",
@@ -305,8 +313,9 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
     ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=-0.02",
      "evolve.dt=0.01"],
 ], ids=["bubble-under-gp", "dt-zero", "negative-corrections",
-        "two-speeds", "shoot-dim-zero", "hamN-cubic-quintic", "hamN-2D",
-        "hamN-off-the-grid-sizes", "samples-zero", "samples-negative",
+        "two-speeds", "speed-not-a-number", "speeds-unordered",
+        "speed-repeated", "speed-nan", "shoot-dim-zero", "hamN-cubic-quintic",
+        "hamN-2D", "hamN-off-the-grid-sizes", "samples-zero", "samples-negative",
         "T-negative"])
 def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     code, _ = _run_cli(tmp_path, "\n".join(lines))

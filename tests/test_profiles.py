@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlstab import profiles
 from nlstab.functionals import momentum
 from nlstab.grid import (GridSpec, PairField, as_uv, hydro_to_uv, norm,
                          translation_mode)
@@ -199,9 +200,18 @@ def test_continuation_of_a_uv_wave():
 
 
 @pytest.fixture(scope="module")
-def radial_branch(cq02):
-    start = stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 64))
-    return start, continue_branch(start, [0.01])
+def radial_branch(bubble_2d):
+    return bubble_2d, continue_branch(bubble_2d, [0.01])
+
+
+def test_loose_seed_polishes_to_the_same_bubble(bubble_2d, cq02, monkeypatch):
+    # Newton moves the seed by the grid's O(h^2) error; the bisections of
+    # the shooting amplitude past _SEED_XTOL change nothing it keeps
+    monkeypatch.setattr(profiles, "_SEED_XTOL", 1e-12)
+    fine = stationary_bubble(cq02, "radial-2D", bubble_2d.grid)
+    assert bubble_2d.newton_iters == fine.newton_iters
+    assert np.abs(np.sqrt(bubble_2d.profile.c1)
+                  - np.sqrt(fine.profile.c1)).max() <= 1e-8
 
 
 def test_newton_keeps_the_projected_residual(radial_branch):

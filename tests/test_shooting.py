@@ -7,7 +7,7 @@ import pytest
 from nlstab import shooting
 from nlstab.grid import GridSpec
 from nlstab.nonlinearity import cq_constants
-from nlstab.profiles import stationary_bubble
+from nlstab.profiles import _SEED_XTOL, stationary_bubble
 
 
 class FreeLaw:
@@ -116,15 +116,36 @@ def test_phi_diagnostics(ground, cq02):
     assert diag["z1"] is not None and diag["r0_cross"] is not None
 
 
-def test_bubble_reconstruction_matches_shooting(ground, cq02):
+def test_bubble_reconstruction_matches_shooting(cq02):
+    # the unpolished seed revolves the shooting it comes from; u' jumps
+    # where the tail is grafted on (r = 27.1, inside this grid), so each
+    # side of that joint gets its own spline through the samples
+    seed = shooting.find_alpha0(cq02, 2, xtol=_SEED_XTOL)
     g = GridSpec(2, 20.0, 128)
     wave = stationary_bubble(cq02, "radial-2D", g, polish=False)
     from scipy.interpolate import CubicSpline
-    interp = CubicSpline(ground.r, ground.u)
+    core = seed.r <= seed.tail_start
+    tail = seed.r >= seed.tail_start
     xx, yy = g.meshes()
-    r = np.clip(np.sqrt(xx ** 2 + yy ** 2), ground.r[0], ground.r[-1])
-    phi_ref = cq02.amp - np.clip(interp(r), 0.0, ground.alpha0)
+    r = np.clip(np.sqrt(xx ** 2 + yy ** 2), seed.r[0], seed.r[-1])
+    u = np.where(r <= seed.tail_start,
+                 CubicSpline(seed.r[core], seed.u[core])(r),
+                 CubicSpline(seed.r[tail], seed.u[tail])(r))
+    phi_ref = cq02.amp - np.clip(u, 0.0, seed.alpha0)
     assert np.abs(np.sqrt(wave.profile.c1) - phi_ref).max() <= 1e-10
+
+
+def test_find_alpha0_ends_for_any_xtol(cq02):
+    for xtol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="xtol must be positive"):
+            shooting.find_alpha0(cq02, 1, xtol=xtol)
+    # an xtol below the float spacing at alpha0 cannot be reached: the
+    # bisection ends once the midpoint equals an end of the bracket
+    res = shooting.find_alpha0(cq02, 1, xtol=1e-17)
+    bisections = len(res.bracket_history) - 2
+    assert bisections <= 64
+    assert abs(res.alpha0 - res.bracket_history[-1][0]) <= np.spacing(
+        res.alpha0)
 
 
 def test_serialization(ground, cq02):

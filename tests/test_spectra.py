@@ -110,6 +110,37 @@ def test_nondegeneracy_broken_base(small_grid, gp_spec, rng):
         nondegeneracy_check(broken, 0.7, gp_spec)
 
 
+@pytest.mark.parametrize("name", ["bubble_1d", "bubble_2d"])
+def test_nondegeneracy_catches_a_kernel_off_the_translations(
+        name, request, cq02, monkeypatch):
+    bubble = request.getfixturevalue(name)
+    out = nondegeneracy_check(bubble, 0.0, cq02.spec)
+    assert out["verdict"] == "non-degenerate"
+    # mutation: once the spectrum is taken, the check is handed the first
+    # translation mode rotated 30 degrees towards a localized bump
+    # orthogonal to the translations; the kernel count stays, but the
+    # kernel vectors leave the span by up to sin(30 degrees) = 0.5
+    spectrum = spectra.sym_spectrum
+
+    def rotate_after_spectrum(op):
+        report = spectrum(op)
+        modes = op.translation_modes()
+        basis = np.linalg.qr(np.stack(modes, axis=1))[0]
+        r2 = sum(m ** 2 for m in op.grid.meshes()).ravel()
+        bump = np.concatenate([np.exp(-r2), np.zeros(op.grid.size)])
+        bump -= basis @ (basis.T @ bump)
+        turned = (np.cos(np.pi / 6) * basis[:, 0]
+                  + np.sin(np.pi / 6) * bump / np.linalg.norm(bump))
+        op.translation_modes = lambda: [turned] + modes[1:]
+        return report
+
+    monkeypatch.setattr(spectra, "sym_spectrum", rotate_after_spectrum)
+    bad = nondegeneracy_check(bubble, 0.0, cq02.spec)
+    assert bad["kernel_dim"] == out["kernel_dim"] == bubble.grid.dim
+    assert bad["residual_bound"] == out["residual_bound"]
+    assert bad["verdict"] == "degenerate/invalid base"
+
+
 def test_spectra_refuse_a_periodic_grid(periodic_grid, gp_spec):
     # the artifact filters read the mass near a boundary
     op = assemble("LcInfty", grid=periodic_grid, c=0.0, spec=gp_spec)
