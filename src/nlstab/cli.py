@@ -64,9 +64,13 @@ def _get(cfg, key, default=None, cast=str):
             raise ConfigError("missing config key %r" % key)
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except ValueError as exc:
         raise ConfigError("bad value for %r: %s" % (key, exc))
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError("bad value for %r: %r is not a finite number"
+                          % (key, cfg[key]))
+    return value
 
 
 def _float_list(text):

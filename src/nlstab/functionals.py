@@ -1,23 +1,18 @@
-"""Energy and momentum functionals in field, coordinate and hydro variables.
+"""Energy and momentum functionals in field and hydro variables.
 
 The energy is E(u) = (1/2) int |grad u|^2 + V(|u|^2) with V(r0) = 0, so E
 is finite on truncated domains without boundary counterterms.  Momentum
-comes in four renormalizations:
+comes in three renormalizations:
 
 * ``classical`` --  -int (u1 - 1) d_x1 u2,  for fields tending to 1;
 * ``renormalized1D`` --  -int Im(conj(u) u') (1 - 1/|u|^2) dx,  finite on
   nonvanishing 1D profiles with phase mismatch at the two ends;
-* ``hydro`` --  -(1/2) int (rho - r0) d_x1 theta,  for density/phase pairs;
-* ``extended`` --  -int [w1 + (1 - chi(D))(w2^2/2)] d_x1 w2,  defined on
-  coordinate fields w of the map psi below (periodic grids).
-
-The coordinate map psi(w) = 1 + w1 - chi(D)(w2^2/2) + i w2 parametrizes
-finite-energy fields near the unit background by pairs in H1 x H1dot.
+* ``hydro`` --  -(1/2) int (rho - r0) d_x1 theta,  for density/phase pairs.
 """
 
 import numpy as np
 
-from .grid import PairField, chi_multiplier, hydro_to_uv
+from .grid import hydro_to_uv
 
 
 def _quad(grid, values):
@@ -45,8 +40,6 @@ def energy(field, spec):
         if field.c1.min() <= 0.0:
             raise ValueError("hydro energy needs rho > 0")
         return energy(hydro_to_uv(field), spec)
-    if field.rep == "w":
-        return energy(psi_map(field), spec)
     raise ValueError("unknown representation %r" % field.rep)
 
 
@@ -73,40 +66,7 @@ def momentum(field, kind="classical", spec=None):
         r0 = 1.0 if spec is None else spec.r0
         dtheta = _dx(grid, field.c2)
         return -0.5 * _quad(grid, (field.c1.ravel() - r0) * dtheta)
-    if kind == "extended":
-        if field.rep != "w" or grid.boundary != "periodic":
-            raise ValueError("extended momentum needs w coordinates, periodic")
-        w1, w2 = field.c1, field.c2
-        half_sq = 0.5 * w2 ** 2
-        high = half_sq - chi_multiplier(grid, half_sq)
-        return -_quad(grid, (w1 + high).ravel() * _dx(grid, w2))
     raise ValueError("unknown momentum kind %r" % kind)
-
-
-def psi_map(w):
-    """Coordinate map w -> 1 + w1 - chi(D)(w2^2/2) + i*w2 (as a uv pair)."""
-    if w.rep != "w":
-        raise ValueError("psi_map expects w coordinates")
-    low = chi_multiplier(w.grid, 0.5 * w.c2 ** 2)
-    return PairField(w.grid, 1.0 + w.c1 - low, w.c2.copy(), "uv")
-
-
-def psi_inverse(u):
-    """Exact algebraic inverse of psi_map."""
-    if u.rep != "uv":
-        raise ValueError("psi_inverse expects a uv field")
-    w2 = u.c2
-    low = chi_multiplier(u.grid, 0.5 * w2 ** 2)
-    return PairField(u.grid, u.c1 - 1.0 + low, w2.copy(), "w")
-
-
-def pohozaev(w, c, spec):
-    """Constraint functional int |d_x1 psi(w)|^2 + 2c*P~(psi(w)) + int V."""
-    grid = w.grid
-    u = psi_map(w)
-    kinetic = _quad(grid, _dx(grid, u.c1) ** 2 + _dx(grid, u.c2) ** 2)
-    potential = _quad(grid, spec.v(u.c1 ** 2 + u.c2 ** 2))
-    return kinetic + 2.0 * c * momentum(w, "extended") + potential
 
 
 def d1_distance(u, v):

@@ -1,11 +1,9 @@
-"""Uniform grids, sampled fields and the sparse difference stencils on them.
+"""Uniform truncated grids, sampled fields and the sparse difference
+stencils on them.
 
 Grids cover [-L1, L1) x ... with N points per axis and spacing h = 2L/N,
-so x = 0 is always a node.  Two boundary modes are supported:
-
-* ``periodic`` -- derivative stencils and Fourier multipliers wrap around;
-  used for the coordinate-map utilities acting on decaying fields.
-* ``truncated`` -- fields are perturbations of a constant far field.
+so x = 0 is always a node.  Fields are perturbations of a constant far
+field, cut off at the outermost nodes.
 
 Stencil closures
 ----------------
@@ -19,7 +17,7 @@ A = |D| with each row scaled to sum 1 (the face average),
     central derivative   d_a        = |D_a|^T D_a / (2 h_a),
     -div(a grad .)                  = sum_a D_a^T diag(A_a a) D_a / h_a^2.
 
-The closure says what lies beyond the outermost nodes of a truncated grid:
+The closure says what lies beyond the outermost nodes:
 
 * ``zero`` -- the perturbation extends by zero; D has a face outside each
   edge, the outer face of -div(a grad) takes the edge node's a.  Used to
@@ -31,12 +29,9 @@ The closure says what lies beyond the outermost nodes of a truncated grid:
   every derivative of a field: energy, momentum, the H1 norms and the
   base-wave coefficients of ``Mc``.
 
-On a periodic grid every closure is ``periodic``: the last face joins
-the last node to the first.
-
-Pair-valued samples carry a representation tag: ``"w"`` for coordinate
-fields (w1, w2), ``"uv"`` for real/imaginary parts of a complex field,
-``"hydro"`` for density/phase (rho, theta) with rho > 0.
+Pair-valued samples carry a representation tag: ``"uv"`` for real/imaginary
+parts of a complex field, ``"hydro"`` for density/phase (rho, theta) with
+rho > 0.
 """
 
 import struct
@@ -44,14 +39,13 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-REPRESENTATIONS = ("w", "uv", "hydro")
-CLOSURES = ("zero", "edge", "periodic")
+REPRESENTATIONS = ("uv", "hydro")
+CLOSURES = ("zero", "edge")
 
 _MAGIC = b"NLSF"
-_TAGS = {"scalar": 0, "w": 1, "uv": 2, "hydro": 3}
+_TAGS = {"scalar": 0, "uv": 2, "hydro": 3}   # code 1 is refused, not reused
 _TAGS_INV = {v: k for k, v in _TAGS.items()}
-_BOUNDARIES = ("truncated", "periodic")   # boundary codes of a version-2 dump
-_HEADER = "<4sBBBBIIdd"                    # the 32 bytes both versions share
+_HEADER = "<4sBBBBIIdd"                      # the 32 bytes both versions share
 
 
 def _as_tuple(value, dim):
@@ -67,26 +61,21 @@ def _face_difference_1d(n, closure):
     """Faces x nodes matrix of one axis: +1 right of each face, -1 left."""
     if closure == "zero":          # faces -1/2 .. n-1/2
         return sp.eye(n + 1, n) - sp.eye(n + 1, n, k=-1)
-    if closure == "edge":          # faces 1/2 .. n-3/2
-        return sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)
-    return sp.eye(n, k=1) + sp.eye(n, k=1 - n) - sp.eye(n)   # periodic
+    return sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)   # edge: 1/2 .. n-3/2
 
 
 class GridSpec:
     """Uniform grid on [-L, L)^dim with N (power of two) points per axis."""
 
-    def __init__(self, dim, half_length, n, boundary="truncated"):
+    def __init__(self, dim, half_length, n):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if boundary not in ("truncated", "periodic"):
-            raise ValueError("unknown boundary mode %r" % boundary)
         self.dim = dim
         self.half_length = tuple(float(L) for L in _as_tuple(half_length, dim))
         self.n = tuple(int(N) for N in _as_tuple(n, dim))
         for N in self.n:
             if N < 64 or (N & (N - 1)) != 0:
                 raise ValueError("points per axis must be a power of two >= 64")
-        self.boundary = boundary
         self.h = tuple(2.0 * L / N for L, N in zip(self.half_length, self.n))
         self._stencils = {}
 
@@ -110,11 +99,6 @@ class GridSpec:
     def meshes(self):
         return np.meshgrid(*[self.axis(a) for a in range(self.dim)], indexing="ij")
 
-    def wavenumbers(self, a):
-        """Fourier wavenumbers xi = pi*k/L along axis a (fft order)."""
-        N, L = self.n[a], self.half_length[a]
-        return 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L / N)
-
     # -- sparse stencils (closures: see the module docstring) ----------------
 
     def _lift(self, axis, mat):
@@ -130,14 +114,10 @@ class GridSpec:
             self._stencils[key] = build()
         return self._stencils[key]
 
-    def _closure(self, closure):
-        if closure not in CLOSURES:
-            raise ValueError("unknown closure %r" % closure)
-        return "periodic" if self.boundary == "periodic" else closure
-
     def faces(self, axis, closure):
         """Face-difference matrix D and face-average matrix A of one axis."""
-        closure = self._closure(closure)
+        if closure not in CLOSURES:
+            raise ValueError("unknown closure %r" % closure)
 
         def build():
             diff1 = _face_difference_1d(self.n[axis], closure)
@@ -148,7 +128,6 @@ class GridSpec:
 
     def central(self, axis, closure):
         """Central first derivative d/dx_axis, |D|^T D / (2h)."""
-        closure = self._closure(closure)
 
         def build():
             d = self.faces(axis, closure)[0]
@@ -157,7 +136,6 @@ class GridSpec:
 
     def neg_laplacian(self, closure):
         """-Lap = sum_a D_a^T D_a / h_a^2."""
-        closure = self._closure(closure)
 
         def build():
             total = None
@@ -180,12 +158,11 @@ class GridSpec:
 
     def compatible(self, other):
         return (self.dim == other.dim and self.n == other.n
-                and self.half_length == other.half_length
-                and self.boundary == other.boundary)
+                and self.half_length == other.half_length)
 
     def __repr__(self):
-        return "GridSpec(dim=%d, L=%s, N=%s, %s)" % (
-            self.dim, self.half_length, self.n, self.boundary)
+        return "GridSpec(dim=%d, L=%s, N=%s)" % (
+            self.dim, self.half_length, self.n)
 
 
 class ScalarField:
@@ -237,8 +214,8 @@ class PairField:
         return self.c1 + 1j * self.c2
 
 
-def pair_from_complex(grid, u, rep="uv"):
-    return PairField(grid, np.real(u), np.imag(u), rep)
+def pair_from_complex(grid, u):
+    return PairField(grid, np.real(u), np.imag(u), "uv")
 
 
 def uv_to_hydro(field):
@@ -278,39 +255,6 @@ def translation_mode(profile, axis=0):
     # perturbation-like pair: carries no representation constraints
     return PairField(grid, (d @ profile.c1.ravel()).reshape(grid.shape),
                      (d @ profile.c2.ravel()).reshape(grid.shape), "uv")
-
-
-# ---------------------------------------------------------------------------
-# Fourier multipliers
-
-def chi_profile(xi_norm):
-    """Radial low-pass bump: 1 for |xi|<=1, 0 for |xi|>=2, raised-cosine between.
-
-    The transition shape is fixed so that results are bit-reproducible.
-    """
-    xi_norm = np.asarray(xi_norm, dtype=float)
-    out = np.zeros_like(xi_norm)
-    out[xi_norm <= 1.0] = 1.0
-    mid = (xi_norm > 1.0) & (xi_norm < 2.0)
-    out[mid] = 0.5 * (1.0 + np.cos(np.pi * (xi_norm[mid] - 1.0)))
-    return out
-
-
-def _xi_norm_grid(grid):
-    if grid.dim == 1:
-        return np.abs(grid.wavenumbers(0))
-    xi0 = grid.wavenumbers(0)[:, None]
-    xi1 = grid.wavenumbers(1)[None, :]
-    return np.sqrt(xi0 ** 2 + xi1 ** 2)
-
-
-def chi_multiplier(grid, data):
-    """Low-pass multiplier chi(D) used by the coordinate map, applied to
-    an array on a periodic grid."""
-    if grid.boundary != "periodic":
-        raise ValueError("Fourier multipliers require a periodic grid")
-    symbol = chi_profile(_xi_norm_grid(grid))
-    return np.real(np.fft.ifftn(symbol * np.fft.fftn(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +313,7 @@ def scalar_norm(field, order=0, homogeneous=False):
 
 def save_binary(field, path):
     """Compact dump: 40-byte header (magic, version 2, dim, tag, component
-    count, N, L, boundary code) + float64 data."""
+    count, N, L, boundary code 0 for a truncated grid) + float64 data."""
     grid = field.grid
     if isinstance(field, ScalarField):
         tag, ncomp, arrays = "scalar", 1, [field.data]
@@ -380,8 +324,7 @@ def save_binary(field, path):
     l1 = grid.half_length[0]
     l2 = grid.half_length[1] if grid.dim == 2 else 0.0
     header = struct.pack(_HEADER + "B7x", _MAGIC, 2, grid.dim, _TAGS[tag],
-                         ncomp, n1, n2, l1, l2,
-                         _BOUNDARIES.index(grid.boundary))
+                         ncomp, n1, n2, l1, l2, 0)
     assert len(header) == 40
     with open(path, "wb") as fh:
         fh.write(header)
@@ -392,8 +335,9 @@ def save_binary(field, path):
 def load_binary(path):
     """Read a dump of save_binary; a malformed file raises ValueError.
 
-    A version-1 dump (32-byte header without the boundary code) loads on
-    a truncated grid.
+    A version-1 dump (32-byte header without the boundary code) loads
+    like a version-2 one; a boundary code other than 0 (truncated) is
+    refused.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -411,16 +355,16 @@ def load_binary(path):
         raise ValueError("not a field dump: version %d header is %d bytes, "
                          "not %d" % (ver, len(blob), size))
     code = blob[32] if ver == 2 else 0
-    if code >= len(_BOUNDARIES):
-        raise ValueError("unknown boundary code %d" % code)
+    if code != 0:
+        raise ValueError("boundary code %d: only dumps of truncated grids "
+                         "(code 0) load" % code)
     payload = blob[size:]
     if tag_code not in _TAGS_INV:
         raise ValueError("unknown field tag code %d" % tag_code)
     tag = _TAGS_INV[tag_code]
     if ncomp != (1 if tag == "scalar" else 2):
         raise ValueError("%d components do not match tag %r" % (ncomp, tag))
-    grid = GridSpec(dim, (l1, l2)[:dim], (n1, n2)[:dim],
-                    _BOUNDARIES[code])
+    grid = GridSpec(dim, (l1, l2)[:dim], (n1, n2)[:dim])
     count = grid.size * ncomp
     if len(payload) != count * 8:
         raise ValueError("field dump payload is %d bytes, expected %d"

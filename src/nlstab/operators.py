@@ -7,7 +7,7 @@ extends by zero, which keeps every symmetric kind exactly symmetric);
 ``ghost_jacobian`` reassembles a kind with the ``edge`` closure of the
 traveling-wave residuals.  Derivatives of the base wave in the
 coefficients of ``Mc`` take the ``edge`` closure in either case, like
-every field derivative.  On periodic grids stencils wrap around.
+every field derivative.
 
 Kinds
 -----
@@ -28,7 +28,7 @@ Kinds
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import PairField, as_uv, chi_multiplier, inner
+from .grid import PairField, as_uv, inner
 
 SYMMETRIC_KINDS = ("Lc", "LcInfty", "Mc", "McInfty", "A", "LcPlusK2")
 _KERNEL_FACTOR = 5.0   # kernel threshold over the translation residual
@@ -41,8 +41,7 @@ def ghost_jacobian(op):
     """Jacobian of the edge-replicated residual stencils.
 
     The same operator kind assembled with the ``edge`` closure (ghost
-    cells copy the edge unknown instead of extending by zero); on
-    periodic grids this equals op.matrix.
+    cells copy the edge unknown instead of extending by zero).
     """
     if op.spec is None:
         raise ValueError("ghost_jacobian needs an operator assembled with "
@@ -322,20 +321,6 @@ def j_matrix(grid):
     return sp.bmat([[None, eye], [-eye, None]], format="csr")
 
 
-def k_map(f, base):
-    """Isomorphism (f1, f2) -> (f1 - chi(D)(v f2), f2) with v = Im(base)."""
-    v = _base_fields(base).c2
-    low = chi_multiplier(f.grid, v * f.c2)
-    return PairField(f.grid, f.c1 - low, f.c2.copy(), f.rep)
-
-
-def k_adjoint(f, base):
-    """Adjoint map (f1, f2) -> (f1, f2 - v chi(D) f1)."""
-    v = _base_fields(base).c2
-    low = chi_multiplier(f.grid, f.c1)
-    return PairField(f.grid, f.c1.copy(), f.c2 - v * low, f.rep)
-
-
 def tc_map(f, base):
     """Pointwise change of variables from (d rho, d theta) to (d u1, d u2)."""
     hyd = _base_fields(base)
@@ -372,7 +357,7 @@ def _crossing(c):
     return brentq(gap, lo, 1.0 - 1e-15, xtol=1e-14, rtol=8.9e-16)
 
 
-def random_smooth_pair(grid, rng, rep="uv", cutoff=0.25, zero_mean2=False):
+def random_smooth_pair(grid, rng, cutoff=0.25):
     """Band-limited random pair field (low-pass filtered white noise)."""
     comps = []
     for _ in range(2):
@@ -385,9 +370,7 @@ def random_smooth_pair(grid, rng, rep="uv", cutoff=0.25, zero_mean2=False):
         mask = np.exp(-(xi / cutoff) ** 2)
         smooth = np.real(np.fft.ifftn(np.fft.fftn(noise) * mask))
         comps.append(smooth / max(np.abs(smooth).max(), 1e-30))
-    if zero_mean2:
-        comps[1] = comps[1] - comps[1].mean()
-    return PairField(grid, comps[0], comps[1], rep)
+    return PairField(grid, comps[0], comps[1], "uv")
 
 
 def coercivity_constant(c, kind="LcInfty-form", grid=None, spec=None,
@@ -427,34 +410,3 @@ def coercivity_constant(c, kind="LcInfty-form", grid=None, spec=None,
     out["violations"] = violations
     out["n_fields"] = n_fields
     return out
-
-
-# ---------------------------------------------------------------------------
-# smoothing preconditioner
-
-def _neg_lap_symbol(grid):
-    parts = []
-    for a in range(grid.dim):
-        xi = grid.wavenumbers(a)
-        parts.append((2.0 / grid.h[a] * np.sin(0.5 * xi * grid.h[a])) ** 2)
-    if grid.dim == 1:
-        return parts[0]
-    return np.add.outer(parts[0], parts[1])
-
-
-def precondition(f):
-    """Smoothing isomorphism: (-Lap+1)^(-1/2) on comp1, (-Lap)^(-1/2) on comp2.
-
-    Realized through the discrete Fourier symbol of the assembled
-    Laplacian; the zero mode of the second component is set to zero.
-    """
-    grid = f.grid
-    if grid.boundary != "periodic":
-        raise ValueError("preconditioning requires a periodic grid")
-    sym = _neg_lap_symbol(grid)
-    mult1 = 1.0 / np.sqrt(sym + 1.0)
-    with np.errstate(divide="ignore"):
-        mult2 = np.where(sym > 0.0, 1.0 / np.sqrt(np.maximum(sym, 1e-300)), 0.0)
-    c1 = np.real(np.fft.ifftn(mult1 * np.fft.fftn(f.c1)))
-    c2 = np.real(np.fft.ifftn(mult2 * np.fft.fftn(f.c2)))
-    return PairField(grid, c1, c2, f.rep)

@@ -6,12 +6,12 @@ Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi),
 the only eigensolvers of the package; dense eigensolves survive only as
 test oracles.  Every verdict takes the second variation Lc by default,
 whether the wave is stored in (u1, u2) or as density/phase.
-Spectra need a truncated grid.  Truncating an unbounded domain turns
-essential spectrum into extended "box" modes, so eigenvector mass near
-the boundary is used to separate genuine localized modes from truncation
-artifacts before counting: any mode carrying more than 20% of its mass
-within the outer 10% of the domain (per side) is flagged spurious and
-logged, not counted.
+
+Truncating an unbounded domain turns essential spectrum into extended
+"box" modes, so eigenvector mass near the boundary is used to separate
+genuine localized modes from truncation artifacts before counting: any
+mode carrying more than 20% of its mass within the outer 10% of the
+domain (per side) is flagged spurious and logged, not counted.
 
 Down the file, `dichotomy_basis` assembles the ingredients of the
 invariant splitting E^u + E^s + E^e + (generalized kernel) used to bound
@@ -138,13 +138,6 @@ def _lowest_pairs(mat, count):
     return w[order], v[:, order]
 
 
-def _require_truncated(op):
-    """The boundary-mass filter of artifact modes needs a truncated grid."""
-    if op.grid.boundary != "truncated":
-        raise ValueError("spectra need a truncated grid, not a %s one"
-                         % op.grid.boundary)
-
-
 def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
@@ -161,7 +154,6 @@ def sym_spectrum(op):
     the discrete translation modes of the base wave or is genuinely
     localized; artifact modes are excluded and reported in ``spurious``.
     """
-    _require_truncated(op)
     thr = op.zero_threshold()
     screen = 10.0 * max(thr, 0.05)
     below = count_below(op, thr)
@@ -308,10 +300,8 @@ def growth_near(op, shift):
     (rate, max real part, pairing defect, (w_u, w_s)) with the modes of
     +rate and -rate ``_oriented``, or (None, max real part, None, None)
     without a real rate.  A solve that does not converge within
-    ``_RESTARTS`` restarts raises ArpackNoConvergence, and a periodic
-    grid ValueError.
+    ``_RESTARTS`` restarts raises ArpackNoConvergence.
     """
-    _require_truncated(op)
     mat = (j_matrix(op.grid) @ op.matrix).tocsc()
     start = _start_vector(mat.shape[0])
     w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0,

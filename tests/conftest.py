@@ -28,11 +28,6 @@ def small_grid():
 
 
 @pytest.fixture(scope="session")
-def periodic_grid():
-    return GridSpec(1, 40.0, 512, "periodic")
-
-
-@pytest.fixture(scope="session")
 def bubble_1d(cq02):
     return stationary_bubble(cq02, "line", GridSpec(1, 30.0, 1024))
 

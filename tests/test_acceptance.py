@@ -259,7 +259,7 @@ def test_criterion_08_coercivity(gp):
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     ok = (abs(out["a_opt_sq"] - golden) <= 1e-10
           and abs(out["delta_star"] - (1.0 - golden)) <= 1e-10)
-    grid = GridSpec(1, 40.0, 512, "periodic")
+    grid = GridSpec(1, 40.0, 512)
     check = coercivity_constant(1.0, "LcInfty-form", grid=grid, spec=gp,
                                 n_fields=100, rng=np.random.default_rng(8))
     ok &= check["violations"] == 0

@@ -323,6 +323,25 @@ def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["evolve.T=inf", "evolve.dt=inf",
+                                  "evolve.perturbation=nan", "speed.c=-inf",
+                                  "grid.L=nan"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, line):
+    # every float key goes through the one cast of _get: an infinite T
+    # would overflow the step count, an infinite dt would run no step and
+    # exit 0, and a NaN perturbation would reach the sparse factorization
+    key = line.split("=")[0]
+    lines = ["command=evolve", "nonlinearity.kind=gp", "grid.N=512",
+             "evolve.T=0.01", "evolve.dt=1e-3"]
+    lines = [kv for kv in lines if not kv.startswith(key + "=")] + [line]
+    code, out = _run_cli(tmp_path, "\n".join(lines))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "not a finite number" in err
+    assert key in err
+    assert not (out / "final.bin").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     # the same config and seed on one and on two BLAS threads
     cases = [

@@ -170,23 +170,30 @@ def test_fit_log_slope():
         fit_log_slope(t[:2], vals[:2])
 
 
-def test_nonlinear_remainder_on_periodic_grid(gp_spec):
-    # the remainder must be the wrapped frame equation minus the wrapped
-    # implicit part, also where the background is not constant at the seam
-    g = GridSpec(1, 40.0, 256, "periodic")
+def test_nonlinear_remainder_matches_padded_reference(gp_spec):
+    # the remainder must be the frame equation minus its implicit part,
+    # with the background closed by its edge values and the perturbation
+    # by zero, also where neither the background nor the perturbation is
+    # flat at the edge
+    g = GridSpec(1, 40.0, 256)
     x, h, c = g.axis(0), g.h[0], 0.3
     bg = np.exp(1j * np.pi * x / 40.0)
     phi = 1e-3 * np.exp(-(x - 39.0) ** 2)
 
-    def d1(f):
-        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
+    def d1(f, pad):
+        p = np.pad(f, 1, mode=pad)
+        return (p[2:] - p[:-2]) / (2.0 * h)
 
-    def lap(f):
-        return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / h ** 2
+    def lap(f, pad):
+        p = np.pad(f, 1, mode=pad)
+        return (p[2:] - 2.0 * f + p[:-2]) / h ** 2
 
     u = bg + phi
-    full = c * d1(u) + 1j * (lap(u) + gp_spec.f(np.abs(u) ** 2) * u)
-    implicit = c * d1(phi) + 1j * (lap(phi) + gp_spec.f(np.abs(bg) ** 2) * phi)
+    full = (c * (d1(bg, "edge") + d1(phi, "constant"))
+            + 1j * (lap(bg, "edge") + lap(phi, "constant")
+                    + gp_spec.f(np.abs(u) ** 2) * u))
+    implicit = (c * d1(phi, "constant")
+                + 1j * (lap(phi, "constant") + gp_spec.f(np.abs(bg) ** 2) * phi))
     ref = full - implicit
     stepper = NonlinearStepper(bg, c, gp_spec, g, 1e-3)
     err = np.abs(stepper.remainder(phi) - ref).max()

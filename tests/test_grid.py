@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nlstab.grid import (GridSpec, PairField, ScalarField, chi_multiplier,
-                         inner, load_binary, norm, save_binary,
-                         uv_to_hydro, hydro_to_uv)
+from nlstab.grid import (GridSpec, PairField, ScalarField, inner,
+                         load_binary, norm, save_binary, uv_to_hydro,
+                         hydro_to_uv)
 
 
 def test_grid_validation():
@@ -34,20 +34,20 @@ def _d2(grid, data):
 
 
 def test_diff_constant_is_zero():
-    for boundary in ("truncated", "periodic"):
-        g = GridSpec(1, 40.0, 256, boundary)
-        f = np.full(g.shape, 3.7)
-        assert np.abs(_d1(g, f)).max() < 1e-12
-        assert np.abs(_d2(g, f)).max() < 1e-12
+    g = GridSpec(1, 40.0, 256)
+    f = np.full(g.shape, 3.7)
+    assert np.abs(_d1(g, f)).max() < 1e-12
+    assert np.abs(_d2(g, f)).max() < 1e-12
 
 
 def test_diff_periodic_sine_second_derivative():
-    g = GridSpec(1, 40.0, 512, "periodic")
+    # interior nodes: the edge closure changes only the outermost ones
+    g = GridSpec(1, 40.0, 512)
     x = g.axis(0)
     L = g.half_length[0]
     d2 = _d2(g, np.sin(np.pi * x / L))
     exact = -(np.pi / L) ** 2 * np.sin(np.pi * x / L)
-    assert np.abs(d2 - exact).max() < 0.5 * g.h[0] ** 2
+    assert np.abs(d2 - exact)[1:-1].max() < 0.5 * g.h[0] ** 2
 
 
 def test_diff_tanh_at_origin():
@@ -59,35 +59,12 @@ def test_diff_tanh_at_origin():
 
 
 def test_diff_twice_matches_second_order():
-    g = GridSpec(1, 30.0, 512, "periodic")
+    # interior nodes: twice the central difference reaches two nodes out
+    g = GridSpec(1, 30.0, 512)
     x = g.axis(0)
     f = np.exp(np.sin(np.pi * x / 30.0))
     twice = _d1(g, _d1(g, f))
-    assert np.abs(twice - _d2(g, f)).max() < 5.0 * g.h[0] ** 2
-
-
-def test_chi_multiplier_mode_selection():
-    g = GridSpec(1, 40.0, 512, "periodic")
-    x = g.axis(0)
-    zero = chi_multiplier(g, np.zeros(g.shape))
-    assert np.abs(zero).max() == 0.0
-    # |xi| = pi*k/L: k=8 gives xi ~ 0.628 <= 1, k=40 gives 3.14 >= 2
-    low = np.cos(8 * np.pi * x / 40.0)
-    high = np.cos(40 * np.pi * x / 40.0)
-    assert np.abs(chi_multiplier(g, low) - low).max() < 1e-12
-    assert np.abs(chi_multiplier(g, high)).max() < 1e-12
-    # idempotent where the symbol is 0 or 1
-    assert np.abs(chi_multiplier(g, chi_multiplier(g, low)) - low).max() < 1e-12
-
-
-def test_chi_multiplier_self_adjoint(rng):
-    g = GridSpec(1, 40.0, 256, "periodic")
-    f = rng.standard_normal(g.shape)
-    h = rng.standard_normal(g.shape)
-    vol = g.cell_volume
-    lhs = float(np.sum(chi_multiplier(g, f) * h)) * vol
-    rhs = float(np.sum(f * chi_multiplier(g, h))) * vol
-    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    assert np.abs(twice - _d2(g, f))[2:-2].max() < 5.0 * g.h[0] ** 2
 
 
 def test_inner_constant_field():
@@ -105,9 +82,12 @@ def test_inner_gaussian_oracle():
 
 
 def test_norm_translation_invariance(rng):
-    g = GridSpec(1, 40.0, 256, "periodic")
-    data1 = rng.standard_normal(g.shape)
-    data2 = rng.standard_normal(g.shape)
+    # fields that vanish on the outer 32 nodes shift without meeting an edge
+    g = GridSpec(1, 40.0, 256)
+    inside = np.zeros(g.shape)
+    inside[32:-32] = 1.0
+    data1 = rng.standard_normal(g.shape) * inside
+    data2 = rng.standard_normal(g.shape) * inside
     f = PairField(g, data1, data2, "uv")
     shifted = PairField(g, np.roll(data1, 17), np.roll(data2, 17), "uv")
     for kind in ("L2", "H1xHdot1"):
@@ -144,16 +124,28 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
 
 
-def test_binary_round_trip_keeps_periodic_boundary(tmp_path):
-    g = GridSpec(1, 20.0, 64, "periodic")
-    x = g.axis(0)
-    f = PairField(g, np.cos(np.pi * x / 20.0), np.sin(np.pi * x / 20.0), "uv")
+def test_binary_dump_is_version_2_with_boundary_code_0(tmp_path):
+    g = GridSpec(1, 20.0, 64)
+    f = PairField(g, np.ones(g.shape), np.zeros(g.shape), "uv")
     path = tmp_path / "field.bin"
     save_binary(f, path)
-    assert path.read_bytes()[4] == 2          # format version
-    back = load_binary(path)
-    assert back.grid.boundary == "periodic"
-    assert np.array_equal(back.c1, f.c1) and np.array_equal(back.c2, f.c2)
+    blob = path.read_bytes()
+    assert blob[:40] == _header(ver=2) + bytes(8)
+    assert len(blob) == 40 + 2 * 64 * 8
+
+
+def test_load_binary_refuses_retired_boundary_and_tag_codes(tmp_path):
+    # a version-2 dump of any other boundary than truncated (code 0), or
+    # tagged with the retired pair representation of code 1, does not load
+    path = tmp_path / "field.bin"
+    for code, tag, message in ((1, 2, "boundary code 1"),
+                               (7, 0, "boundary code 7"),
+                               (0, 1, "tag code 1")):
+        ncomp = 1 if tag == 0 else 2
+        path.write_bytes(_header(ver=2, tag=tag, ncomp=ncomp)
+                         + struct.pack("B7x", code) + bytes(64 * 8 * ncomp))
+        with pytest.raises(ValueError, match=message):
+            load_binary(path)
 
 
 def test_version_1_dump_loads_truncated(tmp_path):
@@ -161,7 +153,7 @@ def test_version_1_dump_loads_truncated(tmp_path):
     path = tmp_path / "v1.bin"
     path.write_bytes(_header() + data.tobytes())
     back = load_binary(path)
-    assert back.grid.boundary == "truncated"
+    assert back.grid.compatible(GridSpec(1, 20.0, 64))
     assert np.array_equal(back.c1, data[:64]) and np.array_equal(back.c2,
                                                                  data[64:])
 
@@ -171,10 +163,9 @@ def _fields(draw):
     dim = draw(st.sampled_from((1, 2)))
     n = tuple(draw(st.sampled_from((64, 128))) for _ in range(dim))
     half = tuple(draw(st.floats(1.0, 100.0)) for _ in range(dim))
-    g = GridSpec(dim, half, n, draw(st.sampled_from(("truncated",
-                                                     "periodic"))))
+    g = GridSpec(dim, half, n)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rep = draw(st.sampled_from(("scalar", "w", "uv", "hydro")))
+    rep = draw(st.sampled_from(("scalar", "uv", "hydro")))
     if rep == "scalar":
         return ScalarField(g, rng.standard_normal(g.shape))
     # a density must stay positive
@@ -198,7 +189,7 @@ def test_binary_round_trip_property(tmp_path, field):
     back = load_binary(path)
     assert type(back) is type(field)
     assert getattr(back, "rep", None) == getattr(field, "rep", None)
-    for attr in ("dim", "n", "half_length", "boundary"):
+    for attr in ("dim", "n", "half_length"):
         assert getattr(back.grid, attr) == getattr(field.grid, attr)
     for got, want in zip(_components(back), _components(field)):
         assert np.array_equal(got, want)
@@ -244,7 +235,7 @@ def test_load_binary_rejects_malformed(tmp_path, blob, message):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=255))
 def test_inner_symmetry_property(seed):
-    g = GridSpec(1, 20.0, 64, "periodic")
+    g = GridSpec(1, 20.0, 64)
     r = np.random.default_rng(seed)
     f = PairField(g, r.standard_normal(g.shape), r.standard_normal(g.shape), "uv")
     h = PairField(g, r.standard_normal(g.shape), r.standard_normal(g.shape), "uv")

@@ -5,9 +5,8 @@ import scipy.sparse as sp
 from nlstab.grid import GridSpec, PairField, inner, uv_to_hydro
 from nlstab.nonlinearity import NonlinearitySpec
 from nlstab.operators import (assemble, coercivity_constant,
-                              ghost_symmetrized, j_apply, j_inverse_apply, k_adjoint, k_map,
-                              precondition, quadratic_form,
-                              random_smooth_pair, tc_map)
+                              ghost_symmetrized, j_apply, j_inverse_apply,
+                              quadratic_form, random_smooth_pair, tc_map)
 from nlstab.profiles import dark_soliton, translation_mode
 
 GOLDEN_SPLIT = (np.sqrt(5.0) - 1.0) / 2.0
@@ -64,40 +63,6 @@ def test_hydro_off_blocks_are_adjoint(cq02, bubble_1d_small):
     m12 = op.matrix[:n, n:]
     m21 = op.matrix[n:, :n]
     assert abs(m12 - m21.T).max() < 1e-10
-
-
-def test_k_map_identity_without_phase(rng):
-    g = GridSpec(1, 40.0, 256, "periodic")
-    base = PairField(g, np.ones(g.shape), np.zeros(g.shape), "uv")
-    f = random_smooth_pair(g, rng)
-    out = k_map(f, base)
-    assert np.abs(out.c1 - f.c1).max() < 1e-15
-    assert np.abs(out.c2 - f.c2).max() < 1e-15
-
-
-def test_k_adjoint_pairing(rng):
-    g = GridSpec(1, 40.0, 256, "periodic")
-    x = g.axis(0)
-    base = PairField(g, np.ones(g.shape), 0.3 * np.exp(-x ** 2 / 20.0), "uv")
-    for _ in range(20):
-        f = random_smooth_pair(g, rng)
-        h = random_smooth_pair(g, rng)
-        lhs = inner(k_map(f, base), h, "L2")
-        rhs = inner(f, k_adjoint(h, base), "L2")
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_k_map_intertwines_translation():
-    g = GridSpec(1, 40.0, 1024, "periodic")
-    x = g.axis(0)
-    w = PairField(g, 0.2 * np.exp(-x ** 2 / 9.0),
-                  0.15 * np.exp(-x ** 2 / 16.0), "w")
-    from nlstab.functionals import psi_map
-    u = psi_map(w)
-    out = k_map(translation_mode(w), u)
-    du = translation_mode(u)
-    assert np.abs(out.c1 - du.c1).max() < 5.0 * g.h[0] ** 2
-    assert np.abs(out.c2 - du.c2).max() < 1e-12
 
 
 def test_tc_map_flat_background():
@@ -190,7 +155,7 @@ def test_coercivity_exact_constant():
 
 
 def test_coercivity_random_fields(gp_spec):
-    g = GridSpec(1, 40.0, 512, "periodic")
+    g = GridSpec(1, 40.0, 512)
     out = coercivity_constant(1.0, "LcInfty-form", grid=g, spec=gp_spec,
                               n_fields=100, rng=np.random.default_rng(9))
     assert out["violations"] == 0
@@ -201,19 +166,6 @@ def test_coercivity_hydro_form(bubble_1d_small, cq02):
                               grid=bubble_1d_small.grid, spec=cq02.spec,
                               n_fields=50, rng=np.random.default_rng(10))
     assert out["violations"] == 0
-
-
-def test_precondition_identities(gp_spec, rng):
-    g = GridSpec(1, 40.0, 512, "periodic")
-    const = PairField(g, np.ones(g.shape), np.zeros(g.shape), "uv")
-    out = precondition(const)
-    assert np.abs(out.c1 - 1.0).max() < 1e-12
-    op = assemble("LcInfty", grid=g, c=1.0, spec=gp_spec)
-    delta = coercivity_constant(1.0)["delta_star"]
-    for _ in range(100):
-        phi = random_smooth_pair(g, rng, zero_mean2=True)
-        q = quadratic_form(op, precondition(phi))
-        assert q >= delta * inner(phi, phi, "L2") * (1.0 - 1e-10)
 
 
 def test_j_matrices_exact(rng):

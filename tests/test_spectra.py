@@ -64,29 +64,6 @@ def test_scalar_bubble_operator_counts(bubble_1d_small, cq02):
     assert rep.kernel_dim == 1
 
 
-def test_far_field_form_positive_after_preconditioning(gp_spec):
-    # per-mode 2x2 symbol of the preconditioned far-field operator
-    g = GridSpec(1, 40.0, 512, "periodic")
-    c = 1.0
-    from nlstab.operators import _crossing, _neg_lap_symbol
-    delta = 1.0 - _crossing(c) ** 2
-    s2 = _neg_lap_symbol(g)
-    xi = g.wavenumbers(0)
-    sin_sym = np.sin(xi * g.h[0]) / g.h[0]     # central-difference symbol
-    lam_min = np.inf
-    for i in range(len(xi)):
-        if s2[i] == 0.0:
-            continue
-        g1 = 1.0 / np.sqrt(s2[i] + 1.0)
-        g2 = 1.0 / np.sqrt(s2[i])
-        h11 = g1 * (s2[i] + 2.0) * g1
-        h22 = g2 * s2[i] * g2
-        h12 = c * sin_sym[i] * g1 * g2
-        eig = 0.5 * (h11 + h22) - np.sqrt(0.25 * (h11 - h22) ** 2 + h12 ** 2)
-        lam_min = min(lam_min, eig)
-    assert lam_min >= delta - 1e-12
-
-
 def test_nondegeneracy_dark_soliton(gp_spec):
     # the 1e-3 projection budget needs the kernel eigenvector resolved to
     # matching accuracy; N = 1024 at L = 40 sits just inside it
@@ -139,15 +116,6 @@ def test_nondegeneracy_catches_a_kernel_off_the_translations(
     assert bad["kernel_dim"] == out["kernel_dim"] == bubble.grid.dim
     assert bad["residual_bound"] == out["residual_bound"]
     assert bad["verdict"] == "degenerate/invalid base"
-
-
-def test_spectra_refuse_a_periodic_grid(periodic_grid, gp_spec):
-    # the artifact filters read the mass near a boundary
-    op = assemble("LcInfty", grid=periodic_grid, c=0.0, spec=gp_spec)
-    with pytest.raises(ValueError, match="truncated grid"):
-        sym_spectrum(op)
-    with pytest.raises(ValueError, match="truncated grid"):
-        growth_near(op, 0.1)
 
 
 def test_artifact_filter_drops_by_index(gp_spec, monkeypatch):

@@ -2,7 +2,7 @@
 Jacobian-residual consistency they give by construction.
 
 The oracles are the explicit slicing stencils the matrices replaced:
-padded differences (zero, edge-replicated or wrapped ghost cells), the
+padded differences (zero or edge-replicated ghost cells), the
 zero-exterior-flux divergence, and the per-line assembly of -div(a grad).
 """
 
@@ -17,7 +17,7 @@ from nlstab.profiles import tw_residual_uv
 # float64 rounding of a handful of terms of size max|entry|
 MATRIX_RTOL = 1e-13
 
-PAD = {"zero": "constant", "edge": "edge", "periodic": "wrap"}
+PAD = {"zero": "constant", "edge": "edge"}
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,7 @@ def _div_flux(rho, theta, axis, h):
 
 
 def _div_coeff_grad_lines(grid, coeff):
-    """-div(a grad .) assembled line by line (zero or periodic closure)."""
-    periodic = grid.boundary == "periodic"
+    """-div(a grad .) assembled line by line (zero closure)."""
     shape = grid.shape
     rows, cols, vals = [], [], []
     for axis in range(grid.dim):
@@ -71,16 +70,8 @@ def _div_coeff_grad_lines(grid, coeff):
             face = 0.5 * (a[:-1] + a[1:])
             diag = np.empty(n)
             diag[1:-1] = face[:-1] + face[1:]
-            if periodic:
-                wrap = 0.5 * (a[-1] + a[0])
-                diag[0] = face[0] + wrap
-                diag[-1] = face[-1] + wrap
-                rows += [flat(0), flat(n - 1)]
-                cols += [flat(n - 1), flat(0)]
-                vals += [-wrap / h ** 2, -wrap / h ** 2]
-            else:
-                diag[0] = face[0] + a[0]
-                diag[-1] = face[-1] + a[-1]
+            diag[0] = face[0] + a[0]
+            diag[-1] = face[-1] + a[-1]
             for i in range(n):
                 rows.append(flat(i))
                 cols.append(flat(i))
@@ -95,16 +86,11 @@ def _div_coeff_grad_lines(grid, coeff):
 # ---------------------------------------------------------------------------
 # fixtures
 
-GRIDS = [
-    GridSpec(1, 10.0, 64),
-    GridSpec(2, 10.0, 64),
-    GridSpec(1, 10.0, 64, "periodic"),
-    GridSpec(2, 10.0, 64, "periodic"),
-]
+GRIDS = [GridSpec(1, 10.0, 64), GridSpec(2, 10.0, 64)]
 
 
 def _grid_id(grid):
-    return "%dD-%s" % (grid.dim, grid.boundary)
+    return "%dD-truncated" % grid.dim
 
 
 def _smooth(grid, seed):
@@ -117,26 +103,20 @@ def _smooth(grid, seed):
     return out
 
 
-def _closures(grid):
-    if grid.boundary == "periodic":
-        return [("zero", "periodic"), ("edge", "periodic")]
-    return [("zero", "zero"), ("edge", "edge")]
-
-
 # ---------------------------------------------------------------------------
 # matrices against the oracles
 
 @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
 def test_central_and_laplacian_match_slicing(grid):
     f = _smooth(grid, 1)
-    for closure, ghost in _closures(grid):
+    for closure in ("zero", "edge"):
         for axis in range(grid.dim):
             mat = grid.central(axis, closure)
-            ref = _d1(f, axis, grid.h[axis], ghost)
+            ref = _d1(f, axis, grid.h[axis], closure)
             scale = MATRIX_RTOL * abs(mat).max() * np.abs(f).max()
             assert np.abs(mat @ f.ravel() - ref.ravel()).max() <= scale
         mat = grid.neg_laplacian(closure)
-        ref = sum(_d2(f, a, grid.h[a], ghost) for a in range(grid.dim))
+        ref = sum(_d2(f, a, grid.h[a], closure) for a in range(grid.dim))
         scale = MATRIX_RTOL * abs(mat).max() * np.abs(f).max()
         assert np.abs(mat @ f.ravel() + ref.ravel()).max() <= scale
 
@@ -150,15 +130,14 @@ def test_operator_matrices_match_line_assembly(grid):
                       _div_coeff_grad_lines(grid, np.ones(grid.shape)))):
         assert abs(mat - ref).max() <= MATRIX_RTOL * abs(ref).max()
     f = _smooth(grid, 3)
-    closure = "periodic" if grid.boundary == "periodic" else "zero"
     for axis in range(grid.dim):
         mat = grid.central(axis, "zero")
-        ref = _d1(f, axis, grid.h[axis], closure)
+        ref = _d1(f, axis, grid.h[axis], "zero")
         scale = MATRIX_RTOL * abs(mat).max() * np.abs(f).max()
         assert np.abs(mat @ f.ravel() - ref.ravel()).max() <= scale
 
 
-@pytest.mark.parametrize("grid", GRIDS[:2], ids=_grid_id)
+@pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
 def test_edge_divergence_matches_div_flux(grid):
     rho, theta = _smooth(grid, 4), _smooth(grid, 5)
     mat = grid.div_coeff_grad(rho, "edge")
@@ -171,8 +150,6 @@ def test_stencils_are_cached_per_grid():
     g = GridSpec(2, 10.0, 64)
     assert g.central(1, "edge") is g.central(1, "edge")
     assert g.faces(0, "zero") is g.faces(0, "zero")
-    periodic = GridSpec(1, 10.0, 64, "periodic")
-    assert periodic.central(0, "zero") is periodic.central(0, "edge")
     with pytest.raises(ValueError):
         g.central(0, "reflect")
 
