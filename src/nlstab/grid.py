@@ -72,6 +72,9 @@ class GridSpec:
             raise ValueError("dim must be 1 or 2")
         self.dim = dim
         self.half_length = tuple(float(L) for L in _as_tuple(half_length, dim))
+        if not all(0.0 < L < np.inf for L in self.half_length):
+            raise ValueError("half-lengths must be finite and positive, not %r"
+                             % (self.half_length,))
         self.n = tuple(int(N) for N in _as_tuple(n, dim))
         for N in self.n:
             if N < 64 or (N & (N - 1)) != 0:

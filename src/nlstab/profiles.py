@@ -381,13 +381,15 @@ def _newton(wave, c, anchor=None):
     return out
 
 
-def kernel_coefficient(wave):
-    """Component of the full residual along the translation direction."""
-    field = as_uv(wave.profile)
-    res = tw_residual_uv(field, wave.c, wave.spec)
-    k0 = translation_mode(field)
-    denom = norm(k0) ** 2
-    return float(res.ravel() @ k0.ravel()) * wave.grid.cell_volume / denom
+def _conjugate(wave, c):
+    """The wave of speed c = -wave.c: the complex conjugate of ``wave``
+    (u2 -> -u2 in (u1, u2), theta -> -theta in density/phase)."""
+    prof = wave.profile
+    return TravelingWave(c, PairField(prof.grid, prof.c1.copy(), -prof.c2,
+                                      prof.rep),
+                         wave.spec, wave.residual_norm, wave.symmetry,
+                         newton_iters=0,
+                         projected_residual=wave.projected_residual)
 
 
 def continue_branch(start, c_targets):
@@ -395,13 +397,18 @@ def continue_branch(start, c_targets):
 
     Each target starts from the nearest wave solved so far, the start
     included; a target at the speed of such a wave is a copy of it with
-    ``newton_iters=0``.  Steps in c never exceed _MAX_STEP; a failed
+    ``newton_iters=0``.  Complex conjugation maps a wave of speed c to
+    one of speed -c, so from a real start (c = 0 and u2 = 0) a target
+    whose negative speed is solved is the conjugate of that wave, also
+    with ``newton_iters=0``: bit for bit the wave Newton returns along
+    the mirrored path.  Steps in c never exceed _MAX_STEP; a failed
     Newton solve halves the step down to _MIN_STEP.  Returns one wave per
     target speed, in the order given.  Every wave keeps the storage of
     ``start``.
     """
     out = []
     solved = [start]
+    real = start.c == 0.0 and not np.any(as_uv(start.profile).c2)
     if start.grid.dim == 2 and start.symmetry == "radial":
         # a moving wave keeps only the transverse mirror symmetry
         solved = [TravelingWave(start.c, start.profile, start.spec,
@@ -415,6 +422,9 @@ def continue_branch(start, c_targets):
                 current.residual_norm, current.symmetry, newton_iters=0,
                 projected_residual=current.projected_residual))
             continue
+        mirror = min(solved, key=lambda wave: abs(target + wave.c))
+        if real and abs(target + mirror.c) < 1e-15:
+            current = _conjugate(mirror, target)    # nothing left to solve
         step = np.sign(target - current.c) * min(_MAX_STEP,
                                                  abs(target - current.c))
         while abs(target - current.c) > 1e-15:

@@ -21,6 +21,8 @@ argument derives z1 < r0 from the supposition that phi decays; computed
 ground states (N = 1, 2, 3) have a non-decaying phi and z1 > r0.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
@@ -32,31 +34,56 @@ GROUND = "ground"
 
 
 class ShootResult:
-    """Converged shooting run: samples of u, u', phi, phi' plus diagnostics."""
+    """Converged shooting run: samples of u, u', phi plus diagnostics.
 
-    def __init__(self, alpha0, r, u, uprime, phi, phiprime, ndim,
-                 bracket_history=None, tail_start=None, tol=1e-12):
+    u and u' are the integrated core followed by the grafted tail; phi
+    is solved across the tail on its first read (the bubble seed reads
+    only u).
+    """
+
+    def __init__(self, alpha0, r, u, uprime, core_phi, ndim, constants,
+                 bracket_history, tail_start, kappa, tol):
         self.alpha0 = alpha0
         self.r = r
         self.u = u
         self.uprime = uprime
-        self.phi = phi
-        self.phiprime = phiprime
+        self._core_phi = core_phi           # (phi, phi') on the core samples
         self.ndim = ndim
-        self.bracket_history = bracket_history or []
+        self._constants = constants
+        self.bracket_history = bracket_history
         self.tail_start = tail_start
+        self.kappa = kappa
         self.tol = tol
         self.zero_count = None
         self.zeros = None
         self.phi_limit = None
-        self.kappa = None
+
+    @cached_property
+    def phi(self):
+        """phi on r: the core samples, then the linearized equation
+        continued from the last one across the tail, about the grafted u."""
+        phi_in, phip_in = self._core_phi
+        n = phi_in.size
+        r_in, u_end = self.r[n - 1], self.u[n - 1]
+        kappa, ndim, k = self.kappa, self.ndim, self._constants
+
+        def tail_rhs(r, y):
+            u_here = u_end * np.exp(-kappa * (r - r_in)) * \
+                (r_in / r) ** ((ndim - 1) / 2.0)
+            return [y[1], -(ndim - 1) / r * y[1] - k.gprime(u_here) * y[0]]
+
+        sol = solve_ivp(tail_rhs, (r_in, self.r[-1]),
+                        [phi_in[-1], phip_in[-1]], method="DOP853",
+                        rtol=self.tol * 10, atol=self.tol, t_eval=self.r[n:],
+                        max_step=1.0)
+        return np.concatenate([phi_in, sol.y[0]])
 
     def amplitude_at(self, r):
         """Piecewise evaluation: spline on the integrated core, analytic
         exponential tail beyond the graft radius (no spline ringing at
         the derivative joint)."""
         r = np.asarray(r, dtype=float)
-        ts = self.tail_start if self.tail_start is not None else self.r[-1]
+        ts = self.tail_start
         core_mask = self.r <= ts + 1e-12
         spline = CubicSpline(self.r[core_mask], self.u[core_mask])
         out = np.empty_like(r)
@@ -87,6 +114,7 @@ def _series_start(constants, alpha, ndim, r_start):
 
 def _rhs(constants, ndim, variational):
     def rhs(r, y):
+        y = y.tolist()      # floats: g is evaluated at float cost
         friction = (ndim - 1) / r
         du = [y[1], -friction * y[1] - constants.g(y[0])]
         if not variational:
@@ -113,10 +141,13 @@ def _shoot(alpha, constants, ndim, r_max, tol, events, variational):
     turn.direction = 1.0
     evs = [cross, turn] if events else None
 
+    # the step cap keeps the dense output of the variational run finely
+    # resolved for the sampling; the events of a label need no cap
     sol = solve_ivp(_rhs(constants, ndim, variational), (r_start, r_max),
                     y0 if variational else y0[:2],
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    events=evs, dense_output=variational, max_step=0.25)
+                    events=evs, dense_output=variational,
+                    max_step=0.25 if variational else np.inf)
     if not sol.success:
         raise RuntimeError("radial integration failed: %s" % sol.message)
     if events and sol.t_events[0].size:
@@ -146,8 +177,14 @@ def integrate_samples(alpha, constants, ndim, r_max=60.0, tol=1e-12,
 
 
 def classify(alpha, constants, ndim, r_max=60.0, tol=1e-12):
-    """Label of the trajectory from alpha; the events read u and u' only,
-    so phi is not integrated."""
+    """Label of the trajectory from alpha.
+
+    The events read u and u' only, so phi is not integrated, and the
+    steps take no cap: the cap serves the dense output of ``integrate``,
+    which a label does not read.  The labels of the bisections for
+    N = 1, 2, 3 are those of the capped run (a ``ground`` run read as an
+    undershoot, as here).
+    """
     label, _ = _shoot(alpha, constants, ndim, r_max, tol, True, False)
     if label == GROUND:
         # ran to r_max without crossing or turning: treat by tail sign
@@ -214,31 +251,16 @@ def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
     r_in, y_in = rs[: cut + 1], ys[:, : cut + 1]
 
     r_tail = np.linspace(r_in[-1], r_max, 2001)[1:]
-    u_end, up_end = y_in[0, -1], y_in[1, -1]
+    u_end = y_in[0, -1]
     # modified-Bessel-type decay e^{-kappa r} r^{-(N-1)/2}
     decay = np.exp(-kappa * (r_tail - r_in[-1]))
     geom = (r_in[-1] / r_tail) ** ((ndim - 1) / 2.0)
     u_tail = u_end * decay * geom
     up_tail = -kappa * u_tail
-
-    # continue the linearized equation for phi across the tail region
-    def tail_rhs(r, y):
-        u_here = u_end * np.exp(-kappa * (r - r_in[-1])) * \
-            (r_in[-1] / r) ** ((ndim - 1) / 2.0)
-        return [y[1], -(ndim - 1) / r * y[1] - k.gprime(u_here) * y[0]]
-
-    phi_sol = solve_ivp(tail_rhs, (r_in[-1], r_max), [y_in[2, -1], y_in[3, -1]],
-                        method="DOP853", rtol=tol * 10, atol=tol,
-                        t_eval=r_tail, max_step=1.0)
-    r_all = np.concatenate([r_in, r_tail])
-    u_all = np.concatenate([y_in[0], u_tail])
-    up_all = np.concatenate([y_in[1], up_tail])
-    phi_all = np.concatenate([y_in[2], phi_sol.y[0]])
-    phip_all = np.concatenate([y_in[3], phi_sol.y[1]])
-    res = ShootResult(alpha0, r_all, u_all, up_all, phi_all, phip_all, ndim,
-                      bracket_history=history, tail_start=r_in[-1], tol=tol)
-    res.kappa = float(kappa)
-    return res
+    return ShootResult(alpha0, np.concatenate([r_in, r_tail]),
+                       np.concatenate([y_in[0], u_tail]),
+                       np.concatenate([y_in[1], up_tail]), (y_in[2], y_in[3]),
+                       ndim, k, history, r_in[-1], float(kappa), tol)
 
 
 def _sample_root(spline, r, values, i):

@@ -140,6 +140,22 @@ def test_branch_command_slow_wave_verdict(tmp_path):
     assert all(float(line.split(",")[-1]) <= 1e-11 for line in lines[1:])
 
 
+def test_branch_command_symmetric_speeds(tmp_path):
+    # the wave at -c is the conjugate of the wave at c: P is odd and E
+    # even in c to the last bit, and only one of the pair is solved
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=branch", "grid.N=512", "grid.L=30",
+         "speed.list=-0.004,0,0.004"] + CQ_LINES))
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "branch.csv").read_text().splitlines()[1:]]
+    (c_lo, p_lo, e_lo), (c_hi, p_hi, e_hi) = (
+        [float(v) for v in rows[i][:3]] for i in (0, 2))
+    assert c_lo == -c_hi and p_lo == -p_hi != 0.0 and e_lo == e_hi
+    assert [int(row[4]) for row in rows][1:] == [0, 0]
+    assert int(rows[0][4]) > 0
+
+
 def test_branch_command_dark_soliton_verdict(tmp_path):
     code, out = _run_cli(tmp_path, "\n".join([
         "command=branch", "nonlinearity.kind=gp", "grid.N=512", "grid.L=40",
@@ -340,6 +356,24 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, line):
     assert "config error" in err and "not a finite number" in err
     assert key in err
     assert not (out / "final.bin").exists()
+
+
+@pytest.mark.parametrize("half", ["-30", "0", "nan"])
+@pytest.mark.parametrize("lines", [
+    ["command=profile", "nonlinearity.kind=gp", "grid.N=512"],
+    ["command=spectrum"] + CQ_LINES + ["profile.kind=bubble-radial",
+                                       "grid.dim=2", "grid.N=64"],
+], ids=["gp-profile", "bubble-spectrum-2D"])
+def test_non_positive_half_length_is_config_error(tmp_path, capsys, lines,
+                                                  half):
+    # the grid refuses it, before a soliton or a bubble is built on it
+    code, out = _run_cli(tmp_path, "\n".join(lines + ["grid.L=" + half]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert ("not a finite number" if half == "nan"
+            else "half-lengths must be finite and positive") in err
+    assert not os.listdir(out)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -17,6 +17,9 @@ def test_grid_validation():
         GridSpec(1, 40.0, 32)        # too few points
     with pytest.raises(ValueError):
         GridSpec(3, 40.0, 128)       # dimension
+    for half in (-30.0, 0.0, -0.0, np.nan, np.inf, (30.0, 0.0)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(1 if np.isscalar(half) else 2, half, 64)
 
 
 def test_axis_contains_origin():

@@ -9,9 +9,8 @@ from nlstab.operators import assemble
 from nlstab.profiles import (_TOL, TravelingWave, _bordered_solve, _newton,
                              branch_momentum_sweep, bubble_amplitude_monotone,
                              continue_branch, dark_soliton,
-                             dark_soliton_momentum_exact, kernel_coefficient,
-                             polish_field_wave, residual_norm,
-                             stationary_bubble, tw_residual_uv)
+                             dark_soliton_momentum_exact, polish_field_wave,
+                             residual_norm, stationary_bubble, tw_residual_uv)
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -97,6 +96,15 @@ def test_continuation_at_zero_is_identity(bubble_1d_small):
     assert out[0].newton_iters == 0
     assert np.abs(out[0].profile.c2).max() == 0.0
     assert np.array_equal(out[0].profile.c1, bubble_1d_small.profile.c1)
+
+
+def kernel_coefficient(wave):
+    """Component of the full residual along the translation direction."""
+    field = as_uv(wave.profile)
+    res = tw_residual_uv(field, wave.c, wave.spec)
+    k0 = translation_mode(field)
+    return (float(res.ravel() @ k0.ravel()) * wave.grid.cell_volume
+            / norm(k0) ** 2)
 
 
 def test_branch_kernel_coefficient(bubble_1d_small):
@@ -185,6 +193,45 @@ def test_continuation_starts_from_nearest_solved_wave(bubble_1d_small):
     alone = continue_branch(bubble_1d_small, [0.004])[0]
     assert np.array_equal(out[2].profile.c1, alone.profile.c1)
     assert np.array_equal(out[2].profile.c2, alone.profile.c2)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["line", "radial"])
+def test_negative_speed_is_the_conjugate(case, bubble_1d_small,
+                                         radial_branch):
+    # from the real c = 0 bubble the second of a +-c pair is not solved:
+    # it is the conjugate of the first, and that is bit for bit the wave
+    # Newton returns for c alone
+    if case == "line":
+        start, c = bubble_1d_small, 0.004
+        (alone,) = continue_branch(start, [c])
+    else:
+        start, (alone,) = radial_branch
+        c = alone.c
+    lo, hi = continue_branch(start, [-c, c])
+    assert lo.newton_iters > 0 and hi.newton_iters == 0
+    assert hi.c == c and hi.profile.rep == lo.profile.rep == "hydro"
+    assert _same_bits(hi.profile.c1, lo.profile.c1)
+    assert _same_bits(hi.profile.c2, -lo.profile.c2)
+    assert np.any(hi.profile.c2)
+    assert _same_bits(hi.profile.c1, alone.profile.c1)
+    assert _same_bits(hi.profile.c2, alone.profile.c2)
+    assert hi.residual_norm == alone.residual_norm == lo.residual_norm
+    assert (hi.projected_residual == alone.projected_residual
+            == lo.projected_residual)
+    assert hi.symmetry == alone.symmetry
+
+
+def test_no_conjugate_from_a_moving_start(bubble_1d_small):
+    # conjugation maps the branch from a real c = 0 wave onto itself; from
+    # a c = 0.01 wave both targets of a +-c pair are Newton solves
+    start = continue_branch(bubble_1d_small, [0.01])[0]
+    lo, hi = continue_branch(start, [-0.004, 0.004])
+    assert lo.newton_iters > 0 and hi.newton_iters > 0
 
 
 def test_continuation_of_a_uv_wave():

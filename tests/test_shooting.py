@@ -75,6 +75,35 @@ def test_classify_agrees_with_the_events_of_integrate(ground, cq02):
     assert set(labels) == {shooting.CROSSING, shooting.UNDERSHOOT}
 
 
+@pytest.mark.parametrize("ndim, xtol", [(1, 1e-12), (2, 1e-12), (3, 1e-12),
+                                        (2, _SEED_XTOL)])
+def test_labels_are_those_of_the_capped_variational_run(ground, cq02, ndim,
+                                                        xtol):
+    # classify steps (u, u') without the step cap of the dense run with
+    # phi; every label a bisection took must be the one that run gives
+    res = (ground if (ndim, xtol) == (2, 1e-12)
+           else shooting.find_alpha0(cq02, ndim, xtol=xtol))
+    for alpha, label in res.bracket_history:
+        full, _ = shooting.integrate(alpha, cq02, ndim)
+        assert label == (shooting.UNDERSHOOT if full == shooting.GROUND
+                         else full), alpha
+
+
+def test_phi_tail_is_solved_on_first_read(cq02, monkeypatch):
+    # the bubble seed reads u alone: phi across the grafted tail costs
+    # one more integration, run when phi is first read
+    calls = []
+    integrate = shooting.solve_ivp
+    monkeypatch.setattr(shooting, "solve_ivp",
+                        lambda *args, **kw: calls.append(1)
+                        or integrate(*args, **kw))
+    res = shooting.find_alpha0(cq02, 2, xtol=_SEED_XTOL)
+    labels = len(res.bracket_history)
+    assert len(calls) == labels + 1
+    assert res.phi.shape == res.r.shape
+    assert res.phi is res.phi and len(calls) == labels + 2
+
+
 def test_ground_amplitude_is_pinned(ground):
     assert abs(ground.alpha0 - 0.8484081744540632) <= 2e-12
 
