@@ -164,10 +164,22 @@ class CqConstants:
         return sign * (-self.spec.f(_pow2(q)) * q)
 
     def gprime(self, s):
+        """g'(s) = F(q^2) + 2 q^2 F'(q^2), zero past sqrt(rho0).
+
+        A float (the variational ODE's per-step value) is evaluated with
+        float arithmetic; its q**2 and q**4 take the C library's pow, as
+        the numpy scalar form did, so the seed keeps its bits.
+        """
+        a1, a3, a5 = self.alpha1, self.alpha3, self.alpha5
+        if isinstance(s, float):
+            t = abs(s)
+            if t > self.amp:
+                return 0.0
+            q = self.amp - t
+            return -(a1 - 3.0 * a3 * q ** 2 + 5.0 * a5 * q ** 4)
         s = np.asarray(s, dtype=float)
         t = np.abs(s)
         q = np.maximum(self.amp - t, 0.0)
-        a1, a3, a5 = self.alpha1, self.alpha3, self.alpha5
         out = -(a1 - 3.0 * a3 * q ** 2 + 5.0 * a5 * q ** 4)
         return np.where(t > self.amp, 0.0, out)
 

@@ -5,16 +5,21 @@
 The benchmark directory is fixed between runs that are compared, so a
 change to the package must keep every name it reads and every keyword it
 passes.  The workloads are parsed, not imported, so this needs none of
-the benchmark's own set-up.
+the benchmark's own set-up.  The tracer, which patches the package from
+outside, is loaded from its file and installed on the package.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
+import pkgutil
 
-WORKLOADS = (pathlib.Path(__file__).resolve().parent.parent
-             / "perfbench" / "workloads.py")
+import numpy as np
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 MODULES = ("cli", "dynamics", "operators", "profiles", "spectra")
 BOUND = ("dynamics.evolve_nonlinear", "spectra.dichotomy_basis",
          "dynamics.dichotomy_growth_test")
@@ -98,3 +103,46 @@ def test_the_growth_report_has_every_key_the_benchmark_reads(
     _, _, basis = wide_bubble_basis
     report = dichotomy_growth_test(basis, T=2.0, dt=5e-3, n_draws=4)
     assert keys <= set(report)
+
+
+def _package_attributes():
+    import nlstab
+    from nlstab.dynamics import NonlinearStepper
+    modules = [nlstab] + [importlib.import_module("nlstab." + info.name)
+                          for info in pkgutil.iter_modules(nlstab.__path__)]
+    owners = modules + [NonlinearStepper]
+    return {(owner, attr): obj for owner in owners
+            for attr, obj in list(vars(owner).items())}
+
+
+def test_the_tracer_wraps_the_nonlinear_step_and_restores_every_name():
+    # dynamics.step_s and dynamics.s_per_nonlinear_step come from the
+    # wrapped NonlinearStepper.step
+    from nlstab.dynamics import NonlinearStepper
+    from nlstab.grid import GridSpec
+    from nlstab.nonlinearity import NonlinearitySpec
+    from nlstab.profiles import dark_soliton
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    before = _package_attributes()
+    step = NonlinearStepper.step
+    gp = NonlinearitySpec.gp()
+    wave = dark_soliton(0.5, GridSpec(1, 40.0, 256), gp)
+    stepper = NonlinearStepper(wave.profile.as_complex(), 0.5, gp,
+                               wave.profile.grid, 1e-2)
+    with tracer_module.Tracer() as tracer:
+        during = _package_attributes()
+        assert NonlinearStepper.step is not step
+        assert NonlinearStepper.step.__wrapped__ is step
+        stepper.step(np.zeros(wave.profile.grid.size, dtype=complex))
+    patched = [key for key, obj in before.items() if during[key] is not obj]
+    assert (NonlinearStepper, "step") in patched and len(patched) > 1
+    after = _package_attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is obj for key, obj in before.items())
+    metrics = tracer.metrics()
+    assert metrics["dynamics.nonlinear_steps"] == 1
+    assert metrics["dynamics.step_s"] > 0.0

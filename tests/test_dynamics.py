@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from nlstab import dynamics
 from nlstab.dynamics import (NonlinearStepper, Trajectory,
@@ -217,13 +217,16 @@ def _split_runs(monkeypatch, run):
     return out
 
 
-def _stripe_2d(gp_spec):
-    # 64^2 pair operator: the dark soliton of speed 0.5 extruded along y
+def _stripe():
+    # 64^2: the dark soliton of speed 0.5 extruded along y
     g = GridSpec(2, 20.0, 64)
     x = g.axis(0)[:, None] + np.zeros(g.shape)
-    prof = PairField(g, np.sqrt(1.0 - 0.125) * np.tanh(np.sqrt(1.75) / 2 * x),
+    return PairField(g, np.sqrt(1.0 - 0.125) * np.tanh(np.sqrt(1.75) / 2 * x),
                      np.full(g.shape, 0.5 / np.sqrt(2.0)), "uv")
-    return assemble("Lc", base=prof, c=0.5, spec=gp_spec)
+
+
+def _stripe_2d(gp_spec):
+    return assemble("Lc", base=_stripe(), c=0.5, spec=gp_spec)
 
 
 @pytest.mark.parametrize("case", ["Mc line bubble", "Lc 64x64"])
@@ -290,12 +293,30 @@ def test_linear_cayley_step_matches_the_crank_nicolson_product(
     assert _rel(traj.snapshots[-1].ravel(), u) <= 1e-13
 
 
+@pytest.fixture(scope="module")
+def still_soliton():
+    return polish_field_wave(dark_soliton(0.0, GridSpec(1, 40.0, 512)))
+
+
+@pytest.mark.parametrize("case", ["soliton c=0", "soliton c=0.8",
+                                  "soliton c=0.8 after set_dt",
+                                  "stripe 64x64 c=0.5"])
 def test_nonlinear_cayley_step_matches_the_crank_nicolson_product(
-        polished_soliton, gp_spec, rng):
-    g = polished_soliton.grid
-    bg = polished_soliton.profile.as_complex()
-    dt, steps = 1e-2, 100
-    stepper = NonlinearStepper(bg, 0.8, gp_spec, g, dt, corrections=2)
+        case, polished_soliton, still_soliton, gp_spec, rng):
+    # the reference is SuperLU's product form, whichever LU the stepper took
+    if case.startswith("stripe"):
+        c, bg, steps = 0.5, _stripe(), 20
+    elif case == "soliton c=0":
+        c, bg, steps = 0.0, still_soliton.profile, 100
+    else:
+        c, bg, steps = 0.8, polished_soliton.profile, 100
+    g = bg.grid
+    dt = 1e-2
+    stepper = NonlinearStepper(bg.as_complex(), c, gp_spec, g, dt,
+                               corrections=2)
+    if case.endswith("set_dt"):
+        dt = dt / 2
+        stepper.set_dt(dt)
     eye = sp.identity(g.size, format="csc", dtype=complex)
     lhs = splu((eye - 0.5 * dt * stepper._lin).tocsc())
     rhs = (eye + 0.5 * dt * stepper._lin).tocsr()
@@ -310,3 +331,35 @@ def test_nonlinear_cayley_step_matches_the_crank_nicolson_product(
             new = lhs.solve(base + dt * r)
         phi_ref = new
     assert _rel(phi, phi_ref) <= 1e-13
+
+
+def test_the_tridiagonal_lu_serves_1d_scalar_generators_only(
+        polished_soliton, gp_spec, rng):
+    dt = 1e-2
+    stepper = NonlinearStepper(polished_soliton.profile.as_complex(), 0.8,
+                               gp_spec, polished_soliton.grid, dt)
+    assert isinstance(stepper._lu, dynamics._TridiagonalLU)
+    stepper.set_dt(dt / 2)
+    assert isinstance(stepper._lu, dynamics._TridiagonalLU)
+    mat = (sp.identity(stepper._lin.shape[0], dtype=complex)
+           - 0.25 * dt * stepper._lin).tocsc()
+    b = random_smooth_pair(polished_soliton.grid, rng).as_complex().ravel()
+    assert _rel(stepper._lu.solve(b), splu(mat).solve(b)) <= 1e-13
+
+    op = assemble("Lc", base=polished_soliton, c=0.8, spec=gp_spec)
+    block = (j_matrix(op.grid) @ op.matrix).tocsc()
+    assert isinstance(dynamics._crank_nicolson(block, dt), SuperLU)
+    bg = _stripe().as_complex()
+    flat = NonlinearStepper(bg, 0.5, gp_spec, GridSpec(2, 20.0, 64), dt)
+    assert isinstance(flat._lu, SuperLU)
+
+
+def test_a_singular_tridiagonal_matrix_raises_as_splu_does():
+    # I - gen/2 is tridiagonal, and singular: its first two columns are equal
+    mat = sp.diags([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0, 2.0],
+                    [1.0, 1.0, 1.0, 1.0]], [-1, 0, 1], format="csc")
+    gen = 2.0 * (sp.identity(5, format="csc") - mat)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        splu(mat)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        dynamics._crank_nicolson(gen, 1.0)

@@ -93,6 +93,41 @@ def test_g_keeps_the_rounding_of_its_numpy_scalar_form():
                           _bits([scalar_form(x) for x in s]))
 
 
+def _numpy_gprime(k, s):
+    # g' as it was computed for every input, floats wrapped in numpy
+    s = np.asarray(s, dtype=float)
+    t = np.abs(s)
+    q = np.maximum(k.amp - t, 0.0)
+    out = -(k.alpha1 - 3.0 * k.alpha3 * q ** 2 + 5.0 * k.alpha5 * q ** 4)
+    return np.where(t > k.amp, 0.0, out)
+
+
+CQ02 = cq_constants(0.2, 1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_gprime_float_keeps_the_bits_of_its_numpy_form(s):
+    value = CQ02.gprime(s)
+    assert type(value) is float
+    assert _bits(value) == _bits(float(_numpy_gprime(CQ02, np.float64(s))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_gprime_array_keeps_its_bits(values):
+    s = np.asarray(values, dtype=float)
+    assert np.array_equal(_bits(CQ02.gprime(s)), _bits(_numpy_gprime(CQ02, s)))
+
+
+def test_gprime_float_path_on_the_probe_values():
+    # pow and q*q differ in about 1 of 1,200 squares: a dense sample sees it
+    s = _probe_values(CQ02, np.random.default_rng(8))
+    assert np.array_equal(_bits([CQ02.gprime(x) for x in s.tolist()]),
+                          _bits([_numpy_gprime(CQ02, x) for x in s]))
+    assert np.array_equal(_bits(CQ02.gprime(s)), _bits(_numpy_gprime(CQ02, s)))
+
+
 def test_g_vanishes_at_thresholds():
     k = cq_constants(0.2, 1.0, 1.0)
     assert abs(k.g(0.0)) < 1e-14
