@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, profiles, shooting, spectra
+from . import dynamics, profiles, spectra
 from .grid import GridSpec, as_uv, save_binary
 from .nonlinearity import NonlinearitySpec, check_G_conditions, cq_constants
 from .operators import coercivity_constant, random_smooth_pair
@@ -113,6 +113,13 @@ def _cq_constants(spec):
     return cq_constants(**spec.params)
 
 
+def _check_dark_soliton(c, grid, spec):
+    """Refuse, as a config error, what ``dark_soliton`` would refuse."""
+    problem = profiles.dark_soliton_input_error(c, grid, spec)
+    if problem:
+        raise ConfigError(problem)
+
+
 def build_profile(cfg, spec, grid):
     kind = _get(cfg, "profile.kind", "dark-soliton")
     c = _get(cfg, "speed.c", 0.0, float)
@@ -120,6 +127,7 @@ def build_profile(cfg, spec, grid):
     if polish not in ("0", "1"):
         raise ConfigError("profile.polish must be 0 or 1, not %r" % polish)
     if kind == "dark-soliton":
+        _check_dark_soliton(c, grid, spec)
         return profiles.dark_soliton(c, grid, spec, polish=polish == "1")
     if kind in ("bubble-line", "bubble-radial"):
         if spec.kind != "cubic-quintic":
@@ -189,6 +197,8 @@ def cmd_branch(cfg, out, rng):
         raise ConfigError("speed.list must be finite and strictly "
                           "increasing, not %r" % cfg["speed.list"])
     if spec.kind == "gp":
+        for c in speeds:
+            _check_dark_soliton(c, grid, spec)
         branch = [profiles.dark_soliton(c, grid, spec) for c in speeds]
     else:
         geometry = "line" if grid.dim == 1 else "radial-2D"
@@ -274,6 +284,10 @@ def cmd_evolve(cfg, out, rng):
     if corrections < 0:
         raise ConfigError("evolve.corrections must be 0 or more, not %d"
                           % corrections)
+    steps = T / dt
+    if not (np.isfinite(steps) and round(steps) >= 1):
+        raise ConfigError("evolve.T / evolve.dt = %r / %r must round to a "
+                          "finite step count of 1 or more" % (T, dt))
     wave = build_profile(cfg, spec, grid)
     u0 = as_uv(wave.profile)
     eps = _get(cfg, "evolve.perturbation", 0.0, float)
@@ -298,6 +312,7 @@ def cmd_shoot(cfg, out, rng):
     dim = _get(cfg, "shoot.dim", 2, int)
     if dim < 1:
         raise ConfigError("shoot.dim must be 1 or more, not %d" % dim)
+    from . import shooting
     res = shooting.find_alpha0(k, dim)
     diag = shooting.phi_diagnostics(res, k)
     write_csv(os.path.join(out, "shoot.csv"), ["r", "u", "uprime", "phi"],

@@ -16,8 +16,6 @@ function h(ratio) whose root c0 marks the parameter where G(u1) = 0.
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import bisect, brentq
 
 RATIO_LO = 3.0 / 16.0
 RATIO_HI = 1.0 / 4.0
@@ -45,6 +43,7 @@ class NonlinearitySpec:
         elif kind == "tabulated":
             if table is None or r0 is None:
                 raise ValueError("tabulated law needs sample table and r0")
+            from scipy.interpolate import CubicSpline
             s_nodes, f_vals = table
             self._spline = CubicSpline(np.asarray(s_nodes, float),
                                        np.asarray(f_vals, float))
@@ -215,6 +214,7 @@ def ratio_margin(c):
 
 def critical_ratio(xtol=1e-12):
     """Root c0 of ratio_margin, bisected inside (3/16, 21/100)."""
+    from scipy.optimize import bisect
     lo, hi = RATIO_LO, RATIO_PROVEN_HI
     if not (ratio_margin(lo) > 0.0 > ratio_margin(hi)):
         raise RuntimeError("sign bracket for the critical ratio failed")
@@ -228,6 +228,7 @@ def _sign_changes(xs, ys, func):
     one sample of a zero crossing of the derivative) is reported separately
     rather than silently counted.
     """
+    from scipy.optimize import brentq
     zeros, tangential = [], []
     for i in range(len(xs) - 1):
         a, b = ys[i], ys[i + 1]

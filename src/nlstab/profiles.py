@@ -23,11 +23,8 @@ A + C^T C is formed.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from . import shooting
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
 from .grid import PairField, as_uv, norm, translation_mode, uv_to_hydro
@@ -158,14 +155,9 @@ def dark_soliton(c, grid, spec=None, polish=False):
     """
     if spec is None:
         spec = NonlinearitySpec.gp()
-    if spec.kind != "gp":
-        raise ValueError("the tanh family belongs to the unit-background law")
-    if not (0.0 <= c < SQRT2):
-        raise ValueError("no subsonic traveling wave for |c| >= sqrt(2)")
-    if grid.dim != 1:
-        raise ValueError("dark solitons are one-dimensional profiles")
-    if grid.half_length[0] < 20.0:
-        raise ValueError("soliton runs need a half-length of at least 20")
+    problem = dark_soliton_input_error(c, grid, spec)
+    if problem:
+        raise ValueError(problem)
     x = grid.axis(0)
     amp = np.sqrt(1.0 - c ** 2 / 2.0)
     width = np.sqrt(2.0 - c ** 2) / 2.0
@@ -176,6 +168,22 @@ def dark_soliton(c, grid, spec=None, polish=False):
         return polish_field_wave(wave)
     wave.residual_norm = residual_norm(wave)
     return wave
+
+
+def dark_soliton_input_error(c, grid, spec):
+    """Why ``dark_soliton`` refuses (c, grid, spec), or None if it takes
+    them; a caller can refuse such input before any numerics."""
+    if spec.kind != "gp":
+        return "the tanh family belongs to the unit-background law"
+    if not (0.0 <= c < SQRT2):
+        return ("dark-soliton speeds lie in [0, sqrt(2)), not c = %r"
+                % float(c))
+    if grid.dim != 1:
+        return "dark solitons are one-dimensional profiles"
+    if grid.half_length[0] < 20.0:
+        return ("soliton runs need a half-length of at least 20, not %r"
+                % float(grid.half_length[0]))
+    return None
 
 
 def dark_soliton_momentum_exact(c):
@@ -195,6 +203,7 @@ def polish_field_wave(wave):
 
 def bubble_turning_amplitude(constants):
     """Dip amplitude s* in (u0, sqrt(rho0)) with G(s*) = 0."""
+    from scipy.optimize import brentq
     k = constants
     g_lo = k.big_g(k.u0)
     g_hi = k.big_g(k.amp * (1.0 - 1e-13))
@@ -223,6 +232,7 @@ def stationary_bubble(constants, geometry, grid, polish=True):
     if geometry == "line":
         if grid.dim != 1:
             raise ValueError("line geometry needs a 1D grid")
+        from scipy.integrate import solve_ivp
         s_star = bubble_turning_amplitude(k)
         L = grid.half_length[0]
 
@@ -240,6 +250,7 @@ def stationary_bubble(constants, geometry, grid, polish=True):
     elif geometry == "radial-2D":
         if grid.dim != 2:
             raise ValueError("radial-2D geometry needs a 2D grid")
+        from . import shooting
         res = shooting.find_alpha0(k, 2, xtol=_SEED_XTOL)
         xx, yy = grid.meshes()
         r = np.sqrt(xx ** 2 + yy ** 2)

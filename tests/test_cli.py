@@ -1,6 +1,9 @@
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,15 +331,36 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
      "transversal.samples=-2"],
     ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=-0.02",
      "evolve.dt=0.01"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=0.01",
+     "evolve.dt=1.0"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "evolve.T=1e300",
+     "evolve.dt=1e-300"],
+    ["command=profile", "nonlinearity.kind=gp", "grid.N=512", "speed.c=-0.5"],
+    ["command=spectrum", "nonlinearity.kind=gp", "grid.N=512", "speed.c=1.5"],
+    ["command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+     "speed.c=1.5", "transversal.samples=1"],
+    ["command=evolve", "nonlinearity.kind=gp", "grid.N=512", "speed.c=1.5",
+     "evolve.T=0.01", "evolve.dt=1e-3"],
+    ["command=branch", "nonlinearity.kind=gp", "grid.N=512",
+     "speed.list=0.1,0.2,1.5"],
+    ["command=profile", "nonlinearity.kind=gp", "grid.N=512", "grid.L=10"],
+    ["command=profile", "nonlinearity.kind=gp", "grid.dim=2", "grid.N=32"],
+    ["command=profile"] + CQ_LINES + ["grid.N=512"],
 ], ids=["bubble-under-gp", "dt-zero", "negative-corrections",
         "two-speeds", "speed-not-a-number", "speeds-unordered",
         "speed-repeated", "speed-nan", "shoot-dim-zero", "hamN-cubic-quintic",
         "hamN-2D", "hamN-off-the-grid-sizes", "samples-zero", "samples-negative",
-        "T-negative"])
+        "T-negative", "no-step", "step-count-overflow",
+        "soliton-speed-negative", "soliton-speed-spectrum",
+        "soliton-speed-transversal", "soliton-speed-evolve",
+        "soliton-speed-branch", "soliton-half-length", "soliton-2D",
+        "soliton-under-cubic-quintic"])
 def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
-    code, _ = _run_cli(tmp_path, "\n".join(lines))
+    # refused before any numerics: no artifact is written
+    code, out = _run_cli(tmp_path, "\n".join(lines))
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    assert not os.listdir(out)
 
 
 @pytest.mark.parametrize("line", ["evolve.T=inf", "evolve.dt=inf",
@@ -425,6 +449,60 @@ def test_threads_take_effect(tmp_path, monkeypatch):
     assert _blas_threads() == before
     with pytest.raises(ConfigError, match="threads"):
         run({"command": "report"}, str(tmp_path), threads=-1)
+
+
+# Run in a fresh interpreter: import nlstab.cli, run a GP transversal
+# command and a shoot command, and report which of the modules that load
+# on first use are loaded after each, and the OpenBLAS libraries mapped.
+_FRESH = """
+import json, sys
+from nlstab import cli
+
+def loaded():
+    return sorted(name for name in ("scipy.optimize", "scipy.integrate",
+                                    "scipy.interpolate", "nlstab.shooting")
+                  if name in sys.modules)
+
+def blas():
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split()[-1] for line in fh
+                       if "openblas" in line.rsplit("/", 1)[-1]})
+
+seen = {"import": loaded()}
+transversal, shoot, out = sys.argv[1:]
+assert cli.main(["--config", transversal, "--out", out]) == 0
+seen["transversal"] = loaded()
+seen["blas_before_shoot"] = blas()
+assert cli.main(["--config", shoot, "--out", out, "--threads", "2"]) == 0
+seen["shoot"] = loaded()
+seen["blas_after_shoot"] = blas()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # numpy and scipy.sparse alone at start-up; root finding, ODEs,
+    # splines and shooting load in the commands that call them, and
+    # loading them maps no OpenBLAS that run's thread count would miss
+    transversal = tmp_path / "transversal.cfg"
+    transversal.write_text("\n".join([
+        "command=transversal", "nonlinearity.kind=gp", "grid.N=512",
+        "grid.L=40", "speed.c=0.0", "transversal.samples=1"]))
+    shoot = tmp_path / "shoot.cfg"
+    shoot.write_text("\n".join(["command=shoot", "shoot.dim=2"] + CQ_LINES))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, str(transversal), str(shoot),
+         str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == [] and seen["transversal"] == []
+    assert seen["shoot"] == ["nlstab.shooting", "scipy.integrate",
+                             "scipy.interpolate", "scipy.optimize"]
+    assert len(seen["blas_before_shoot"]) == 2
+    assert seen["blas_after_shoot"] == seen["blas_before_shoot"]
 
 
 def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch,

@@ -42,6 +42,9 @@ def test_supersonic_rejected(soliton_grid):
         dark_soliton(np.sqrt(2.0), soliton_grid)
     with pytest.raises(ValueError):
         dark_soliton(1.5, soliton_grid)
+    # the message names the allowed range and the speed given
+    with pytest.raises(ValueError, match=r"\[0, sqrt\(2\)\), not c = -0.5$"):
+        dark_soliton(-0.5, soliton_grid)
 
 
 def test_polish_reaches_discrete_zero(small_grid):
