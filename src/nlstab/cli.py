@@ -325,14 +325,21 @@ def cmd_shoot(cfg, out, rng):
 
 def cmd_report(cfg, out, rng):
     """Aggregate verdicts from the artifact files already on disk."""
+    try:
+        coer = coercivity_constant(_get(cfg, "speed.c", 1.0, float))
+    except ValueError as exc:
+        raise ConfigError("bad speed.c: %s" % exc)
     summary = {}
     for name in ("branch.json", "band.json", "nondegeneracy.json",
                  "spectrum.json", "shoot.json", "evolve.json"):
         path = os.path.join(out, name)
         if os.path.exists(path):
             with open(path) as fh:
-                summary[name.rsplit(".", 1)[0]] = json.load(fh)
-    coer = coercivity_constant(_get(cfg, "speed.c", 1.0, float))
+                try:
+                    summary[name.rsplit(".", 1)[0]] = json.load(fh)
+                except ValueError as exc:
+                    raise ConfigError("%s is not valid JSON: %s"
+                                      % (path, exc))
     summary["coercivity"] = {"a_opt_sq": coer["a_opt_sq"],
                              "delta_star": coer["delta_star"]}
     _write_json(os.path.join(out, "report.json"), summary)

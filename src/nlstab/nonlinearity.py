@@ -1,12 +1,11 @@
 """Nonlinear laws F(s) for scalar NLS equations on a nonvanishing background.
 
-Three families are supported:
+Two families are supported:
 
 * ``gp`` -- the defocusing law F(s) = 1 - s with background density 1;
 * ``cubic-quintic`` -- F(s) = -a1 + a3*s - a5*s**2 with positive
   coefficients whose ratio a1*a5/a3**2 lies in (3/16, 1/4); the background
-  density is the larger root rho0 of F;
-* ``tabulated`` -- cubic interpolation of user samples.
+  density is the larger root rho0 of F.
 
 Besides F, F' and the potential V(s) = int_s^{r0} F(t) dt (so V(r0) = 0),
 the module derives the odd auxiliary nonlinearity g driving radial ground
@@ -25,7 +24,7 @@ RATIO_PROVEN_HI = 21.0 / 100.0
 class NonlinearitySpec:
     """A nonlinear law F with background density r0 (F(r0)=0, F'(r0)<0)."""
 
-    def __init__(self, kind, params=None, r0=None, table=None):
+    def __init__(self, kind, params=None):
         self.kind = kind
         self.params = dict(params or {})
         if kind == "gp":
@@ -40,14 +39,6 @@ class NonlinearitySpec:
                 raise ValueError(
                     "cubic-quintic ratio a1*a5/a3^2 = %g outside (3/16, 1/4)" % ratio)
             self.r0 = (a3 + np.sqrt(a3 ** 2 - 4.0 * a1 * a5)) / (2.0 * a5)
-        elif kind == "tabulated":
-            if table is None or r0 is None:
-                raise ValueError("tabulated law needs sample table and r0")
-            from scipy.interpolate import CubicSpline
-            s_nodes, f_vals = table
-            self._spline = CubicSpline(np.asarray(s_nodes, float),
-                                       np.asarray(f_vals, float))
-            self.r0 = float(r0)
         else:
             raise ValueError("unknown nonlinearity kind %r" % kind)
         if abs(self.f(self.r0)) > 1e-12:
@@ -64,10 +55,6 @@ class NonlinearitySpec:
         return cls("cubic-quintic",
                    {"alpha1": alpha1, "alpha3": alpha3, "alpha5": alpha5})
 
-    @classmethod
-    def tabulated(cls, s_nodes, f_values, r0):
-        return cls("tabulated", r0=r0, table=(s_nodes, f_values))
-
     # -- pointwise evaluation ------------------------------------------------
 
     def f(self, s):
@@ -75,38 +62,22 @@ class NonlinearitySpec:
         gives the same bits elementwise."""
         if self.kind == "gp":
             return 1.0 - s
-        if self.kind == "cubic-quintic":
-            return -self._a1 + self._a3 * s - self._a5 * (s * s)
-        return self._spline(s)
+        return -self._a1 + self._a3 * s - self._a5 * (s * s)
 
     def fprime(self, s):
         s = np.asarray(s, dtype=float)
         if self.kind == "gp":
             return -np.ones_like(s)
-        if self.kind == "cubic-quintic":
-            return self._a3 - 2.0 * self._a5 * s
-        return self._spline(s, 1)
+        return self._a3 - 2.0 * self._a5 * s
 
     def v(self, s):
-        """Potential V(s) = int_s^{r0} F; closed form except for tables."""
+        """Potential V(s) = int_s^{r0} F, in closed form."""
         s = np.asarray(s, dtype=float)
         if self.kind == "gp":
             return 0.5 * (1.0 - s) ** 2
-        if self.kind == "cubic-quintic":
-            a1, a3, a5 = self._a1, self._a3, self._a5
-            anti = lambda t: -a1 * t + a3 * t ** 2 / 2.0 - a5 * t ** 3 / 3.0
-            return anti(self.r0) - anti(s)
-        anti = self._spline.antiderivative()
-        vals = anti(self.r0) - anti(s)
-        return vals if s.shape else float(vals)
-
-
-def evaluate(spec, s):
-    """Return (F(s), F'(s), V(s)); rejects negative densities."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("density argument must be nonnegative")
-    return spec.f(s), spec.fprime(s), spec.v(s)
+        a1, a3, a5 = self._a1, self._a3, self._a5
+        anti = lambda t: -a1 * t + a3 * t ** 2 / 2.0 - a5 * t ** 3 / 3.0
+        return anti(self.r0) - anti(s)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +101,12 @@ class CqConstants:
     """
 
     def __init__(self, alpha1, alpha3, alpha5):
-        if min(alpha1, alpha3, alpha5) <= 0.0:
-            raise ValueError("coefficients must be positive")
-        ratio = alpha1 * alpha5 / alpha3 ** 2
-        if not (RATIO_LO < ratio < RATIO_HI):
-            raise ValueError("ratio %g outside (3/16, 1/4)" % ratio)
+        self.spec = NonlinearitySpec.cubic_quintic(alpha1, alpha3, alpha5)
         self.alpha1, self.alpha3, self.alpha5 = alpha1, alpha3, alpha5
-        self.c_ratio = ratio
+        self.c_ratio = alpha1 * alpha5 / alpha3 ** 2
         disc = np.sqrt(alpha3 ** 2 - 4.0 * alpha1 * alpha5)
         disc_t = np.sqrt(9.0 * alpha3 ** 2 - 20.0 * alpha1 * alpha5)
-        self.rho0 = (alpha3 + disc) / (2.0 * alpha5)
+        self.rho0 = self.spec.r0
         self.rho1 = (alpha3 - disc) / (2.0 * alpha5)
         self.rho0_tilde = (3.0 * alpha3 + disc_t) / (10.0 * alpha5)
         self.rho1_tilde = (3.0 * alpha3 - disc_t) / (10.0 * alpha5)
@@ -147,7 +114,12 @@ class CqConstants:
         self.u0 = self.amp - np.sqrt(self.rho1)
         self.u1 = self.amp - np.sqrt(self.rho1_tilde)
         self.c0 = critical_ratio()
-        self.spec = NonlinearitySpec.cubic_quintic(alpha1, alpha3, alpha5)
+
+    @property
+    def regime(self):
+        """Whether the ratio lies where (G4) is proven (up to 21/100)."""
+        return ("proven" if self.c_ratio <= RATIO_PROVEN_HI
+                else "outside proven regime")
 
     # g and its first two derivatives; odd in s, clipped above sqrt(rho0)
 
@@ -274,7 +246,6 @@ def check_G_conditions(constants, beta_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
         g4_tangential[beta] = tang
     g4 = all(n == 1 for n in g4_counts.values())
 
-    regime = "proven" if k.c_ratio <= RATIO_PROVEN_HI else "outside proven regime"
     return {
         "G1": bool(g1),
         "G2": bool(g2),
@@ -286,5 +257,5 @@ def check_G_conditions(constants, beta_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
         "g4_tangential": g4_tangential,
         "ratio": k.c_ratio,
         "critical_ratio": k.c0,
-        "regime": regime,
+        "regime": k.regime,
     }

@@ -317,7 +317,6 @@ def phi_diagnostics(result, constants):
 
     nondegenerate = (result.zero_count == 1
                      and abs(result.phi_limit) >= 100.0 * result.tol)
-    regime = ("proven" if k.c_ratio <= 21.0 / 100.0 else "outside proven regime")
     return {
         "zero_count": result.zero_count,
         "z1": z1,
@@ -326,5 +325,5 @@ def phi_diagnostics(result, constants):
         "theta_increasing": theta_increasing,
         "phi_limit": result.phi_limit,
         "verdict": "non-degenerate" if nondegenerate else "degenerate",
-        "regime": regime,
+        "regime": k.regime,
     }

@@ -260,8 +260,8 @@ def test_criterion_08_coercivity(gp):
     ok = (abs(out["a_opt_sq"] - golden) <= 1e-10
           and abs(out["delta_star"] - (1.0 - golden)) <= 1e-10)
     grid = GridSpec(1, 40.0, 512)
-    check = coercivity_constant(1.0, "LcInfty-form", grid=grid, spec=gp,
-                                n_fields=100, rng=np.random.default_rng(8))
+    check = coercivity_constant(1.0, grid=grid, spec=gp, n_fields=100,
+                                rng=np.random.default_rng(8))
     ok &= check["violations"] == 0
     assert _report(8, ok, "a*^2=%.12f delta*=%.12f violations=%d/100"
                    % (out["a_opt_sq"], out["delta_star"], check["violations"]))

@@ -346,6 +346,8 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
     ["command=profile", "nonlinearity.kind=gp", "grid.N=512", "grid.L=10"],
     ["command=profile", "nonlinearity.kind=gp", "grid.dim=2", "grid.N=32"],
     ["command=profile"] + CQ_LINES + ["grid.N=512"],
+    ["command=report", "speed.c=0"],
+    ["command=report", "speed.c=2"],
 ], ids=["bubble-under-gp", "dt-zero", "negative-corrections",
         "two-speeds", "speed-not-a-number", "speeds-unordered",
         "speed-repeated", "speed-nan", "shoot-dim-zero", "hamN-cubic-quintic",
@@ -354,13 +356,25 @@ CQ_LINES = ["nonlinearity.kind=cubic-quintic", "nonlinearity.alpha1=0.2",
         "soliton-speed-negative", "soliton-speed-spectrum",
         "soliton-speed-transversal", "soliton-speed-evolve",
         "soliton-speed-branch", "soliton-half-length", "soliton-2D",
-        "soliton-under-cubic-quintic"])
+        "soliton-under-cubic-quintic", "report-speed-zero",
+        "report-speed-above-sound"])
 def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     # refused before any numerics: no artifact is written
     code, out = _run_cli(tmp_path, "\n".join(lines))
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not os.listdir(out)
+
+
+def test_report_on_a_corrupt_artifact_is_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "branch.json").write_text("{bad")
+    code, _ = _run_cli(tmp_path, "command=report\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "branch.json" in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("line", ["evolve.T=inf", "evolve.dt=inf",

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlstab.nonlinearity import (NonlinearitySpec, check_G_conditions,
-                                 cq_constants, critical_ratio, evaluate,
-                                 ratio_margin)
+                                 cq_constants, critical_ratio, ratio_margin)
 
 RHO0 = 0.7236067977499789   # (1 + sqrt(0.2)) / 2
 RHO1 = 0.2763932022500211
@@ -16,17 +15,10 @@ U1 = 0.5742576061020188
 
 def test_gp_background_values():
     spec = NonlinearitySpec.gp()
-    f, fp, v = evaluate(spec, 1.0)
-    assert f == 0.0 and fp == -1.0 and v == 0.0
-    f0, _, v0 = evaluate(spec, 0.0)
-    assert f0 == 1.0
-    assert abs(v0 - 0.5) < 1e-15
-
-
-def test_negative_density_rejected():
-    spec = NonlinearitySpec.gp()
-    with pytest.raises(ValueError):
-        evaluate(spec, -0.1)
+    assert spec.f(1.0) == 0.0 and spec.fprime(1.0) == -1.0
+    assert spec.v(1.0) == 0.0
+    assert spec.f(0.0) == 1.0
+    assert abs(spec.v(0.0) - 0.5) < 1e-15
 
 
 def test_cq_background_root():
@@ -37,10 +29,13 @@ def test_cq_background_root():
 
 
 def test_cq_ratio_validation():
-    with pytest.raises(ValueError):
-        NonlinearitySpec.cubic_quintic(0.3, 1.0, 1.0)   # ratio 0.3 > 1/4
-    with pytest.raises(ValueError):
-        NonlinearitySpec.cubic_quintic(0.1, 1.0, 1.0)   # ratio < 3/16
+    for make in (NonlinearitySpec.cubic_quintic, cq_constants):
+        with pytest.raises(ValueError, match="outside"):
+            make(0.3, 1.0, 1.0)   # ratio 0.3 > 1/4
+        with pytest.raises(ValueError, match="outside"):
+            make(0.1, 1.0, 1.0)   # ratio < 3/16
+        with pytest.raises(ValueError, match="positive"):
+            make(-0.2, 1.0, -1.0)   # ratio 0.2, two coefficients negative
 
 
 def test_cq_constants_roots():
@@ -199,27 +194,6 @@ def test_big_g_matches_quadrature():
     for s in (0.2, k.u0, 0.5, k.u1, k.amp):
         val, _ = quad(lambda t: float(k.g(t)), 0.0, s, limit=200)
         assert abs(val - float(k.big_g(s))) < 1e-10
-
-
-def test_tabulated_matches_gp():
-    nodes = np.linspace(0.0, 3.0, 400)
-    spec = NonlinearitySpec.tabulated(nodes, 1.0 - nodes, 1.0)
-    s = np.linspace(0.05, 2.5, 17)
-    assert np.allclose(spec.f(s), 1.0 - s, atol=1e-9)
-    assert np.allclose(spec.fprime(s), -1.0, atol=1e-7)
-    assert np.allclose(spec.v(s), 0.5 * (1 - s) ** 2, atol=1e-8)
-
-
-def test_tabulated_potential_matches_quadrature():
-    # V(s) from the spline's antiderivative against quad of the spline
-    nodes = np.linspace(0.0, 3.0, 60)
-    spec = NonlinearitySpec.tabulated(nodes, (1.0 - nodes) * (1.0 + 0.3 * nodes ** 2),
-                                      1.0)
-    s = np.linspace(0.0, 3.0, 41)
-    ref = [quad(spec.f, x, spec.r0, limit=200)[0] for x in s]
-    assert np.abs(spec.v(s) - ref).max() <= 1e-10
-    assert isinstance(spec.v(0.5), float)
-    assert abs(spec.v(0.5) - quad(spec.f, 0.5, spec.r0)[0]) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)

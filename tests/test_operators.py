@@ -47,7 +47,6 @@ def test_symmetry_of_symmetric_kinds(bubble_1d_small, soliton_c05, cq02,
         assemble("Lc", base=soliton_c05, c=0.5, spec=gp_spec),
         assemble("LcInfty", grid=soliton_c05.grid, c=0.7, spec=gp_spec),
         assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec),
-        assemble("McInfty", base=bubble_1d_small, c=0.3, spec=cq02.spec),
         assemble("A", base=bubble_1d_small, spec=cq02.spec),
         assemble("LcPlusK2", base=soliton_c05, c=0.5, spec=gp_spec, k=0.4),
     ]
@@ -156,15 +155,8 @@ def test_coercivity_exact_constant():
 
 def test_coercivity_random_fields(gp_spec):
     g = GridSpec(1, 40.0, 512)
-    out = coercivity_constant(1.0, "LcInfty-form", grid=g, spec=gp_spec,
-                              n_fields=100, rng=np.random.default_rng(9))
-    assert out["violations"] == 0
-
-
-def test_coercivity_hydro_form(bubble_1d_small, cq02):
-    out = coercivity_constant(0.4, "McInfty-form", base=bubble_1d_small,
-                              grid=bubble_1d_small.grid, spec=cq02.spec,
-                              n_fields=50, rng=np.random.default_rng(10))
+    out = coercivity_constant(1.0, grid=g, spec=gp_spec, n_fields=100,
+                              rng=np.random.default_rng(9))
     assert out["violations"] == 0
 
 
