@@ -213,24 +213,47 @@ class NonlinearStepper:
         lin = (c * grid.central(0, "zero")
                + 1j * (-grid.neg_laplacian("zero") + sp.diags(self._pot)))
         self._lin = lin.tocsr()
+        # scratch of one step: u, |u|^2, the midpoint and the right-hand side
+        self._u = np.empty_like(self.bg)
+        self._rho = np.empty(self.bg.shape)
+        self._mid = np.empty_like(self.bg)
+        self._rhs = np.empty_like(self.bg)
         self.set_dt(dt)
 
     def set_dt(self, dt):
         self.dt = dt
         self._lu = _crank_nicolson(self._lin, dt)
 
-    def remainder(self, phi_flat):
-        u = self.bg + phi_flat
-        return self._i_tw + 1j * (self.spec.f(np.abs(u) ** 2) - self._pot) * u
+    def remainder(self, phi_flat, out=None):
+        """i TW(bg) + i (F(|u|^2) - F(|bg|^2)) u at u = bg + phi_flat, in
+        a fresh array unless ``out`` is given."""
+        u = np.add(self.bg, phi_flat, out=self._u)
+        rho = np.square(np.abs(u, out=self._rho), out=self._rho)
+        gap = self.spec.f(rho)
+        gap -= self._pot
+        out = np.multiply(1j, gap, out=out)
+        out *= u
+        return np.add(self._i_tw, out, out=out)
 
     def step(self, phi_flat):
+        """One Cayley step (I - aL)^-1 (2 phi + dt r) - phi, with r
+        corrected at the midpoint.  Each right-hand side is built in the
+        scratch arrays by the operations of that expression in its order,
+        so it rounds exactly as the expression does."""
         two_phi = 2.0 * phi_flat
-        r = self.remainder(phi_flat)
-        new = self._lu.solve(two_phi + self.dt * r) - phi_flat
+        new = self._lu.solve(self._rhs_from(two_phi, phi_flat))
+        new -= phi_flat
         for _ in range(self.corrections):
-            r = self.remainder(0.5 * (phi_flat + new))
-            new = self._lu.solve(two_phi + self.dt * r) - phi_flat
+            mid = np.add(phi_flat, new, out=self._mid)
+            np.multiply(0.5, mid, out=mid)
+            new = self._lu.solve(self._rhs_from(two_phi, mid))
+            new -= phi_flat
         return new
+
+    def _rhs_from(self, two_phi, phi_flat):
+        """2 phi + dt r(phi_flat), in the right-hand-side scratch."""
+        r = self.remainder(phi_flat, out=self._rhs)
+        return np.add(two_phi, np.multiply(self.dt, r, out=r), out=r)
 
 
 def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,

@@ -334,13 +334,17 @@ def quadratic_form(op, f):
 # far-field coercivity constants
 
 def _crossing(c):
-    """Optimal split point a* in (c/sqrt(2), 1) where 2 - c^2/a^2 = 1 - a^2."""
-    from scipy.optimize import brentq
+    """Optimal split point a* in (c/sqrt(2), 1) where 2 - c^2/a^2 = 1 - a^2.
+
+    The crossing solves a^4 + a^2 - c^2 = 0, so
+    a*^2 = 2 c^2 / (1 + sqrt(1 + 4 c^2)), which unlike
+    (sqrt(1 + 4 c^2) - 1) / 2 has no cancellation at small c, and
+    a* = c sqrt(2 / (1 + sqrt(1 + 4 c^2))) does not underflow where c^2
+    does.
+    """
     if not 0.0 < c < np.sqrt(2.0):
         raise ValueError("speed must lie in (0, sqrt(2))")
-    gap = lambda a: (2.0 - c ** 2 / a ** 2) - (1.0 - a ** 2)
-    lo = c / np.sqrt(2.0) * (1.0 + 1e-14) + 1e-300
-    return brentq(gap, lo, 1.0 - 1e-15, xtol=1e-14, rtol=8.9e-16)
+    return c * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 + 4.0 * c * c)))
 
 
 def random_smooth_pair(grid, rng, cutoff=0.25):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nlstab import cli, spectra
+from nlstab import cli, operators, spectra
 from nlstab.cli import ConfigError, main, parse_config, run, write_csv
 from nlstab.profiles import dark_soliton_momentum_exact
 
@@ -366,6 +366,20 @@ def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("speed", ["1e-300", "1.41421356237309"])
+def test_report_at_the_ends_of_the_speed_range(tmp_path, capsys, speed):
+    # inside (0, sqrt(2)) but where c^2 underflows, or a hair below sqrt(2):
+    # the split point comes out finite in (0, 1), with no traceback
+    code, out = _run_cli(tmp_path, "command=report\nspeed.c=%s\n" % speed)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    coer = json.loads((out / "report.json").read_text())["coercivity"]
+    assert 0.0 <= coer["a_opt_sq"] < 1.0
+    assert abs(coer["a_opt_sq"] + coer["delta_star"] - 1.0) <= 1e-15
+    a_opt = operators.coercivity_constant(float(speed))["a_opt"]
+    assert 0.0 < a_opt < 1.0 and a_opt > float(speed) / np.sqrt(2.0) * 0.999
+
+
 def test_report_on_a_corrupt_artifact_is_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -415,12 +429,19 @@ def test_non_positive_half_length_is_config_error(tmp_path, capsys, lines,
 
 
 def test_determinism_byte_identical(tmp_path):
-    # the same config and seed on one and on two BLAS threads
+    # the same config and seed on one and on two BLAS threads, one run
+    # after the other in this process, so that state one run leaves behind
+    # (such as a Newton column ordering) would show in the next
     cases = [
         (["command=branch", "nonlinearity.kind=cubic-quintic",
           "nonlinearity.alpha1=0.2", "nonlinearity.alpha3=1.0",
           "nonlinearity.alpha5=1.0", "grid.dim=1", "grid.N=512",
           "grid.L=30", "speed.list=0.01,0.02,0.03"],
+         ("branch.csv", "branch.json")),
+        # the config of the slow-branch-2d benchmark workload
+        (["command=branch"] + CQ_LINES + [
+          "grid.dim=2", "grid.N=64", "grid.L=30.0",
+          "speed.list=-0.004,0.0,0.004,0.01,0.02,0.03"],
          ("branch.csv", "branch.json")),
         (["command=spectrum", "nonlinearity.kind=gp", "grid.N=2048",
           "grid.L=40", "speed.c=0.5"],
@@ -433,9 +454,9 @@ def test_determinism_byte_identical(tmp_path):
           "grid.L=40", "speed.c=0.0", "transversal.samples=5",
           "transversal.hamN=512"], ("band.csv", "band.json")),
     ]
-    for lines, artifacts in cases:
+    for case, (lines, artifacts) in enumerate(cases):
         text = "\n".join(lines)
-        name = lines[0].split("=")[1]
+        name = "%s%d_" % (lines[0].split("=")[1], case)
         code1, out1 = _run_cli(tmp_path, text, name=name + "1", seed=42,
                                threads=1)
         code2, out2 = _run_cli(tmp_path, text, name=name + "2", seed=42,

@@ -103,7 +103,8 @@ def test_nonlinear_scheme_reduces_to_linear(polished_soliton, gp_spec, rng,
                    polished_soliton.profile.c2 + eps * noise.c2, "uv")
     # without its explicit remainder the stepper is the linear CN flow
     monkeypatch.setattr(NonlinearStepper, "remainder",
-                        lambda self, phi_flat: np.zeros_like(phi_flat))
+                        lambda self, phi_flat, out=None:
+                        np.zeros_like(phi_flat))
     traj = evolve_nonlinear(u0, c, gp_spec, 0.5, 1e-3,
                             background=polished_soliton.profile,
                             drift_guard=None)
@@ -342,6 +343,35 @@ def test_nonlinear_cayley_step_matches_the_product_in_other_regimes(
         case, polished_soliton, still_soliton, gp_spec, rng):
     _check_nonlinear_cayley(case, polished_soliton, still_soliton, gp_spec,
                             rng)
+
+
+@pytest.mark.parametrize("case", ["soliton c=0.8", "stripe 64x64 c=0.5"])
+def test_nonlinear_step_is_bitwise_the_allocating_form(case, polished_soliton,
+                                                       gp_spec, rng):
+    # the step builds its right-hand sides in scratch arrays by the
+    # operations of this allocating form, in its order: no bit may move
+    bg, c = ((polished_soliton.profile, 0.8) if case == "soliton c=0.8"
+             else (_stripe(), 0.5))
+    dt = 1e-2
+    stepper = NonlinearStepper(bg.as_complex(), c, gp_spec, bg.grid, dt,
+                               corrections=2)
+
+    def remainder(phi):
+        u = stepper.bg + phi
+        return (stepper._i_tw
+                + 1j * (gp_spec.f(np.abs(u) ** 2) - stepper._pot) * u)
+
+    phi = ref = 1e-3 * random_smooth_pair(bg.grid, rng).as_complex().ravel()
+    for _ in range(20):
+        phi = stepper.step(phi)
+        two_phi = 2.0 * ref
+        new = stepper._lu.solve(two_phi + dt * remainder(ref)) - ref
+        for _ in range(2):
+            r = remainder(0.5 * (ref + new))
+            new = stepper._lu.solve(two_phi + dt * r) - ref
+        ref = new
+    assert np.array_equal(phi, ref)
+    assert np.array_equal(stepper.remainder(phi), remainder(phi))
 
 
 def test_the_tridiagonal_lu_serves_1d_scalar_generators_only(
