@@ -23,7 +23,7 @@ print("speed 1: best split a*^2 = %.12f (golden ratio conjugate)"
 print("coercivity constant delta* = %.12f" % out["delta_star"])
 
 grid = GridSpec(1, 40.0, 512)
-check = coercivity_constant(1.0, grid=grid, spec=spec, n_fields=100,
+check = coercivity_constant(1.0, grid=grid, spec=spec,
                             rng=np.random.default_rng(0))
 print("random-field violations of the form bound: %d / %d"
       % (check["violations"], check["n_fields"]))

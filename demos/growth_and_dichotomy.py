@@ -28,7 +28,7 @@ branch = [continue_branch(bubble, [-0.01])[0], bubble,
 basis = dichotomy_basis(bubble, 0.0, branch, spec=k.spec)
 print("unstable rate lambda_u = %.6f" % basis.rate)
 print("cross pairing <op w_u, w_s> = %.3e" % basis.cross)
-violations, values = center_positivity_sample(basis, n_draws=50)
+violations, values = center_positivity_sample(basis)
 print("center-block positivity: %d violations in 50 draws (min %.3g)"
       % (violations, min(values)))
 

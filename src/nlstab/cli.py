@@ -108,11 +108,6 @@ def build_grid(cfg):
         raise ConfigError("bad grid: %s" % exc)
 
 
-def _cq_constants(spec):
-    """Derived constants of the cubic-quintic law ``spec``."""
-    return cq_constants(**spec.params)
-
-
 def _check_dark_soliton(c, grid, spec):
     """Refuse, as a config error, what ``dark_soliton`` would refuse."""
     problem = profiles.dark_soliton_input_error(c, grid, spec)
@@ -134,7 +129,11 @@ def build_profile(cfg, spec, grid):
             raise ConfigError("profile.kind=%s needs "
                               "nonlinearity.kind=cubic-quintic" % kind)
         geometry = "line" if kind == "bubble-line" else "radial-2D"
-        wave = profiles.stationary_bubble(_cq_constants(spec), geometry, grid)
+        if grid.dim != (1 if geometry == "line" else 2):
+            raise ConfigError("profile.kind=%s does not fit grid.dim=%d"
+                              % (kind, grid.dim))
+        wave = profiles.stationary_bubble(cq_constants(**spec.params),
+                                          geometry, grid)
         if c != 0.0:
             wave = profiles.continue_branch(wave, [c])[-1]
         return wave
@@ -202,8 +201,8 @@ def cmd_branch(cfg, out, rng):
         branch = [profiles.dark_soliton(c, grid, spec) for c in speeds]
     else:
         geometry = "line" if grid.dim == 1 else "radial-2D"
-        bubble = profiles.stationary_bubble(_cq_constants(spec), geometry,
-                                            grid)
+        bubble = profiles.stationary_bubble(cq_constants(**spec.params),
+                                            geometry, grid)
         branch = profiles.continue_branch(bubble, speeds)
     samples = profiles.branch_momentum_sweep(branch, spec=spec)
     write_csv(os.path.join(out, "branch.csv"),
@@ -308,7 +307,7 @@ def cmd_shoot(cfg, out, rng):
     spec = build_spec(cfg)
     if spec.kind != "cubic-quintic":
         raise ConfigError("shooting needs a cubic-quintic law")
-    k = _cq_constants(spec)
+    k = cq_constants(**spec.params)
     dim = _get(cfg, "shoot.dim", 2, int)
     if dim < 1:
         raise ConfigError("shoot.dim must be 1 or more, not %d" % dim)

@@ -44,7 +44,8 @@ from scipy.sparse.linalg import splu
 
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .grid import PairField, as_uv, norm, pair_from_complex, uv_to_hydro
+from .functionals import momentum_kind_of
+from .grid import PairField, as_uv, norm, pair_from_complex
 from .operators import j_matrix, random_smooth_pair
 from .profiles import tw_residual_uv
 
@@ -268,7 +269,9 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     recorded once.  When a dichotomy basis and its base wave are given,
     the deviation u - U from the (u1, u2) form U of the base wave is
     split by the basis, and its unstable and stable coefficients are
-    recorded as ``proj_u`` and ``proj_s``.
+    recorded as ``proj_u`` and ``proj_s``.  The momentum is monitored in
+    the renormalization ``momentum_kind``; ``auto`` takes the one that
+    ``momentum_kind_of`` gives u0.
     """
     grid = u0.grid
     if background is None:
@@ -280,18 +283,13 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     traj = Trajectory()
     base_uv = (as_uv(base_wave.profile).ravel()
                if basis is not None and base_wave is not None else None)
+    kind = (momentum_kind_of(u0, spec) if momentum_kind == "auto"
+            else momentum_kind)
 
     def monitors(u_field):
         vals = {"E": field_energy(u_field, spec)}
-        kind = momentum_kind
-        if kind == "auto":
-            kind = ("renormalized1D"
-                    if grid.dim == 1 and abs(spec.r0 - 1.0) < 1e-12 else "hydro")
         try:
-            if kind == "hydro":
-                vals["P"] = field_momentum(uv_to_hydro(u_field), "hydro", spec)
-            else:
-                vals["P"] = field_momentum(u_field, kind, spec)
+            vals["P"] = field_momentum(u_field, kind, spec)
         except ValueError:
             vals["P"] = np.nan
         if base_uv is not None:

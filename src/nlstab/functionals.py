@@ -7,12 +7,13 @@ comes in three renormalizations:
 * ``classical`` --  -int (u1 - 1) d_x1 u2,  for fields tending to 1;
 * ``renormalized1D`` --  -int Im(conj(u) u') (1 - 1/|u|^2) dx,  finite on
   nonvanishing 1D profiles with phase mismatch at the two ends;
-* ``hydro`` --  -(1/2) int (rho - r0) d_x1 theta,  for density/phase pairs.
+* ``hydro`` --  -(1/2) int (rho - r0) d_x1 theta,  for density/phase pairs
+  (a (u1, u2) field is taken to its density/phase form first).
 """
 
 import numpy as np
 
-from .grid import hydro_to_uv
+from .grid import hydro_to_uv, uv_to_hydro
 
 
 def _quad(grid, values):
@@ -61,12 +62,20 @@ def momentum(field, kind="classical", spec=None):
                    - field.c2 * _dx(grid, field.c1))
         return -_quad(grid, im_part * (1.0 - 1.0 / mod2))
     if kind == "hydro":
-        if field.rep != "hydro":
-            raise ValueError("hydro momentum needs a hydro field")
+        if field.rep == "uv":
+            field = uv_to_hydro(field)
         r0 = 1.0 if spec is None else spec.r0
         dtheta = _dx(grid, field.c2)
         return -0.5 * _quad(grid, (field.c1.ravel() - r0) * dtheta)
     raise ValueError("unknown momentum kind %r" % kind)
+
+
+def momentum_kind_of(field, spec):
+    """The one rule for the momentum renormalization of a wave: a field in
+    (u1, u2) on a 1D grid with unit background takes ``renormalized1D``,
+    any other field ``hydro``."""
+    unit_1d = field.grid.dim == 1 and abs(spec.r0 - 1.0) < 1e-12
+    return "renormalized1D" if field.rep == "uv" and unit_1d else "hydro"
 
 
 def d1_distance(u, v):

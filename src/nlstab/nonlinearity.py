@@ -19,6 +19,8 @@ import numpy as np
 RATIO_LO = 3.0 / 16.0
 RATIO_HI = 1.0 / 4.0
 RATIO_PROVEN_HI = 21.0 / 100.0
+_RATIO_XTOL = 1e-12                    # bisection tolerance of c0
+_G4_BETAS = (0.25, 0.5, 1.0, 2.0, 4.0)   # the betas (G4) is checked at
 
 
 class NonlinearitySpec:
@@ -184,13 +186,13 @@ def ratio_margin(c):
             + 3.0 * c / 50.0 + (1.0 + z) ** 2 * (2.0 * z - 1.0) / 24.0)
 
 
-def critical_ratio(xtol=1e-12):
+def critical_ratio():
     """Root c0 of ratio_margin, bisected inside (3/16, 21/100)."""
     from scipy.optimize import bisect
     lo, hi = RATIO_LO, RATIO_PROVEN_HI
     if not (ratio_margin(lo) > 0.0 > ratio_margin(hi)):
         raise RuntimeError("sign bracket for the critical ratio failed")
-    return float(bisect(ratio_margin, lo, hi, xtol=xtol))
+    return float(bisect(ratio_margin, lo, hi, xtol=_RATIO_XTOL))
 
 
 def _sign_changes(xs, ys, func):
@@ -211,13 +213,12 @@ def _sign_changes(xs, ys, func):
     return zeros, tangential
 
 
-def check_G_conditions(constants, beta_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-                       samples=100_000):
+def check_G_conditions(constants, samples=100_000):
     """Report on the sign structure (G1)-(G4) of g and G.
 
     (G1): g(0) = 0 with g'(0) < 0.  (G2): interior zero u0 with g < 0 below
     and g > 0 above.  (G3): g' changes sign only at u1, plus the value and
-    sign of G(u1).  (G4): for each beta in the grid, the combination
+    sign of G(u1).  (G4): for each beta in ``_G4_BETAS``, the combination
     beta*(u*g'(u) - g(u)) - 2*g(u) changes sign exactly once on
     (u0, sqrt(rho0)).  Ratios above 21/100 are flagged as outside the
     regime where (G4) is guaranteed.
@@ -239,7 +240,7 @@ def check_G_conditions(constants, beta_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
 
     span = np.linspace(k.u0 + eps, k.amp - eps, samples)
     g4_counts, g4_tangential = {}, {}
-    for beta in beta_grid:
+    for beta in _G4_BETAS:
         phi = lambda u, b=beta: b * (u * k.gprime(u) - k.g(u)) - 2.0 * k.g(u)
         zeros, tang = _sign_changes(span, phi(span), phi)
         g4_counts[beta] = len(zeros)

@@ -14,14 +14,14 @@ Kinds
 ``Lc``           second variation of the energy-momentum functional at a
     wave U = u1 + i*u2, blocks
     [-Lap - F - 2F'u1^2,  -c d1 - 2F'u1u2 ;  c d1 - 2F'u1u2,  -Lap - F - 2F'u2^2].
-``LcInfty``      its constant-coefficient far-field form.
+    A transverse wave number k adds k^2 I; at the constant background
+    (sqrt(r0), 0), Lc is the far-field form of the coercivity estimate.
 ``Mc``           second variation in density/phase variables (rho, theta),
     blocks M11 = -div(grad/(2rho)) - |grad rho|^2/(2rho^3)
     + Lap(rho)/(2rho^2) - F'(rho), M22 = -2 div(rho grad),
     M21 = c d1 - 2 div(grad(theta) .), M12 = M21^T.
 ``A``            scalar linearization -Lap - F(phi^2) - 2F'(phi^2) phi^2 of the
     steady equation at a bubble amplitude phi.
-``LcPlusK2``     Lc shifted by k^2 (transverse wave number k).
 """
 
 import numpy as np
@@ -29,8 +29,9 @@ import scipy.sparse as sp
 
 from .grid import PairField, as_uv, inner
 
-SYMMETRIC_KINDS = ("Lc", "LcInfty", "Mc", "A", "LcPlusK2")
+SYMMETRIC_KINDS = ("Lc", "Mc", "A")
 _KERNEL_FACTOR = 5.0   # kernel threshold over the translation residual
+_N_FIELDS = 100        # random fields of the coercivity check
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,8 @@ def ghost_jacobian(op):
     if op.spec is None:
         raise ValueError("ghost_jacobian needs an operator assembled with "
                          "its nonlinear law")
-    return assemble(op.kind, base=op.base, c=op.c, grid=op.grid, spec=op.spec,
-                    k=op.k, closure="edge").matrix
+    return assemble(op.kind, base=op.base, c=op.c, spec=op.spec, k=op.k,
+                    closure="edge").matrix
 
 
 def ghost_symmetrized(op):
@@ -61,7 +62,7 @@ def ghost_symmetrized(op):
     g = ghost_jacobian(op)
     sym = (g + g.T) * 0.5
     return AssembledOperator(op.kind, sym.tocsr(), op.grid, c=op.c, k=op.k,
-                             base=op.base, rep=op.rep, spec=op.spec)
+                             base=op.base, spec=op.spec)
 
 
 def div_vector_matrix(grid, bvec, closure="zero"):
@@ -90,16 +91,19 @@ class AssembledOperator:
     """Sparse matrix of one operator kind together with its provenance."""
 
     def __init__(self, kind, matrix, grid, c=0.0, k=None, base=None,
-                 rep=None, spec=None):
+                 spec=None):
         self.kind = kind
         self.matrix = matrix.tocsr()
         self.grid = grid
         self.c = c
         self.k = k
         self.base = base
-        self.rep = rep
         self.spec = spec
         self._kernel_residual = None
+
+    @property
+    def rep(self):
+        return {"Lc": "uv", "Mc": "hydro", "A": "scalar"}[self.kind]
 
     @property
     def shape(self):
@@ -165,7 +169,7 @@ class AssembledOperator:
         modes = self.translation_modes()
         if not modes:
             return None
-        shift = (self.k or 0.0) ** 2 if self.kind == "LcPlusK2" else 0.0
+        shift = (self.k or 0.0) ** 2
         return max(float(np.linalg.norm(self.matrix @ vec - shift * vec)
                          / np.linalg.norm(vec)) for vec in modes)
 
@@ -198,9 +202,8 @@ def _block(a11, a12, a21, a22):
     return sp.bmat([[a11, a12], [a21, a22]], format="csr")
 
 
-def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
-             closure="zero"):
-    """Assemble one operator kind at a base wave (or far field).
+def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
+    """Assemble one operator kind at a base wave (``Lc`` alone takes k).
 
     ``closure`` selects the stencil closure at truncated edges (see
     nlstab.grid): ``zero`` for the operators themselves, ``edge`` for the
@@ -208,15 +211,12 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
     """
     if kind not in SYMMETRIC_KINDS:
         raise ValueError("unknown operator kind %r" % kind)
-    if base is not None:
-        field = _base_fields(base)
-        grid = field.grid
-    elif kind != "LcInfty":
-        raise ValueError("operator kind %r needs a base wave" % kind)
-    elif grid is None:
-        raise ValueError("far-field kinds still need a grid")
+    if k is not None and kind != "Lc":
+        raise ValueError("operator kind %r takes no wave number k" % kind)
+    field = _base_fields(base)
+    grid = field.grid
 
-    if kind in ("Lc", "LcPlusK2"):
+    if kind == "Lc":
         field = as_uv(field)
         if field.rep != "uv":
             raise ValueError("Lc needs a uv (or hydro) base")
@@ -232,22 +232,10 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
                      -c * d1 + sp.diags(cross.ravel()),
                      c * d1 + sp.diags(cross.ravel()),
                      lap + sp.diags(pot22.ravel()))
-        if kind == "LcPlusK2":
-            if k is None:
-                raise ValueError("LcPlusK2 needs the transverse wave number k")
+        if k is not None:
             mat = mat + float(k) ** 2 * sp.identity(2 * grid.size, format="csr")
         return AssembledOperator(kind, mat, grid, c=c, k=k, base=base,
-                                 rep="uv", spec=spec)
-
-    if kind == "LcInfty":
-        if spec is None:
-            raise ValueError("LcInfty needs the nonlinear law")
-        lap = grid.neg_laplacian(closure)
-        d1 = grid.central(0, closure)
-        gap = -2.0 * spec.fprime(spec.r0) * spec.r0
-        eye = sp.identity(grid.size, format="csr")
-        mat = _block(lap + gap * eye, -c * d1, c * d1, lap)
-        return AssembledOperator(kind, mat, grid, c=c, rep="uv", spec=spec)
+                                 spec=spec)
 
     if kind == "Mc":
         if field.rep != "hydro":
@@ -272,8 +260,7 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         m12 = -c * d1 + 2.0 * vector_grad_matrix(grid, grads_theta,
                                               closure)
         mat = _block(m11, m12, m21, m22)
-        return AssembledOperator(kind, mat, grid, c=c, base=base, rep="hydro",
-                                 spec=spec)
+        return AssembledOperator(kind, mat, grid, c=c, base=base, spec=spec)
 
     if kind == "A":
         if field.rep == "hydro":
@@ -283,8 +270,7 @@ def assemble(kind, base=None, c=0.0, grid=None, spec=None, k=None,
         mod2 = phi ** 2
         pot = -spec.f(mod2) - 2.0 * spec.fprime(mod2) * mod2
         mat = grid.neg_laplacian(closure) + sp.diags(pot.ravel())
-        return AssembledOperator("A", mat, grid, base=base, rep="scalar",
-                                 spec=spec)
+        return AssembledOperator("A", mat, grid, base=base, spec=spec)
 
     raise AssertionError("unreachable")
 
@@ -363,13 +349,14 @@ def random_smooth_pair(grid, rng, cutoff=0.25):
     return PairField(grid, comps[0], comps[1], "uv")
 
 
-def coercivity_constant(c, grid=None, spec=None, n_fields=100, rng=None):
+def coercivity_constant(c, grid=None, spec=None, rng=None):
     """Best uniform lower bound of the far-field quadratic form.
 
     Maximizes min(2 - c^2/a^2, 1 - a^2) over the split parameter a and,
-    given a grid, verifies the resulting bound on the ``LcInfty`` form
-    against random smooth fields.  Returns a dict with the optimizer, the
-    constant, and the violation count (expected 0).
+    given a grid and the law, verifies the resulting bound on the form of
+    Lc at the background (sqrt(r0), 0) against _N_FIELDS random smooth
+    fields.  Returns a dict with the optimizer, the constant, and the
+    violation count (expected 0).
     """
     a_opt = _crossing(c)
     delta = 1.0 - a_opt ** 2
@@ -377,14 +364,18 @@ def coercivity_constant(c, grid=None, spec=None, n_fields=100, rng=None):
            "delta_star": float(delta), "violations": None, "n_fields": 0}
     if grid is None:
         return out
-    op = assemble("LcInfty", grid=grid, c=c, spec=spec)
+    if spec is None:
+        raise ValueError("the coercivity check needs the nonlinear law")
+    background = PairField(grid, np.full(grid.shape, np.sqrt(spec.r0)),
+                           np.zeros(grid.shape), "uv")
+    op = assemble("Lc", background, c=c, spec=spec)
     rng = rng or np.random.default_rng(0)
     violations = 0
-    for _ in range(n_fields):
+    for _ in range(_N_FIELDS):
         f = random_smooth_pair(grid, rng)
         q = quadratic_form(op, f)
         if q < delta * inner(f, f, "H1xHdot1") * (1.0 - 1e-10):
             violations += 1
     out["violations"] = violations
-    out["n_fields"] = n_fields
+    out["n_fields"] = _N_FIELDS
     return out

@@ -28,6 +28,7 @@ from scipy.sparse.linalg import splu
 
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
+from .functionals import momentum_kind_of
 from .grid import PairField, as_uv, norm, translation_mode, uv_to_hydro
 from .nonlinearity import NonlinearitySpec
 from .operators import assemble
@@ -101,7 +102,7 @@ def residual_norm(wave):
     return norm(tw_residual_uv(as_uv(wave.profile), wave.c, wave.spec))
 
 
-def _bordered_solve(matrix, rhs, constraints, targets=None):
+def _bordered_solve(matrix, rhs, constraints, targets):
     """Solve [[A, C^T], [C, 0]] [x; mu] = [rhs; targets] and return x.
 
     The constraints are the directions along which the Newton Jacobian A
@@ -122,7 +123,6 @@ def _bordered_solve(matrix, rhs, constraints, targets=None):
     """
     cons = np.stack(constraints)
     p = len(constraints)
-    targets = np.zeros(p) if targets is None else np.asarray(targets, float)
     nodes = []
     for row in np.abs(cons):
         row[nodes] = 0.0
@@ -462,17 +462,15 @@ def continue_branch(start, c_targets):
     return out
 
 
-def speed_derivative(branch, index=None):
+def speed_derivative(branch, index):
     """Central-difference derivative of the (u1, u2) profile along the
-    branch, for waves stored in either representation.
+    branch at ``branch[index]``, for waves stored in either representation.
 
     No registration is needed: Newton pins each wave's translation to
     the wave it was continued from (see _newton).
     """
     if len(branch) < 2:
         raise ValueError("need at least two branch points")
-    if index is None:
-        index = len(branch) // 2
     lo = branch[max(index - 1, 0)]
     hi = branch[min(index + 1, len(branch) - 1)]
     dc = hi.c - lo.c
@@ -482,13 +480,13 @@ def speed_derivative(branch, index=None):
     return PairField(a.grid, (b.c1 - a.c1) / dc, (b.c2 - a.c2) / dc, "uv")
 
 
-def branch_momentum_sweep(branch, kind=None, spec=None):
-    """Momentum/energy samples along a branch with central-difference dP/dc."""
+def branch_momentum_sweep(branch, spec=None):
+    """Momentum/energy samples along a branch with central-difference dP/dc,
+    in the renormalization that ``momentum_kind_of`` gives the first wave."""
     if len(branch) < 3:
         raise ValueError("a sweep needs at least three branch points")
     spec = spec or branch[0].spec
-    if kind is None:
-        kind = "hydro" if branch[0].profile.rep == "hydro" else "renormalized1D"
+    kind = momentum_kind_of(branch[0].profile, spec)
     samples = []
     for wave in branch:
         p = field_momentum(wave.profile, kind, spec)

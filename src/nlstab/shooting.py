@@ -31,6 +31,8 @@ from scipy.optimize import brentq
 UNDERSHOOT = "undershoot"
 CROSSING = "crossing"
 GROUND = "ground"
+_R_MAX = 60.0   # outer radius of a bisection run
+_TOL = 1e-12    # relative tolerance of every radial integration
 
 
 class ShootResult:
@@ -42,7 +44,7 @@ class ShootResult:
     """
 
     def __init__(self, alpha0, r, u, uprime, core_phi, ndim, constants,
-                 bracket_history, tail_start, kappa, tol):
+                 bracket_history, tail_start, kappa):
         self.alpha0 = alpha0
         self.r = r
         self.u = u
@@ -53,7 +55,6 @@ class ShootResult:
         self.bracket_history = bracket_history
         self.tail_start = tail_start
         self.kappa = kappa
-        self.tol = tol
         self.zero_count = None
         self.zeros = None
         self.phi_limit = None
@@ -74,7 +75,7 @@ class ShootResult:
 
         sol = solve_ivp(tail_rhs, (r_in, self.r[-1]),
                         [phi_in[-1], phip_in[-1]], method="DOP853",
-                        rtol=self.tol * 10, atol=self.tol, t_eval=self.r[n:],
+                        rtol=_TOL * 10, atol=_TOL, t_eval=self.r[n:],
                         max_step=1.0)
         return np.concatenate([phi_in, sol.y[0]])
 
@@ -123,7 +124,7 @@ def _rhs(constants, ndim, variational):
     return rhs
 
 
-def _shoot(alpha, constants, ndim, r_max, tol, events, variational):
+def _shoot(alpha, constants, ndim, r_max, events, variational):
     """Integrate (u, u') from the series start, with (phi, phi') when
     ``variational``; returns (classification, solution)."""
     if not (0.0 < alpha < constants.amp):
@@ -145,7 +146,7 @@ def _shoot(alpha, constants, ndim, r_max, tol, events, variational):
     # resolved for the sampling; the events of a label need no cap
     sol = solve_ivp(_rhs(constants, ndim, variational), (r_start, r_max),
                     y0 if variational else y0[:2],
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    method="DOP853", rtol=_TOL, atol=_TOL * 1e-2,
                     events=evs, dense_output=variational,
                     max_step=0.25 if variational else np.inf)
     if not sol.success:
@@ -157,26 +158,26 @@ def _shoot(alpha, constants, ndim, r_max, tol, events, variational):
     return GROUND, sol
 
 
-def integrate(alpha, constants, ndim, r_max=60.0, tol=1e-12, events=True):
+def integrate(alpha, constants, ndim, r_max=_R_MAX, events=True):
     """Integrate (u, u', phi, phi') out to r_max (or a terminal event).
 
     Returns (classification, solution) where classification is one of
     ``crossing``, ``undershoot`` or ``ground`` (no event fired).  With
     ``events=False`` the trajectory runs to r_max unconditionally.
     """
-    return _shoot(alpha, constants, ndim, r_max, tol, events, True)
+    return _shoot(alpha, constants, ndim, r_max, events, True)
 
 
-def integrate_samples(alpha, constants, ndim, r_max=60.0, tol=1e-12,
-                      n_samples=2001, events=True):
+def integrate_samples(alpha, constants, ndim, r_max=_R_MAX, n_samples=2001,
+                      events=True):
     """Convenience sampling of one trajectory: (label, r, u, u', phi, phi')."""
-    label, sol = integrate(alpha, constants, ndim, r_max, tol, events=events)
+    label, sol = integrate(alpha, constants, ndim, r_max, events=events)
     rs = np.linspace(sol.t[0], sol.t[-1], n_samples)
     ys = sol.sol(rs)
     return label, rs, ys[0], ys[1], ys[2], ys[3]
 
 
-def classify(alpha, constants, ndim, r_max=60.0, tol=1e-12):
+def classify(alpha, constants, ndim):
     """Label of the trajectory from alpha.
 
     The events read u and u' only, so phi is not integrated, and the
@@ -185,15 +186,14 @@ def classify(alpha, constants, ndim, r_max=60.0, tol=1e-12):
     N = 1, 2, 3 are those of the capped run (a ``ground`` run read as an
     undershoot, as here).
     """
-    label, _ = _shoot(alpha, constants, ndim, r_max, tol, True, False)
+    label, _ = _shoot(alpha, constants, ndim, _R_MAX, True, False)
     if label == GROUND:
-        # ran to r_max without crossing or turning: treat by tail sign
+        # ran to _R_MAX without crossing or turning: treat by tail sign
         return UNDERSHOOT
     return label
 
 
-def find_alpha0(constants, ndim, bracket=None, r_max=60.0, tol=1e-12,
-                xtol=1e-12):
+def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     """Bisect the shooting amplitude between undershoot and crossing.
 
     The default bracket is (u1, sqrt(rho0)); the ground-state amplitude
@@ -207,12 +207,12 @@ def find_alpha0(constants, ndim, bracket=None, r_max=60.0, tol=1e-12,
     k = constants
     if bracket is None:
         # the upper endpoint keeps a distance from the rest amplitude:
-        # trajectories started within ~exp(-sqrt(-g'(0)) r_max) of it hug
-        # the equilibrium past r_max and cannot be classified
+        # trajectories started within ~exp(-sqrt(-g'(0)) _R_MAX) of it hug
+        # the equilibrium past _R_MAX and cannot be classified
         bracket = (k.u1 + 1e-9, k.amp * (1.0 - 1e-7))
     lo, hi = bracket
-    lab_lo = classify(lo, k, ndim, r_max, tol)
-    lab_hi = classify(hi, k, ndim, r_max, tol)
+    lab_lo = classify(lo, k, ndim)
+    lab_hi = classify(hi, k, ndim)
     if lab_lo == lab_hi:
         raise ValueError("bracket endpoints classify identically (%s)" % lab_lo)
     history = [(lo, lab_lo), (hi, lab_hi)]
@@ -220,21 +220,21 @@ def find_alpha0(constants, ndim, bracket=None, r_max=60.0, tol=1e-12,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break   # xtol is below the float spacing at alpha0
-        lab = classify(mid, k, ndim, r_max, tol)
+        lab = classify(mid, k, ndim)
         history.append((mid, lab))
         if lab == lab_lo:
             lo = mid
         else:
             hi = mid
     alpha0 = 0.5 * (lo + hi)
-    return _sample_ground(alpha0, k, ndim, r_max, tol, history)
+    return _sample_ground(alpha0, k, ndim, history)
 
 
-def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
+def _sample_ground(alpha0, constants, ndim, history):
     """Integrate at alpha0, then graft the linear tail beyond u ~ tail size."""
     k = constants
     kappa = np.sqrt(-k.gprime(0.0))
-    label, sol = integrate(alpha0, k, ndim, r_max, tol)
+    label, sol = integrate(alpha0, k, ndim)
     # last radius at which the trajectory is still trustworthy
     if label == GROUND:
         r_graft = sol.t[-1]
@@ -242,7 +242,7 @@ def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
         r_graft = (sol.t_events[0][0] if label == CROSSING
                    else sol.t_events[1][0])
     # back off to where u is safely above the bisection noise floor
-    u_floor = max(1e-8 * k.amp, 1e3 * (tol + 1e-15))
+    u_floor = max(1e-8 * k.amp, 1e3 * (_TOL + 1e-15))
     rs = np.linspace(sol.t[0], min(r_graft, sol.t[-1]), 4001)
     ys = sol.sol(rs)
     above = ys[0] > u_floor
@@ -250,7 +250,7 @@ def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
     cut = idx[-1] if idx.size else len(rs) - 1
     r_in, y_in = rs[: cut + 1], ys[:, : cut + 1]
 
-    r_tail = np.linspace(r_in[-1], r_max, 2001)[1:]
+    r_tail = np.linspace(r_in[-1], _R_MAX, 2001)[1:]
     u_end = y_in[0, -1]
     # modified-Bessel-type decay e^{-kappa r} r^{-(N-1)/2}
     decay = np.exp(-kappa * (r_tail - r_in[-1]))
@@ -260,7 +260,7 @@ def _sample_ground(alpha0, constants, ndim, r_max, tol, history):
     return ShootResult(alpha0, np.concatenate([r_in, r_tail]),
                        np.concatenate([y_in[0], u_tail]),
                        np.concatenate([y_in[1], up_tail]), (y_in[2], y_in[3]),
-                       ndim, k, history, r_in[-1], float(kappa), tol)
+                       ndim, k, history, r_in[-1], float(kappa))
 
 
 def _sample_root(spline, r, values, i):
@@ -316,7 +316,7 @@ def phi_diagnostics(result, constants):
         theta_increasing = bool(np.all(dtheta > -1e-10 * max(1.0, np.abs(theta).max())))
 
     nondegenerate = (result.zero_count == 1
-                     and abs(result.phi_limit) >= 100.0 * result.tol)
+                     and abs(result.phi_limit) >= 100.0 * _TOL)
     return {
         "zero_count": result.zero_count,
         "z1": z1,

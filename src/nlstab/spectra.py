@@ -251,7 +251,7 @@ def _kernel_span(op):
     """Orthonormal span of the directions that op annihilates by symmetry:
     the base wave's translation modes and its gauge direction.  None for
     Lc + k^2 at k != 0, whose shift moves them off the kernel."""
-    if op.kind == "LcPlusK2" and op.k:
+    if op.k:
         return None
     gauge = op.gauge_mode()
     return _orthonormal(op.translation_modes()
@@ -384,7 +384,7 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
     samples = []
     shift = 0.0
     for k in list(inside) + list(outside):
-        sub = assemble("LcPlusK2", base=ham_base, c=c, spec=spec, k=float(k))
+        sub = assemble("Lc", base=ham_base, c=c, spec=spec, k=float(k))
         sub_rep = sym_spectrum(sub)
         rate, max_real, defect, _modes = growth_near(sub, shift)
         n_neg = sub_rep.n_negative
@@ -416,6 +416,10 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
 
 # ---------------------------------------------------------------------------
 # dichotomy basis
+
+_RATE_FLOOR = 1e-8   # least cross pairing <op w_u, w_s> over the mode norms
+_CENTER_DRAWS = 50   # random draws of the center positivity sample
+
 
 class DichotomyBasis:
     """Ingredients of the invariant splitting around an unstable wave.
@@ -477,7 +481,7 @@ class DichotomyBasis:
                 / max(np.linalg.norm(v), 1e-300))
 
 
-def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
+def dichotomy_basis(base, c, branch, spec=None):
     """Build the +/- eigenmodes and generalized-kernel projectors at a wave.
 
     The operator is the ghost-symmetrized Lc, and every mode is in
@@ -485,7 +489,7 @@ def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
     w_u, w_s come from ``unstable_mode``; the translation direction from
     the base wave and the speed-derivative direction from central
     differencing the branch profiles.  Raises if the cross pairing
-    <op w_u, w_s> falls below `rate_floor` times the mode norms (a
+    <op w_u, w_s> falls below `_RATE_FLOOR` times the mode norms (a
     degenerate pairing would contradict the splitting and flags a
     discretization failure).
     """
@@ -499,19 +503,18 @@ def dichotomy_basis(base, c, branch, spec=None, rate_floor=1e-8):
     idx = min(range(len(branch)), key=lambda i: abs(branch[i].c - c))
     c_mode = speed_derivative(branch, idx)
     basis = DichotomyBasis(op, rate, w_u, w_s, t_mode, c_mode)
-    mode_scale = 1.0 * basis._vol
-    if abs(basis.cross) < rate_floor * mode_scale:
+    if abs(basis.cross) < _RATE_FLOOR * basis._vol:
         raise ValueError("degenerate pairing <op w_u, w_s> ~ %.3g" % basis.cross)
     return basis
 
 
-def center_positivity_sample(basis, n_draws=50):
+def center_positivity_sample(basis):
     """Quadratic-form positivity of the center block on random draws."""
     rng = np.random.default_rng(7)
     grid = basis.op.grid
     violations = 0
     values = []
-    for _ in range(n_draws):
+    for _ in range(_CENTER_DRAWS):
         f = random_smooth_pair(grid, rng, cutoff=0.2)
         *_co, center = basis.split(f)
         q = quadratic_form(basis.op, center)

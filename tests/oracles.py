@@ -33,7 +33,7 @@ class HamiltonianSpectrum:
 def ham_spectrum(base=None, c=0.0, kind="JLc", spec=None, k=None, op=None):
     """Dense eigensolve of J * (symmetric factor), as a HamiltonianSpectrum."""
     if op is None:
-        factor = {"JLc": "Lc", "JMc": "Mc", "JLcK": "LcPlusK2"}[kind]
+        factor = {"JLc": "Lc", "JMc": "Mc", "JLcK": "Lc"}[kind]
         op = assemble(factor, base=base, c=c, spec=spec or base.spec, k=k)
     mat = (j_matrix(op.grid) @ op.matrix).toarray()
     w, v = scipy.linalg.eig(mat)

@@ -260,7 +260,7 @@ def test_criterion_08_coercivity(gp):
     ok = (abs(out["a_opt_sq"] - golden) <= 1e-10
           and abs(out["delta_star"] - (1.0 - golden)) <= 1e-10)
     grid = GridSpec(1, 40.0, 512)
-    check = coercivity_constant(1.0, grid=grid, spec=gp, n_fields=100,
+    check = coercivity_constant(1.0, grid=grid, spec=gp,
                                 rng=np.random.default_rng(8))
     ok &= check["violations"] == 0
     assert _report(8, ok, "a*^2=%.12f delta*=%.12f violations=%d/100"
@@ -348,7 +348,7 @@ def test_criterion_12_shooting_suite(ground_state, cq):
     bisected = res.bracket_history[-1][0] - res.bracket_history[-2][0]
     ok = (diag["zero_count"] == 1
           and diag["theta_increasing"] is True
-          and abs(diag["phi_limit"]) >= 100.0 * res.tol
+          and abs(diag["phi_limit"]) >= 100.0 * shooting._TOL
           and diag["verdict"] == "non-degenerate"
           and ratio_margin(3.0 / 16.0) > 0.0
           and ratio_margin(21.0 / 100.0) < 0.0
@@ -386,7 +386,7 @@ def test_criterion_12_shooting_z1_before_r0(ground_state, cq):
         ok &= abs(z1 - r0) >= 10.0 * spacing
         # contrapositive: z1 >= r0 forces a phi that does not decay
         if not diag["z1_before_r0"]:
-            ok &= bool(abs(phi[-1]) >= 100.0 * res.tol
+            ok &= bool(abs(phi[-1]) >= 100.0 * shooting._TOL
                        and diag["verdict"] == "non-degenerate")
     assert _report(12, ok, "z1=%.2f r0=%.2f phi(r_max)=%.1e "
                    "(clause: z1 >= r0 implies phi does not decay)"

@@ -73,6 +73,22 @@ def test_the_benchmark_calls_bind_to_their_signatures():
         signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
+def test_every_kind_the_benchmark_assembles_exists():
+    # a kind is a string, not a name or a keyword: without this check a
+    # kind the benchmark assembles could be deleted with Tier-1 passing
+    from nlstab.operators import SYMMETRIC_KINDS
+    kinds = set()
+    for call in ast.walk(_tree()):
+        if isinstance(call, ast.Call) and (_dotted(call.func)
+                                           == "operators.assemble"):
+            kind = (call.args[0] if call.args else
+                    next(kw.value for kw in call.keywords if kw.arg == "kind"))
+            if isinstance(kind, ast.Constant):
+                kinds.add(kind.value)
+    assert kinds, "the benchmark assembles no literal kind"
+    assert kinds <= set(SYMMETRIC_KINDS), kinds - set(SYMMETRIC_KINDS)
+
+
 def _growth_keys():
     """The keys ``UnstableManifold1D.result`` copies from the growth
     report: the constants of the loop that reads ``growth[key]``."""

@@ -366,6 +366,22 @@ def test_bad_command_input_is_config_error(tmp_path, capsys, lines):
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("command", ["profile", "spectrum", "evolve"])
+@pytest.mark.parametrize("lines", [
+    ["profile.kind=bubble-radial", "grid.dim=1", "grid.N=512"],
+    ["profile.kind=bubble-line", "grid.dim=2", "grid.N=64"],
+], ids=["radial-on-1D", "line-on-2D"])
+def test_bubble_geometry_against_the_grid_is_config_error(tmp_path, capsys,
+                                                          command, lines):
+    steps = ["evolve.T=0.01", "evolve.dt=1e-3"] if command == "evolve" else []
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=" + command] + CQ_LINES + lines + steps))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.dim" in err
+    assert not os.listdir(out)
+
+
 @pytest.mark.parametrize("speed", ["1e-300", "1.41421356237309"])
 def test_report_at_the_ends_of_the_speed_range(tmp_path, capsys, speed):
     # inside (0, sqrt(2)) but where c^2 underflows, or a hair below sqrt(2):

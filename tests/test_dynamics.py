@@ -62,7 +62,7 @@ def test_kernel_mode_is_stationary(polished_soliton, gp_spec):
 def test_unstable_mode_grows_at_its_rate(gp_spec):
     # transverse-shifted operator has a fast real pair: a crisp rate probe
     wave = dark_soliton(0.0, GridSpec(1, 40.0, 512))
-    op = assemble("LcPlusK2", base=wave, c=0.0, spec=gp_spec, k=0.35)
+    op = assemble("Lc", base=wave, c=0.0, spec=gp_spec, k=0.35)
     rate, _, _, (w_u, _) = unstable_mode(op)
     mode = PairField.from_vector(wave.grid, w_u, "uv")
     horizon = 3.0 / rate

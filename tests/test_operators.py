@@ -12,9 +12,15 @@ from nlstab.profiles import dark_soliton, translation_mode
 GOLDEN_SPLIT = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _background(grid, spec):
+    """The constant background (sqrt(r0), 0): there Lc is the far field."""
+    return PairField(grid, np.full(grid.shape, np.sqrt(spec.r0)),
+                     np.zeros(grid.shape), "uv")
+
+
 def test_far_field_blocks(gp_spec):
     g = GridSpec(1, 40.0, 256)
-    op = assemble("LcInfty", grid=g, c=0.0, spec=gp_spec)
+    op = assemble("Lc", base=_background(g, gp_spec), c=0.0, spec=gp_spec)
     n = g.size
     lap = g.neg_laplacian("zero")
     assert abs(op.matrix[:n, :n] - (lap + 2.0 * sp.identity(n))).max() < 1e-12
@@ -45,13 +51,26 @@ def test_symmetry_of_symmetric_kinds(bubble_1d_small, soliton_c05, cq02,
                                      gp_spec):
     ops = [
         assemble("Lc", base=soliton_c05, c=0.5, spec=gp_spec),
-        assemble("LcInfty", grid=soliton_c05.grid, c=0.7, spec=gp_spec),
+        assemble("Lc", base=_background(soliton_c05.grid, gp_spec), c=0.7,
+                 spec=gp_spec),
         assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec),
         assemble("A", base=bubble_1d_small, spec=cq02.spec),
-        assemble("LcPlusK2", base=soliton_c05, c=0.5, spec=gp_spec, k=0.4),
+        assemble("Lc", base=soliton_c05, c=0.5, spec=gp_spec, k=0.4),
     ]
     for op in ops:
         assert op.symmetry_defect() <= 1e-10
+
+
+def test_only_lc_takes_a_wave_number(bubble_1d_small, soliton_c05, cq02,
+                                     gp_spec):
+    for kind in ("Mc", "A"):
+        with pytest.raises(ValueError, match="takes no wave number k"):
+            assemble(kind, base=bubble_1d_small, spec=cq02.spec, k=0.4)
+    plain = assemble("Lc", base=soliton_c05, c=0.5, spec=gp_spec)
+    shifted = assemble("Lc", base=soliton_c05, c=0.5, spec=gp_spec, k=0.4)
+    expected = plain.matrix + 0.4 ** 2 * sp.identity(plain.shape[0],
+                                                     format="csr")
+    assert (shifted.matrix != expected).nnz == 0
 
 
 def test_hydro_off_blocks_are_adjoint(cq02, bubble_1d_small):
@@ -155,9 +174,11 @@ def test_coercivity_exact_constant():
 
 def test_coercivity_random_fields(gp_spec):
     g = GridSpec(1, 40.0, 512)
-    out = coercivity_constant(1.0, grid=g, spec=gp_spec, n_fields=100,
+    out = coercivity_constant(1.0, grid=g, spec=gp_spec,
                               rng=np.random.default_rng(9))
     assert out["violations"] == 0
+    with pytest.raises(ValueError, match="nonlinear law"):
+        coercivity_constant(1.0, grid=g)
 
 
 def test_j_matrices_exact(rng):

@@ -137,7 +137,7 @@ def test_phi_diagnostics(ground, cq02):
     diag = shooting.phi_diagnostics(ground, cq02)
     assert diag["zero_count"] == 1
     assert diag["theta_increasing"] is True
-    assert abs(diag["phi_limit"]) >= 100.0 * ground.tol
+    assert abs(diag["phi_limit"]) >= 100.0 * shooting._TOL
     assert diag["verdict"] == "non-degenerate"
     assert diag["regime"] == "proven"
     # the first sign change of phi sits beyond the g-threshold radius for
