@@ -44,7 +44,7 @@ from scipy.sparse.linalg import splu
 
 from .functionals import energy as field_energy
 from .functionals import momentum as field_momentum
-from .functionals import momentum_kind_of
+from .functionals import MOMENTUM_KINDS, momentum_kind_of
 from .grid import PairField, as_uv, norm, pair_from_complex
 from .operators import j_matrix, random_smooth_pair
 from .profiles import tw_residual_uv
@@ -75,6 +75,8 @@ class Trajectory:
 _N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
 _MIN_DT = 1e-5       # floor of the nonlinear dt halving
 _MIN_CHUNK = 3       # fewest columns worth a thread of their own
+_DRAW_EVERY = 0.25   # time between records of the growth test's draws
+_BACK_EVERY = 0.1    # time between records of its backward run
 
 
 def _snapshot_steps(n_steps):
@@ -285,6 +287,10 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
                if basis is not None and base_wave is not None else None)
     kind = (momentum_kind_of(u0, spec) if momentum_kind == "auto"
             else momentum_kind)
+    if kind not in MOMENTUM_KINDS:
+        # the monitor reads a momentum it cannot define as NaN; a kind it
+        # does not know is the caller's error
+        raise ValueError("unknown momentum kind %r" % kind)
 
     def monitors(u_field):
         vals = {"E": field_energy(u_field, spec)}
@@ -383,6 +389,11 @@ def fit_log_slope(times, values, window=(0.0, 1.0)):
     return float(np.polyfit(times[mask], np.log(values[mask]), 1)[0])
 
 
+def _steps_per(interval, dt):
+    """Steps of size |dt| between records ``interval`` time units apart."""
+    return max(1, round(interval / abs(dt)))
+
+
 def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
     """Empirical growth bounds for the invariant splitting.
 
@@ -390,13 +401,16 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
     mode (to compare with -rate); ``cs_slope_max``, the largest
     exponential rate of the center-stable draws after removing the allowed
     (1 + t) polynomial factor; and ``center_bound_max``, the largest
-    uniform bound C of the center draws.
+    uniform bound C of the center draws.  The draws are recorded every
+    _DRAW_EVERY time units and the backward run every _BACK_EVERY, so a
+    coarse dt keeps enough records for the slope fits.
     """
     rng = rng or np.random.default_rng(11)
     op = basis.op
 
     t_back = min(T, 4.0 / basis.rate)
-    back, = _linear_flow(op, [basis.w_u], t_back, -dt, 20, snapshots=False)
+    back, = _linear_flow(op, [basis.w_u], t_back, -dt,
+                         _steps_per(_BACK_EVERY, dt), snapshots=False)
     times, norms = back.series("norm")
     report = {"backward_slope": fit_log_slope(np.abs(times), norms)}
 
@@ -408,7 +422,8 @@ def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
             op.grid, f.ravel() - cu * basis.w_u.ravel(), f.rep))
         if i < max(4, n_draws // 4):
             centers.append(center)
-    trajs = _linear_flow(op, cs_fields + centers, T, dt, 50, snapshots=False)
+    trajs = _linear_flow(op, cs_fields + centers, T, dt,
+                         _steps_per(_DRAW_EVERY, dt), snapshots=False)
 
     cs_slopes = []
     for traj in trajs[:n_draws]:

@@ -15,6 +15,8 @@ import numpy as np
 
 from .grid import hydro_to_uv, uv_to_hydro
 
+MOMENTUM_KINDS = ("classical", "renormalized1D", "hydro")
+
 
 def _quad(grid, values):
     return float(np.sum(values) * grid.cell_volume)
@@ -45,7 +47,10 @@ def energy(field, spec):
 
 
 def momentum(field, kind="classical", spec=None):
-    """Momentum of a pair field in the requested renormalization."""
+    """Momentum of a pair field in the requested renormalization, one of
+    MOMENTUM_KINDS."""
+    if kind not in MOMENTUM_KINDS:
+        raise ValueError("unknown momentum kind %r" % kind)
     grid = field.grid
     if kind == "classical":
         if field.rep != "uv":
@@ -61,13 +66,12 @@ def momentum(field, kind="classical", spec=None):
         im_part = (field.c1 * _dx(grid, field.c2)
                    - field.c2 * _dx(grid, field.c1))
         return -_quad(grid, im_part * (1.0 - 1.0 / mod2))
-    if kind == "hydro":
-        if field.rep == "uv":
-            field = uv_to_hydro(field)
-        r0 = 1.0 if spec is None else spec.r0
-        dtheta = _dx(grid, field.c2)
-        return -0.5 * _quad(grid, (field.c1.ravel() - r0) * dtheta)
-    raise ValueError("unknown momentum kind %r" % kind)
+    # hydro
+    if field.rep == "uv":
+        field = uv_to_hydro(field)
+    r0 = 1.0 if spec is None else spec.r0
+    dtheta = _dx(grid, field.c2)
+    return -0.5 * _quad(grid, (field.c1.ravel() - r0) * dtheta)
 
 
 def momentum_kind_of(field, spec):

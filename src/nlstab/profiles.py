@@ -15,11 +15,23 @@ density/phase wave is converted to (u1, u2) for the solve and back
 afterwards, so the solve itself does not need rho > 0.  Newton steps are
 computed from the bordered system that appends the discrete translation
 modes and the gauge rotation i U to keep the linearization invertible.
-The bordered system is solved by block elimination on one sparse LU of
+The bordered system is solved by block elimination on a sparse LU of
 the Jacobian deflated along those directions, with one step of iterative
-refinement (see _bordered_solve); neither the bordered matrix nor
+refinement (see _BorderedLU); neither the bordered matrix nor
 A + C^T C is formed.  SuperLU factors in panels of _PANEL = 4 columns,
-a width chosen by measurement (see _bordered_solve).
+a width chosen by measurement.
+
+Newton factors a new LU only while it is far from the wave: at its first
+iteration, and after an accepted update larger than _REUSE times the
+state.  In the quadratic tail it reassembles the Jacobian and solves with
+the LU it holds (the chord, or Shamanskii, method; C. T. Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5).  The
+refinement step computes its residual with the current Jacobian, so the
+held LU only preconditions it; the step then misses the fresh-LU step by
+about the square of the Jacobian's change.  On the 64^2 radial branch of
+the benchmark that cuts 26 LUs to 17 with the iteration counts of a fresh
+LU at every step, apart from one more iteration of the c = 0 polish.  An
+LU lives inside one Newton solve, and only one is alive at a time.
 """
 
 import numpy as np
@@ -41,6 +53,7 @@ _MAX_STEP = 0.01      # largest continuation step in c
 _MIN_STEP = 1e-4      # a failed step is halved down to this size
 _SEED_XTOL = 1e-6     # shooting amplitude tolerance of a seed Newton polishes
 _PANEL = 4            # SuperLU panel width of the Newton LU, by measurement
+_REUSE = 1e-3         # relative Newton update above which the LU is renewed
 
 
 class TravelingWave:
@@ -102,52 +115,67 @@ def residual_norm(wave):
     return norm(tw_residual_uv(as_uv(wave.profile), wave.c, wave.spec))
 
 
-def _bordered_solve(matrix, rhs, constraints, targets):
-    """Solve [[A, C^T], [C, 0]] [x; mu] = [rhs; targets] and return x.
+class _BorderedLU:
+    """One sparse LU for the bordered Newton system
+    [[A, C^T], [C, 0]] [x; mu] = [rhs; targets], for as many solves as
+    the caller holds it.
 
-    The constraints are the directions along which the Newton Jacobian A
-    is singular (the gauge) or nearly so (translations, which a 1D grid
-    breaks only by roundoff), so A itself is never factored.  One sparse
-    LU factors the deflated matrix A + s sum_i e_ki e_ki^T, with
+    The constraint rows C are the directions along which the Newton
+    Jacobian A is singular (the gauge) or nearly so (translations, which
+    a 1D grid breaks only by roundoff), so A itself is never factored.
+    The LU factors the deflated matrix A + s sum_i e_ki e_ki^T, with
     s = max|A| and k_i the node where |C_i| is largest (nodes kept
     distinct).  The border carries each -s e_ki as one more column, with
     row e_ki^T and corner -1: its unknown nu_i = x_ki takes the deflation
     back out.  The 2p x 2p Schur complement of the p constraints and the
-    nu_i comes from 2p back-solves.  One step of iterative refinement
-    against the full bordered residual brings x to the accuracy of a
-    direct sparse solve of the bordered matrix.
+    nu_i comes from 2p back-solves, done once here.
 
-    SuperLU factors the deflated matrix in panels of _PANEL columns: on
-    the 64^2 and 128^2 radial-bubble Jacobians, with the same ordering and
-    fill, that was faster than 6, 8 or SuperLU's default width.
+    ``solve`` takes the Jacobian of the current iterate, which need not
+    be the one factored.  Its one step of iterative refinement computes
+    the full bordered residual with that Jacobian, so the LU only has to
+    be a good preconditioner for it: with the LU of the Jacobian itself
+    the step brings x to the accuracy of a direct sparse solve, and with
+    the LU of a nearby iterate it leaves an error of second order in the
+    Jacobian's change (2.6e-3 relative after a Newton update of 1e-3 on
+    the 64^2 radial bubble, 1.5e-6 after one of 3e-5).
+
+    SuperLU factors in panels of _PANEL columns: on the 64^2 and 128^2
+    radial-bubble Jacobians, with the same ordering and fill, that was
+    faster than 6, 8 or SuperLU's default width.
     """
-    cons = np.stack(constraints)
-    p = len(constraints)
-    nodes = []
-    for row in np.abs(cons):
-        row[nodes] = 0.0
-        nodes.append(int(np.argmax(row)))
-    sigma = abs(matrix).max()
-    lu = splu(sp.csc_matrix(matrix + sp.csr_matrix(
-        (np.full(p, sigma), (nodes, nodes)), shape=matrix.shape)),
-        permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL)
-    rows = np.vstack([cons, np.zeros((p, rhs.size))])
-    rows[p + np.arange(p), nodes] = 1.0
-    border = np.hstack([cons.T, np.zeros((rhs.size, p))])
-    border[nodes, p + np.arange(p)] = -sigma
-    w = lu.solve(border)
-    schur = -rows @ w
-    schur[p:, p:] -= np.eye(p)
 
-    def solve(top, bottom):
-        z = lu.solve(top)
-        y = np.linalg.solve(schur, np.concatenate([bottom, np.zeros(p)])
-                            - rows @ z)
-        return z - w @ y, y[:p]
+    def __init__(self, matrix, constraints):
+        p = len(constraints)
+        nodes = []
+        for row in np.abs(constraints):
+            row[nodes] = 0.0
+            nodes.append(int(np.argmax(row)))
+        sigma = abs(matrix).max()
+        self.lu = splu(sp.csc_matrix(matrix + sp.csr_matrix(
+            (np.full(p, sigma), (nodes, nodes)), shape=matrix.shape)),
+            permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL)
+        n = matrix.shape[0]
+        self.cons = constraints
+        self.rows = np.vstack([constraints, np.zeros((p, n))])
+        self.rows[p + np.arange(p), nodes] = 1.0
+        border = np.hstack([constraints.T, np.zeros((n, p))])
+        border[nodes, p + np.arange(p)] = -sigma
+        self.w = self.lu.solve(border)
+        self.schur = -self.rows @ self.w
+        self.schur[p:, p:] -= np.eye(p)
 
-    x, mu = solve(rhs, targets)
-    dx, _ = solve(rhs - matrix @ x - cons.T @ mu, targets - cons @ x)
-    return x + dx
+    def _eliminate(self, top, bottom):
+        z = self.lu.solve(top)
+        y = np.linalg.solve(self.schur, np.concatenate(
+            [bottom, np.zeros(len(bottom))]) - self.rows @ z)
+        return z - self.w @ y, y[:len(bottom)]
+
+    def solve(self, matrix, rhs, targets):
+        """x of the bordered system with Jacobian ``matrix``."""
+        x, mu = self._eliminate(rhs, targets)
+        dx, _ = self._eliminate(rhs - matrix @ x - self.cons.T @ mu,
+                                targets - self.cons @ x)
+        return x + dx
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +374,9 @@ def _newton(wave, c, anchor=None):
     The result keeps the seed's representation.  A solve that stops above
     _STALL_FLOOR (no descent along the step, or _MAX_ITER iterations)
     raises RuntimeError; between _TOL and the floor it stops at the
-    discretization floor.
+    discretization floor.  The LU is factored anew at the first iteration
+    and after an accepted update above _REUSE times the state, and held
+    otherwise (see the module docstring).
     """
     spec, grid = wave.spec, wave.grid
     state = _symmetrize(as_uv(wave.profile), wave.symmetry).ravel()
@@ -366,14 +396,19 @@ def _newton(wave, c, anchor=None):
     res, rn = residual(state)
     iters = 0
     floored = False
+    factor, refactor = None, True
     while rn > _TOL and iters < _MAX_ITER:
+        if refactor:
+            factor = None         # one LU alive at a time
         jac = assemble("Lc", base=PairField.from_vector(grid, state, "uv"),
                        c=c, spec=spec, closure="edge").matrix
-        delta = _bordered_solve(jac, res, list(constraints),
-                                constraints @ (anchor.ravel() - state))
+        if refactor:
+            factor = _BorderedLU(jac, constraints)
+        delta = factor.solve(jac, res, constraints @ (anchor.ravel() - state))
         # increments at machine precision mean the residual hit its
         # float64 evaluation floor for this stencil scale
-        if np.linalg.norm(delta) <= 1e-12 * max(np.linalg.norm(state), 1.0):
+        size = np.linalg.norm(state)
+        if np.linalg.norm(delta) <= 1e-12 * max(size, 1.0):
             floored = True
             break
         for step in 0.5 ** np.arange(12):
@@ -383,8 +418,13 @@ def _newton(wave, c, anchor=None):
                 break
         else:
             break                 # the line search found no descent
-        state, res, rn = trial, trial_res, trial_rn
+        refactor = step * np.linalg.norm(delta) > _REUSE * size
+        # in place, and nothing of this iteration kept: an array allocated
+        # while the LU is held and outliving it would pin the heap above it
+        state[:], res[:], rn = trial, trial_res, trial_rn
+        del jac, delta, trial, trial_res
         iters += 1
+    factor = None                 # before allocating what the wave keeps
     if rn > _STALL_FLOOR and not floored:
         raise RuntimeError("Newton stalled after %d iterations at "
                            "|perp S| = %.3g" % (iters, rn))

@@ -268,6 +268,45 @@ def test_growth_report_is_the_same_split_or_not(monkeypatch,
     assert one == split
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.2])
+def test_growth_test_takes_a_coarse_dt(wide_bubble_basis, dt):
+    # criterion 10's settings but for dt: the records are spaced in time,
+    # so a coarse step still leaves enough of them for the slope fits
+    _, _, basis = wide_bubble_basis
+    out = dichotomy_growth_test(basis, T=20.0, dt=dt, n_draws=20,
+                                rng=np.random.default_rng(21))
+    assert abs(out["backward_slope"] + basis.rate) <= 0.05 * basis.rate
+    assert out["cs_slope_max"] <= 1e-3
+    assert out["center_bound_max"] <= 10.0
+
+
+def test_growth_test_cadence_at_the_callers_dt():
+    # every caller steps at dt = 5e-3, where the records fall every 50
+    # steps (draws) and every 20 steps (backward run), as they always did
+    assert dynamics._steps_per(dynamics._DRAW_EVERY, 5e-3) == 50
+    assert dynamics._steps_per(dynamics._BACK_EVERY, -5e-3) == 20
+    assert dynamics._steps_per(dynamics._BACK_EVERY, 1.0) == 1
+
+
+def test_unknown_momentum_kind_raises_before_stepping(gp_spec, monkeypatch):
+    g = GridSpec(1, 40.0, 256)
+    moving, resting = (dark_soliton(c, g, gp_spec).profile for c in (0.5, 0.0))
+
+    def refuse(self, phi_flat):
+        raise AssertionError("stepped with an unknown momentum kind")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NonlinearStepper, "step", refuse)
+        with pytest.raises(ValueError, match="'renormalised1D'"):
+            evolve_nonlinear(moving, 0.5, gp_spec, 0.02, 0.01,
+                             momentum_kind="renormalised1D")
+    # a known kind that a field leaves undefined still reads NaN: the c=0
+    # soliton vanishes at x=0
+    traj = evolve_nonlinear(resting, 0.0, gp_spec, 0.02, 0.01,
+                            momentum_kind="renormalized1D")
+    assert np.all(np.isnan(traj.series("P")[1]))
+
+
 def test_cores_fall_back_to_the_cpu_count(monkeypatch):
     assert dynamics._cores() >= 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
