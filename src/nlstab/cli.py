@@ -36,7 +36,7 @@ class ConfigError(Exception):
 # every key a command reads through _get; run rejects any other
 KEYS = frozenset("""
     nonlinearity.kind nonlinearity.alpha1 nonlinearity.alpha3 nonlinearity.alpha5
-    grid.dim grid.L grid.N grid.L1 grid.L2 grid.N1 grid.N2
+    grid.dim grid.L grid.N
     profile.kind profile.polish speed.c speed.list
     transversal.hamN transversal.samples shoot.dim
     evolve.perturbation evolve.T evolve.dt evolve.corrections""".split())
@@ -94,14 +94,8 @@ def build_spec(cfg):
 
 def build_grid(cfg):
     dim = _get(cfg, "grid.dim", 1, int)
-    if dim == 1:
-        L = _get(cfg, "grid.L", 40.0, float)
-        N = _get(cfg, "grid.N", 2048, int)
-    else:
-        L = (_get(cfg, "grid.L1", _get(cfg, "grid.L", 30.0, float), float),
-             _get(cfg, "grid.L2", _get(cfg, "grid.L", 30.0, float), float))
-        N = (_get(cfg, "grid.N1", _get(cfg, "grid.N", 128, int), int),
-             _get(cfg, "grid.N2", _get(cfg, "grid.N", 128, int), int))
+    L = _get(cfg, "grid.L", 40.0 if dim == 1 else 30.0, float)
+    N = _get(cfg, "grid.N", 2048 if dim == 1 else 128, int)
     try:
         return GridSpec(dim, L, N)
     except ValueError as exc:
@@ -125,6 +119,8 @@ def build_profile(cfg, spec, grid):
         _check_dark_soliton(c, grid, spec)
         return profiles.dark_soliton(c, grid, spec, polish=polish == "1")
     if kind in ("bubble-line", "bubble-radial"):
+        if "profile.polish" in cfg:
+            raise ConfigError("profile.polish applies to dark solitons only")
         if spec.kind != "cubic-quintic":
             raise ConfigError("profile.kind=%s needs "
                               "nonlinearity.kind=cubic-quintic" % kind)
@@ -180,7 +176,7 @@ def cmd_profile(cfg, out, rng):
     _write_json(os.path.join(out, "profile.json"), {
         "c": wave.c, "residual": wave.residual_norm,
         "projected_residual": wave.projected_residual,
-        "representation": field.rep, "symmetry": wave.symmetry,
+        "representation": field.rep,
     })
     return 0
 

@@ -64,13 +64,12 @@ class TravelingWave:
     did not solve.
     """
 
-    def __init__(self, c, profile, spec, residual_norm, symmetry="none",
-                 newton_iters=0, projected_residual=None):
+    def __init__(self, c, profile, spec, residual_norm, *, newton_iters=0,
+                 projected_residual=None):
         self.c = c
         self.profile = profile
         self.spec = spec
         self.residual_norm = residual_norm
-        self.symmetry = symmetry
         self.newton_iters = newton_iters
         self.projected_residual = projected_residual
 
@@ -197,7 +196,7 @@ def dark_soliton(c, grid, spec=None, polish=False):
     width = np.sqrt(2.0 - c ** 2) / 2.0
     prof = PairField(grid, amp * np.tanh(width * x),
                      np.full_like(x, c / SQRT2), "uv")
-    wave = TravelingWave(c, prof, spec, 0.0, symmetry="none")
+    wave = TravelingWave(c, prof, spec, 0.0)
     if polish:
         return polish_field_wave(wave)
     wave.residual_norm = residual_norm(wave)
@@ -280,7 +279,6 @@ def stationary_bubble(constants, geometry, grid, polish=True):
         q = sol.sol(np.abs(x))[0]
         q = np.clip(q, 0.0, s_star)
         phi = k.amp - q
-        symmetry = "none"
     elif geometry == "radial-2D":
         if grid.dim != 2:
             raise ValueError("radial-2D geometry needs a 2D grid")
@@ -290,14 +288,13 @@ def stationary_bubble(constants, geometry, grid, polish=True):
         r = np.sqrt(xx ** 2 + yy ** 2)
         q = np.clip(res.amplitude_at(r), 0.0, res.alpha0)
         phi = k.amp - q
-        symmetry = "radial"
     else:
         raise ValueError("geometry must be 'line' or 'radial-2D'")
 
     if np.any(phi <= 0.0) or np.any(phi >= k.amp + 1e-12):
         raise ValueError("bubble amplitude left the band (0, sqrt(rho0))")
     prof = PairField(grid, phi ** 2, np.zeros(grid.shape), "hydro")
-    wave = TravelingWave(0.0, prof, spec, 0.0, symmetry=symmetry)
+    wave = TravelingWave(0.0, prof, spec, 0.0)
     if polish:
         return _newton(wave, 0.0)
     wave.residual_norm = residual_norm(wave)
@@ -318,24 +315,6 @@ def bubble_amplitude_monotone(wave):
 
 # ---------------------------------------------------------------------------
 # Newton continuation of slow traveling waves
-
-def _mirror(arr, axis):
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = slice(None, None, -1)
-    return np.roll(arr[tuple(idx)], 1, axis)
-
-
-def _symmetrize(field, symmetry):
-    """Enforce mirror symmetries (about x=0, which is a grid node)."""
-    if field.grid.dim != 2 or symmetry not in ("even-in-transverse", "radial"):
-        return field
-    c1 = 0.5 * (field.c1 + _mirror(field.c1, 1))
-    c2 = 0.5 * (field.c2 + _mirror(field.c2, 1))
-    if symmetry == "radial":
-        c1 = 0.5 * (c1 + _mirror(c1, 0))
-        c2 = 0.5 * (c2 + _mirror(c2, 0))
-    return PairField(field.grid, c1, c2, field.rep)
-
 
 def _polar_step(state, delta, step):
     """The point at `step` along a Newton update of a stacked (u1, u2) state.
@@ -370,17 +349,19 @@ def _newton(wave, c, anchor=None):
     irreducible residual component along those directions, reported but
     not chased).  The appended constraint rows pin the same directions in
     the update, anchored at `anchor` (default: the seed), which makes the
-    endpoint locally unique.  Mirror symmetries are imposed on the seed.
-    The result keeps the seed's representation.  A solve that stops above
-    _STALL_FLOOR (no descent along the step, or _MAX_ITER iterations)
-    raises RuntimeError; between _TOL and the floor it stops at the
-    discretization floor.  The LU is factored anew at the first iteration
-    and after an accepted update above _REUSE times the state, and held
-    otherwise (see the module docstring).
+    endpoint locally unique.  No mirror symmetry is imposed: the box
+    [-L, L) has none (see the grid note of the README).  The result keeps
+    the seed's representation.  A solve that stops above _STALL_FLOOR (no
+    descent along the step, or _MAX_ITER iterations) raises RuntimeError;
+    between _TOL and the floor it stops at the discretization floor.  The
+    LU is factored anew at the first iteration and after an accepted
+    update above _REUSE times the state, and held otherwise (see the
+    module docstring).
     """
     spec, grid = wave.spec, wave.grid
-    state = _symmetrize(as_uv(wave.profile), wave.symmetry).ravel()
-    anchor = as_uv(wave.profile if anchor is None else anchor)
+    seed = as_uv(wave.profile)
+    state = seed.ravel()          # a fresh array: ravel concatenates
+    anchor = seed if anchor is None else as_uv(anchor)
     constraints = np.stack(
         [translation_mode(anchor, a).ravel() for a in range(grid.dim)]
         + [np.concatenate([-anchor.c2.ravel(), anchor.c1.ravel()])])
@@ -432,8 +413,8 @@ def _newton(wave, c, anchor=None):
     if wave.profile.rep == "hydro":
         field = uv_to_hydro(field)
         field.c2 -= field.c2.mean()   # the stored gauge: zero-mean phase
-    out = TravelingWave(c, field, spec, 0.0, wave.symmetry,
-                        newton_iters=iters, projected_residual=rn)
+    out = TravelingWave(c, field, spec, 0.0, newton_iters=iters,
+                        projected_residual=rn)
     out.residual_norm = residual_norm(out)
     return out
 
@@ -444,8 +425,7 @@ def _conjugate(wave, c):
     prof = wave.profile
     return TravelingWave(c, PairField(prof.grid, prof.c1.copy(), -prof.c2,
                                       prof.rep),
-                         wave.spec, wave.residual_norm, wave.symmetry,
-                         newton_iters=0,
+                         wave.spec, wave.residual_norm,
                          projected_residual=wave.projected_residual)
 
 
@@ -466,17 +446,12 @@ def continue_branch(start, c_targets):
     out = []
     solved = [start]
     real = start.c == 0.0 and not np.any(as_uv(start.profile).c2)
-    if start.grid.dim == 2 and start.symmetry == "radial":
-        # a moving wave keeps only the transverse mirror symmetry
-        solved = [TravelingWave(start.c, start.profile, start.spec,
-                                start.residual_norm, "even-in-transverse",
-                                start.newton_iters, start.projected_residual)]
     for target in c_targets:
         current = min(solved, key=lambda wave: abs(target - wave.c))
         if abs(target - current.c) < 1e-15:
             out.append(TravelingWave(
                 target, current.profile.copy(), current.spec,
-                current.residual_norm, current.symmetry, newton_iters=0,
+                current.residual_norm,
                 projected_residual=current.projected_residual))
             continue
         mirror = min(solved, key=lambda wave: abs(target + wave.c))

@@ -45,13 +45,18 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert not (out / "profile.json").exists()
     with pytest.raises(ConfigError, match="grid.n"):
         run({"command": "profile", "grid.n": "64"}, str(tmp_path / "direct"))
-    # keys that no command reads: spectra take Lc on a truncated grid, and
-    # shooting its own domain and tolerance
+    # keys that no command reads: spectra take Lc on a truncated grid,
+    # shooting its own domain and tolerance, and grid.L and grid.N set
+    # every axis
     gp = ["nonlinearity.kind=gp", "grid.N=512"]
     for lines in [["command=spectrum", "spectrum.kind=Lc"] + gp,
                   ["command=profile", "grid.boundary=truncated"] + gp,
                   ["command=shoot", "shoot.rmax=60"] + CQ_LINES,
-                  ["command=shoot", "shoot.tol=1e-12"] + CQ_LINES]:
+                  ["command=shoot", "shoot.tol=1e-12"] + CQ_LINES,
+                  ["command=profile", "grid.L1=50", "nonlinearity.kind=gp",
+                   "grid.dim=1", "grid.N=256"],
+                  ["command=profile", "grid.N1=128", "grid.dim=2",
+                   "grid.N=64", "profile.kind=bubble-radial"] + CQ_LINES]:
         key = lines[1].split("=")[0]
         code, _ = _run_cli(tmp_path, "\n".join(lines), name=key)
         assert code == 1, key
@@ -379,6 +384,22 @@ def test_bubble_geometry_against_the_grid_is_config_error(tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and "grid.dim" in err
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("polish", ["0", "1"])
+@pytest.mark.parametrize("lines", [
+    ["profile.kind=bubble-line", "grid.N=512"],
+    ["profile.kind=bubble-radial", "grid.dim=2", "grid.N=64"],
+], ids=["bubble-line", "bubble-radial"])
+def test_polish_of_a_bubble_is_config_error(tmp_path, capsys, lines, polish):
+    # a bubble is always Newton-polished: profile.polish=0 must not be
+    # ignored silently, and profile.polish=1 asks for nothing
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=profile"] + CQ_LINES + lines + ["profile.polish=" + polish]))
+    assert code == 1
+    assert ("profile.polish applies to dark solitons only"
+            in capsys.readouterr().err)
     assert not os.listdir(out)
 
 

@@ -131,7 +131,7 @@ def test_branch_local_uniqueness(bubble_1d_small, rng):
     seed = PairField(grid, wave.profile.c1 + noise1,
                      wave.profile.c2 + noise2, "hydro")
     reconverged = _newton(
-        TravelingWave(0.02, seed, wave.spec, 1.0, wave.symmetry), 0.02,
+        TravelingWave(0.02, seed, wave.spec, 1.0), 0.02,
         anchor=wave.profile)
     diff = norm(PairField(grid, reconverged.profile.c1 - wave.profile.c1,
                           reconverged.profile.c2 - wave.profile.c2, "uv"))
@@ -148,7 +148,7 @@ def test_translation_equivariance(bubble_1d_small):
     seed_c2 = 1e-3 * np.sin(x / 5.0) * np.exp(-x ** 2 / 40.0)
     ref, shifted = (_newton(TravelingWave(
         0.0, PairField(grid, np.roll(seed_c1, s), np.roll(seed_c2, s),
-                       "hydro"), bubble_1d_small.spec, 1.0, "none"), 0.0)
+                       "hydro"), bubble_1d_small.spec, 1.0), 0.0)
         for s in (0, 1))
     assert ref.newton_iters >= 1 and shifted.newton_iters >= 1
     diff = norm(PairField(
@@ -228,7 +228,6 @@ def test_negative_speed_is_the_conjugate(case, bubble_1d_small,
     assert hi.residual_norm == alone.residual_norm == lo.residual_norm
     assert (hi.projected_residual == alone.projected_residual
             == lo.projected_residual)
-    assert hi.symmetry == alone.symmetry
 
 
 def test_no_conjugate_from_a_moving_start(bubble_1d_small):
@@ -277,6 +276,33 @@ def test_newton_keeps_the_projected_residual(radial_branch):
     copy = continue_branch(start, [0.0])[0]
     assert copy.projected_residual == start.projected_residual
     assert dark_soliton(0.5, GridSpec(1, 40.0, 256)).projected_residual is None
+
+
+def _mirrored(field):
+    """``field`` averaged with its mirror image x2 -> -x2 about x2 = 0."""
+    flip = [np.roll(a[:, ::-1], 1, axis=1) for a in (field.c1, field.c2)]
+    return PairField(field.grid, (field.c1 + flip[0]) / 2,
+                     (field.c2 + flip[1]) / 2, field.rep)
+
+
+def test_newton_endpoint_does_not_depend_on_seed_mirroring(bubble_2d,
+                                                           monkeypatch):
+    # the box [-L, L) pairs no node with x2 = -L, so its moving waves are
+    # not mirror symmetric; Newton from seeds averaged with their x2
+    # mirror image lands on the same waves up to roundoff
+    shipped = continue_branch(bubble_2d, [0.01, 0.03])
+    newton = profiles._newton
+    monkeypatch.setattr(profiles, "_newton", lambda wave, c: newton(
+        TravelingWave(wave.c, _mirrored(wave.profile), wave.spec, 0.0), c,
+        anchor=wave.profile))
+    mirrored = continue_branch(bubble_2d, [0.01, 0.03])
+    for a, b in zip(shipped, mirrored):
+        ua, ub = as_uv(a.profile), as_uv(b.profile)
+        assert max(np.abs(ua.c1 - ub.c1).max(),
+                   np.abs(ua.c2 - ub.c2).max()) <= 1e-9
+        pa, pb = (momentum(w.profile, "hydro", w.spec) for w in (a, b))
+        assert abs(pa - pb) <= 1e-10 * abs(pa)
+        assert abs(a.newton_iters - b.newton_iters) <= 1
 
 
 def _translation_overlap(anchor, field):
