@@ -11,8 +11,9 @@ shoot, report} from a flat key=value config with dotted sections, e.g.::
 
 Artifacts (CSV/JSON/binary field dumps, floats at 17 significant digits)
 land in the output directory; identical config and seed reproduce them
-byte for byte.  A key outside ``KEYS`` is a config error.  Exit codes:
-0 success, 1 config error, 2 numerical failure.
+byte for byte.  A key that the command does not read (outside its
+``KEYS`` entry) is a config error.  Exit codes: 0 success, 1 config
+error, 2 numerical failure.
 """
 
 import argparse
@@ -33,13 +34,17 @@ class ConfigError(Exception):
     pass
 
 
-# every key a command reads through _get; run rejects any other
-KEYS = frozenset("""
-    nonlinearity.kind nonlinearity.alpha1 nonlinearity.alpha3 nonlinearity.alpha5
-    grid.dim grid.L grid.N
-    profile.kind profile.polish speed.c speed.list
-    transversal.hamN transversal.samples shoot.dim
-    evolve.perturbation evolve.T evolve.dt evolve.corrections""".split())
+# the keys each command reads through _get; run rejects any other
+_LAW = ("nonlinearity.kind nonlinearity.alpha1 nonlinearity.alpha3 "
+        "nonlinearity.alpha5 ")
+_GRID = _LAW + "grid.dim grid.L grid.N "
+_WAVE = _GRID + "profile.kind profile.polish speed.c "
+KEYS = {command: frozenset(keys.split()) for command, keys in [
+    ("profile", _WAVE), ("spectrum", _WAVE), ("branch", _GRID + "speed.list"),
+    ("transversal", _WAVE + "transversal.hamN transversal.samples"),
+    ("evolve", _WAVE + "evolve.perturbation evolve.T evolve.dt "
+                       "evolve.corrections"),
+    ("shoot", _LAW + "shoot.dim"), ("report", "speed.c")]}
 
 
 def parse_config(text):
@@ -393,9 +398,10 @@ def run(config, out_dir, seed=0, threads=1):
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown or missing command %r" % command)
-    unknown = sorted(set(config) - KEYS - {"command"})
+    unknown = sorted(set(config) - KEYS[command] - {"command"})
     if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+        raise ConfigError("config key(s) that command=%s does not read: %s"
+                          % (command, ", ".join(unknown)))
     calls = _openblas() if threads else []
     previous = [get() for get, _ in calls]
     for _, put in calls:

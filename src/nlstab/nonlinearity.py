@@ -89,7 +89,7 @@ def _pow2(q):
     """q**2 rounded as the C library's pow rounds it, for a float and for
     each entry of an array.  That rounding is not always that of q*q (it
     differs in the last bit for about 1 in 1,200 draws); g squares this
-    way along the radial and line ODEs, whose seeds keep their bits."""
+    way along the shooting ODE, whose bubble seeds keep their bits."""
     return q ** 2 if isinstance(q, float) else np.float_power(q, 2.0)
 
 

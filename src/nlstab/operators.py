@@ -218,8 +218,6 @@ def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
 
     if kind == "Lc":
         field = as_uv(field)
-        if field.rep != "uv":
-            raise ValueError("Lc needs a uv (or hydro) base")
         u1, u2 = field.c1, field.c2
         mod2 = u1 ** 2 + u2 ** 2
         fval, fp = spec.f(mod2), spec.fprime(mod2)

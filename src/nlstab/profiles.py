@@ -1,9 +1,9 @@
 """Traveling-wave profiles and branch continuation.
 
 Closed-form 1D dark solitons of the unit-background defocusing equation,
-stationary bubbles of cubic-quintic laws (1D by quadrature of the first
-integral, radial 2D by shooting), and Newton continuation of slow
-traveling waves.
+stationary bubbles of cubic-quintic laws (the ground state that
+nlstab.shooting shoots for in the grid's dimension, sampled at r = |x|),
+and Newton continuation of slow traveling waves.
 
 Every wave is solved by one damped Newton loop (_newton) on the
 traveling-wave residual in field variables (u1, u2), tw_residual_uv, a
@@ -234,67 +234,36 @@ def polish_field_wave(wave):
 # ---------------------------------------------------------------------------
 # stationary bubbles
 
-def bubble_turning_amplitude(constants):
-    """Dip amplitude s* in (u0, sqrt(rho0)) with G(s*) = 0."""
-    from scipy.optimize import brentq
-    k = constants
-    g_lo = k.big_g(k.u0)
-    g_hi = k.big_g(k.amp * (1.0 - 1e-13))
-    if not (g_lo < 0.0 < g_hi):
-        raise ValueError("no interior zero of G: the law admits no bubble")
-    return brentq(lambda s: k.big_g(s), k.u0, k.amp * (1.0 - 1e-13),
-                  xtol=1e-14)
-
-
 def stationary_bubble(constants, geometry, grid, polish=True):
     """Stationary bubble profile (density/phase form, theta = 0).
 
-    ``line`` integrates the planar dip equation Q'' = -g(Q) from the
-    turning amplitude; ``radial-2D`` shoots for the radial ground state
-    and revolves it onto the Cartesian grid.  The profile is polished to a
-    discrete steady state unless ``polish`` is false.
+    A ``line`` and a ``radial-2D`` grid alike sample the ground state of
+    -Lap(u) = g(u) that ``shooting.find_alpha0`` shoots for in the grid's
+    dimension, at the distance r from the origin; past the shot's graft
+    radius that is its exponential tail (in 1D the exact linear decay).
+    The profile is polished to a discrete steady state unless ``polish``
+    is false.
 
-    The radial shooting bisects its amplitude only to ``_SEED_XTOL``:
-    Newton moves the seed by the grid's O(h^2) error, far more than that,
-    and lands on the same discrete wave in the same number of iterations
-    (on 64^2 to 256^2 grids the polished sqrt(rho) moves by at most 4e-9
-    against a 1e-12 seed).
+    The shooting bisects its amplitude only to ``_SEED_XTOL``: Newton
+    moves the seed by the grid's O(h^2) error, far more than that, and
+    lands on the same discrete wave in the same number of iterations
+    (against a 1e-12 seed the polished sqrt(rho) moves by at most 4e-9
+    on 64^2 to 256^2 grids and 4e-15 on 1024-node lines).
     """
-    k = constants
-    spec = k.spec
-    if geometry == "line":
-        if grid.dim != 1:
-            raise ValueError("line geometry needs a 1D grid")
-        from scipy.integrate import solve_ivp
-        s_star = bubble_turning_amplitude(k)
-        L = grid.half_length[0]
-
-        def rhs(x, y):
-            return [y[1], -k.g(y[0])]
-
-        sol = solve_ivp(rhs, (0.0, L + grid.h[0]), [s_star, 0.0],
-                        method="DOP853", rtol=1e-12, atol=1e-14,
-                        dense_output=True)
-        x = grid.axis(0)
-        q = sol.sol(np.abs(x))[0]
-        q = np.clip(q, 0.0, s_star)
-        phi = k.amp - q
-    elif geometry == "radial-2D":
-        if grid.dim != 2:
-            raise ValueError("radial-2D geometry needs a 2D grid")
-        from . import shooting
-        res = shooting.find_alpha0(k, 2, xtol=_SEED_XTOL)
-        xx, yy = grid.meshes()
-        r = np.sqrt(xx ** 2 + yy ** 2)
-        q = np.clip(res.amplitude_at(r), 0.0, res.alpha0)
-        phi = k.amp - q
-    else:
+    dim = {"line": 1, "radial-2D": 2}.get(geometry)
+    if dim is None:
         raise ValueError("geometry must be 'line' or 'radial-2D'")
-
+    if grid.dim != dim:
+        raise ValueError("%s geometry needs a %dD grid" % (geometry, dim))
+    from . import shooting
+    k = constants
+    res = shooting.find_alpha0(k, dim, xtol=_SEED_XTOL)
+    r = np.sqrt(sum(mesh ** 2 for mesh in grid.meshes()))
+    phi = k.amp - np.clip(res.amplitude_at(r), 0.0, res.alpha0)
     if np.any(phi <= 0.0) or np.any(phi >= k.amp + 1e-12):
         raise ValueError("bubble amplitude left the band (0, sqrt(rho0))")
     prof = PairField(grid, phi ** 2, np.zeros(grid.shape), "hydro")
-    wave = TravelingWave(0.0, prof, spec, 0.0)
+    wave = TravelingWave(0.0, prof, k.spec, 0.0)
     if polish:
         return _newton(wave, 0.0)
     wave.residual_norm = residual_norm(wave)

@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 UNDERSHOOT = "undershoot"
@@ -40,16 +39,16 @@ class ShootResult:
 
     u and u' are the integrated core followed by the grafted tail; phi
     is solved across the tail on its first read (the bubble seed reads
-    only u).
+    only u, through ``amplitude_at``).
     """
 
-    def __init__(self, alpha0, r, u, uprime, core_phi, ndim, constants,
+    def __init__(self, alpha0, r, u, uprime, dense, ndim, constants,
                  bracket_history, tail_start, kappa):
         self.alpha0 = alpha0
         self.r = r
         self.u = u
         self.uprime = uprime
-        self._core_phi = core_phi           # (phi, phi') on the core samples
+        self._dense = dense       # of the core's run: (u, u', phi, phi')(r)
         self.ndim = ndim
         self._constants = constants
         self.bracket_history = bracket_history
@@ -63,8 +62,8 @@ class ShootResult:
     def phi(self):
         """phi on r: the core samples, then the linearized equation
         continued from the last one across the tail, about the grafted u."""
-        phi_in, phip_in = self._core_phi
-        n = phi_in.size
+        n = np.count_nonzero(self.r <= self.tail_start)
+        phi_in, phip_in = self._dense(self.r[:n])[2:]
         r_in, u_end = self.r[n - 1], self.u[n - 1]
         kappa, ndim, k = self.kappa, self.ndim, self._constants
 
@@ -80,19 +79,17 @@ class ShootResult:
         return np.concatenate([phi_in, sol.y[0]])
 
     def amplitude_at(self, r):
-        """Piecewise evaluation: spline on the integrated core, analytic
-        exponential tail beyond the graft radius (no spline ringing at
-        the derivative joint)."""
+        """u at the radii r: the integration's own dense output up to
+        tail_start (radii below the series start read u there), the
+        grafted tail u_end e^{-kappa (r - ts)} (ts / r)^{(N-1)/2} beyond."""
         r = np.asarray(r, dtype=float)
         ts = self.tail_start
-        core_mask = self.r <= ts + 1e-12
-        spline = CubicSpline(self.r[core_mask], self.u[core_mask])
         out = np.empty_like(r)
-        below = r <= ts
-        out[below] = spline(np.clip(r[below], self.r[0], ts))
-        u_end = float(spline(ts))
-        geom = (ts / np.maximum(r[~below], ts)) ** ((self.ndim - 1) / 2.0)
-        out[~below] = u_end * np.exp(-self.kappa * (r[~below] - ts)) * geom
+        core = r <= ts
+        out[core] = self._dense(np.maximum(r[core], self.r[0]))[0]
+        u_end = self.u[np.count_nonzero(self.r <= ts) - 1]
+        geom = (ts / r[~core]) ** ((self.ndim - 1) / 2.0)
+        out[~core] = u_end * np.exp(-self.kappa * (r[~core] - ts)) * geom
         return out
 
 
@@ -196,9 +193,9 @@ def classify(alpha, constants, ndim):
 def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     """Bisect the shooting amplitude between undershoot and crossing.
 
-    The default bracket is (u1, sqrt(rho0)); the ground-state amplitude
-    lies inside it.  Bisection stops once the bracket is no wider than
-    ``xtol`` (which must be positive) or its ends are adjacent floats.
+    The default bracket is (u1, sqrt(rho0)), and (u0, sqrt(rho0)) in 1D.
+    Bisection stops once the bracket is no wider than ``xtol`` (which
+    must be positive) or its ends are adjacent floats.
     Returns a ShootResult sampled on the bisection midpoint with the
     exponential tail grafted past the last reliable radius.
     """
@@ -208,8 +205,11 @@ def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     if bracket is None:
         # the upper endpoint keeps a distance from the rest amplitude:
         # trajectories started within ~exp(-sqrt(-g'(0)) _R_MAX) of it hug
-        # the equilibrium past _R_MAX and cannot be classified
-        bracket = (k.u1 + 1e-9, k.amp * (1.0 - 1e-7))
+        # the equilibrium past _R_MAX and cannot be classified.  In 1D the
+        # label is the sign of G(alpha) (first integral), whose zero lies
+        # below u1 for ratios above c0
+        bracket = ((k.u0 if ndim == 1 else k.u1) + 1e-9,
+                   k.amp * (1.0 - 1e-7))
     lo, hi = bracket
     lab_lo = classify(lo, k, ndim)
     lab_hi = classify(hi, k, ndim)
@@ -259,8 +259,8 @@ def _sample_ground(alpha0, constants, ndim, history):
     up_tail = -kappa * u_tail
     return ShootResult(alpha0, np.concatenate([r_in, r_tail]),
                        np.concatenate([y_in[0], u_tail]),
-                       np.concatenate([y_in[1], up_tail]), (y_in[2], y_in[3]),
-                       ndim, k, history, r_in[-1], float(kappa))
+                       np.concatenate([y_in[1], up_tail]), sol.sol, ndim, k,
+                       history, r_in[-1], float(kappa))
 
 
 def _sample_root(spline, r, values, i):
@@ -286,6 +286,7 @@ def phi_diagnostics(result, constants):
     verdict), checks that theta(r) = -r u'(r)/u(r) increases on (0, r0)
     when N = 2, and requires the terminal phi value to stay away from zero.
     """
+    from scipy.interpolate import CubicSpline
     k = constants
     r, u, phi = result.r, result.u, result.phi
     sign = np.sign(phi)

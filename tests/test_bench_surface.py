@@ -89,6 +89,27 @@ def test_every_kind_the_benchmark_assembles_exists():
     assert kinds <= set(SYMMETRIC_KINDS), kinds - set(SYMMETRIC_KINDS)
 
 
+def test_every_benchmark_config_key_is_one_its_command_reads():
+    # a CLI workload's config is a tuple of "key=value" strings, some
+    # formatted with %; run refuses a key outside its command's KEYS
+    from nlstab.cli import KEYS
+    configs = {}
+    for node in _tree().body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            target = stmt.targets[0] if isinstance(stmt, ast.Assign) else None
+            if (isinstance(target, ast.Name) and target.id == "config"
+                    and stmt.value.elts):
+                lines = [elt.left if isinstance(elt, ast.BinOp) else elt
+                         for elt in stmt.value.elts]
+                keys = [line.value.split("=")[0] for line in lines]
+                configs[node.name] = (lines[0].value.split("=")[1], keys[1:])
+    assert {"SlowBranch2D", "TransverseBand1D"} <= set(configs)
+    for name, (command, keys) in configs.items():
+        assert set(keys) <= KEYS[command], (name, set(keys) - KEYS[command])
+
+
 def _growth_keys():
     """The keys ``UnstableManifold1D.result`` copies from the growth
     report: the constants of the loop that reads ``growth[key]``."""

@@ -1,7 +1,7 @@
+import ast
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -64,9 +64,41 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
 
 
 def test_keys_are_the_keys_read():
+    # each command accepts exactly the keys that it, or a cli function it
+    # calls, reads through _get
     with open(cli.__file__) as fh:
-        read = set(re.findall(r'_get\(cfg, "([^"]+)"', fh.read()))
-    assert read == cli.KEYS
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name):
+        keys = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "_get":
+                    keys.add(node.args[1].value)
+                elif node.func.id in functions:
+                    keys |= reads(node.func.id)
+        return keys
+
+    assert set(cli.KEYS) == set(cli.COMMANDS)
+    for command, function in cli.COMMANDS.items():
+        assert cli.KEYS[command] == reads(function.__name__), command
+
+
+@pytest.mark.parametrize("lines", [
+    ["command=branch", "speed.c=0.9", "speed.list=0,0.1,0.2",
+     "nonlinearity.kind=gp", "grid.N=512"],
+    ["command=profile", "speed.list=0,0.1,0.2", "nonlinearity.kind=gp",
+     "grid.N=512"]], ids=["branch-speed.c", "profile-speed.list"])
+def test_a_key_of_another_command_is_config_error(tmp_path, capsys, lines):
+    # speed.c sets the wave of a single-speed command, speed.list the
+    # speeds of a branch: neither command reads the other's key
+    key = lines[1].split("=")[0]
+    code, out = _run_cli(tmp_path, "\n".join(lines))
+    assert code == 1
+    assert "%s does not read: %s" % (lines[0], key) in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_missing_config_file(tmp_path):
@@ -575,6 +607,39 @@ def test_commands_load_only_what_they_run(tmp_path):
                              "scipy.interpolate", "scipy.optimize"]
     assert len(seen["blas_before_shoot"]) == 2
     assert seen["blas_after_shoot"] == seen["blas_before_shoot"]
+
+
+# Run in a fresh interpreter: build a line and a radial bubble, report
+# whether scipy.interpolate is loaded, then run a shoot command.
+_SEED_PATH = """
+import sys
+from nlstab import cli
+from nlstab.grid import GridSpec
+from nlstab.nonlinearity import cq_constants
+from nlstab.profiles import stationary_bubble
+
+shoot, out = sys.argv[1:]
+law = cq_constants(0.2, 1.0, 1.0)
+stationary_bubble(law, "line", GridSpec(1, 30.0, 256))
+stationary_bubble(law, "radial-2D", GridSpec(2, 30.0, 64))
+print("scipy.interpolate" in sys.modules)
+print(cli.main(["--config", shoot, "--out", out]))
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_bubble_seeds_load_no_splines(tmp_path):
+    # both seeds sample the shot through its dense output; only the
+    # shoot command's phi diagnostics fit splines
+    shoot = tmp_path / "shoot.cfg"
+    shoot.write_text("\n".join(["command=shoot", "shoot.dim=1"] + CQ_LINES))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEED_PATH, str(shoot), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "True"]
 
 
 def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch,

@@ -1,18 +1,21 @@
+import copy
 import weakref
 
 import numpy as np
 import pytest
 
-from nlstab import profiles
+from nlstab import profiles, shooting
 from nlstab.functionals import momentum
 from nlstab.grid import (GridSpec, PairField, as_uv, hydro_to_uv, norm,
                          translation_mode)
+from nlstab.nonlinearity import cq_constants
 from nlstab.operators import assemble
-from nlstab.profiles import (_TOL, TravelingWave, _BorderedLU, _newton,
-                             branch_momentum_sweep, bubble_amplitude_monotone,
-                             continue_branch, dark_soliton,
-                             dark_soliton_momentum_exact, polish_field_wave,
-                             residual_norm, stationary_bubble, tw_residual_uv)
+from nlstab.profiles import (_SEED_XTOL, _TOL, TravelingWave, _BorderedLU,
+                             _newton, branch_momentum_sweep,
+                             bubble_amplitude_monotone, continue_branch,
+                             dark_soliton, dark_soliton_momentum_exact,
+                             polish_field_wave, residual_norm,
+                             stationary_bubble, tw_residual_uv)
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -84,16 +87,50 @@ def test_bubble_tail_decay(bubble_1d, cq02):
     assert slope < -0.8 * kappa
 
 
-def test_no_bubble_error(cq02):
-    class Hollow:
-        amp = cq02.amp
-        u0 = cq02.u0
-        spec = cq02.spec
-        def big_g(self, s):
-            return -1.0
-    from nlstab.profiles import bubble_turning_amplitude
-    with pytest.raises(ValueError):
-        bubble_turning_amplitude(Hollow())
+def test_line_seed_tail_is_the_linear_decay(cq02):
+    # the line seed samples the N = 1 shot at r = |x|; past the graft
+    # radius its dip q is u_end e^{-kappa(|x| - ts)}, the exact decay of
+    # the linearization, and stays positive out to |x| = L
+    grid = GridSpec(1, 200.0, 1024)
+    seed = stationary_bubble(cq02, "line", grid, polish=False)
+    shot = shooting.find_alpha0(cq02, 1, xtol=_SEED_XTOL)
+    x = np.abs(grid.axis(0))
+    q = shot.amplitude_at(x)
+    assert np.abs(np.sqrt(seed.profile.c1) - (cq02.amp - q)).max() <= 1e-15
+    ts = shot.tail_start
+    tail = x > ts
+    u_end = shot.u[shot.r <= ts][-1]
+    decay = u_end * np.exp(-shot.kappa * (x[tail] - ts))
+    assert np.abs(q[tail] / decay - 1.0).max() <= 1e-15
+    assert x[tail].max() == grid.half_length[0]
+    assert np.all(q[tail] > 0.0)
+
+
+def test_line_bubble_above_the_critical_ratio():
+    # above c0 the zero of G lies below u1, so the N = 1 shooting bracket
+    # opens at u0; the seed follows the decaying orbit out to any |x|, and
+    # Newton lands on the bubble on a long box as on a short one
+    k = cq_constants(0.21, 1.0, 1.0)
+    assert k.c_ratio > k.c0
+    for half_length in (30.0, 60.0):
+        wave = stationary_bubble(k, "line", GridSpec(1, half_length, 1024))
+        assert wave.newton_iters <= 3
+        assert wave.projected_residual <= _TOL
+        assert bubble_amplitude_monotone(wave)
+
+
+def test_no_ground_state_is_refused(cq02):
+    # g(s) = g'(0) s, the far-field linearization alone, has no interior
+    # zero: no shot crosses, and neither geometry finds a bubble
+    law = copy.copy(cq02)
+    slope = float(cq02.gprime(0.0))
+    law.g = lambda s: slope * s
+    law.gprime = lambda s: slope + 0.0 * s
+    law.gsecond = lambda s: 0.0 * s
+    for geometry, grid in (("line", GridSpec(1, 30.0, 256)),
+                           ("radial-2D", GridSpec(2, 30.0, 64))):
+        with pytest.raises(ValueError, match="classify identically"):
+            stationary_bubble(law, geometry, grid)
 
 
 def test_continuation_at_zero_is_identity(bubble_1d_small):
@@ -255,14 +292,19 @@ def radial_branch(bubble_2d):
     return bubble_2d, continue_branch(bubble_2d, [0.01])
 
 
-def test_loose_seed_polishes_to_the_same_bubble(bubble_2d, cq02, monkeypatch):
+@pytest.mark.parametrize("geometry, fixture, bound", [
+    ("radial-2D", "bubble_2d", 1e-8), ("line", "bubble_1d", 1e-13)],
+    ids=["radial-2D", "line"])
+def test_loose_seed_polishes_to_the_same_bubble(request, cq02, monkeypatch,
+                                                geometry, fixture, bound):
     # Newton moves the seed by the grid's O(h^2) error; the bisections of
     # the shooting amplitude past _SEED_XTOL change nothing it keeps
+    loose = request.getfixturevalue(fixture)
     monkeypatch.setattr(profiles, "_SEED_XTOL", 1e-12)
-    fine = stationary_bubble(cq02, "radial-2D", bubble_2d.grid)
-    assert bubble_2d.newton_iters == fine.newton_iters
-    assert np.abs(np.sqrt(bubble_2d.profile.c1)
-                  - np.sqrt(fine.profile.c1)).max() <= 1e-8
+    fine = stationary_bubble(cq02, geometry, loose.grid)
+    assert loose.newton_iters == fine.newton_iters
+    assert np.abs(np.sqrt(loose.profile.c1)
+                  - np.sqrt(fine.profile.c1)).max() <= bound
 
 
 def test_newton_keeps_the_projected_residual(radial_branch):
