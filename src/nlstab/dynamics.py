@@ -29,9 +29,27 @@ by column into one chunk per core in the process's affinity mask (at
 least ``_MIN_CHUNK`` columns each), and every chunk runs all its steps on
 a thread of its own, since the sparse solve releases the GIL.  The
 triangular solves treat each column of a block on its own, and a column's
-step and norm use that column alone, so every stepped field and every
-monitor is bitwise the same for any split and any core count (the tests
-check this against one chunk).
+step and norm use that column alone, so in 1D every stepped field and
+every monitor is bitwise the same for any split and any core count (the
+tests check this against one chunk).  A 2D LU has supernodes wide enough
+for SuperLU to hand them to BLAS kernels, which may round by the chunk's
+width: 13 columns of the 64^2 stripe stepped as 6 + 7 differ from one
+chunk in a few entries, at roundoff.
+
+The block's LU carries ``_PAD`` decoupled identity rows below the
+generator, block_diag(I - dt/2 G, I), and its right-hand sides carry as
+many zero rows.  SuperLU's triangular solves sweep each supernode across
+every column of the block, at a stride of the block's leading dimension.
+Every grid has a power-of-two number of points, so without the pad that
+stride is a power of two and the same row of every column maps to the
+same L1 set: once the columns outnumber the set's ways (12 on a 48 KiB
+12-way L1d) each column evicts another.  ``_PAD`` doubles are one
+64-byte cache line, which makes the stride an odd number of lines, so
+neighbouring columns fall in different sets.  The pad rows stay zero and
+no generator row reads them.  SuperLU orders the pad's singleton columns
+first and keeps the generator's columns and pivot rows in their unpadded
+order, so the generator's factor, and with it every stepped field, is
+bitwise that of the unpadded LU (the tests check both).
 """
 
 import os
@@ -75,6 +93,7 @@ class Trajectory:
 _N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
 _MIN_DT = 1e-5       # floor of the nonlinear dt halving
 _MIN_CHUNK = 3       # fewest columns worth a thread of their own
+_PAD = 8             # zero rows under a linear block: one 64-byte line
 _DRAW_EVERY = 0.25   # time between records of the growth test's draws
 _BACK_EVERY = 0.1    # time between records of its backward run
 
@@ -136,14 +155,17 @@ def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
     """One Trajectory per field of the linear flow, with norm monitors;
     field snapshots are kept only if ``snapshots``.
 
-    The columns take Cayley steps u+ = 2 lu.solve(u) - u through one LU,
-    in column chunks that each run on a thread of their own (see the
-    module docstring).
+    The columns take Cayley steps u+ = 2 lu.solve(u) - u through one LU
+    padded by ``_PAD`` decoupled rows, in column chunks that each run on
+    a thread of their own (see the module docstring).
     """
     n_steps = int(round(abs(T) / abs(dt)))
     marks = _snapshot_steps(n_steps) if snapshots else ()
-    lu = _crank_nicolson((j_matrix(op.grid) @ op.matrix).tocsc(), dt)
-    block = np.stack([f.ravel() for f in fields], axis=1)
+    gen = j_matrix(op.grid) @ op.matrix
+    n = gen.shape[0]
+    lu = _crank_nicolson(sp.block_diag((gen, sp.csc_matrix((_PAD, _PAD))),
+                                       format="csc"), dt)
+    block = np.stack([np.pad(f.ravel(), (0, _PAD)) for f in fields], axis=1)
     trajs = [Trajectory() for _ in fields]
 
     def record(step, t, cols, state):
@@ -151,7 +173,7 @@ def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
         mon = step % monitor_every == 0 or step == n_steps
         if not (snap or mon):
             return
-        for j, vec in zip(range(cols.start, cols.stop), state.T.copy()):
+        for j, vec in zip(range(cols.start, cols.stop), state[:n].T.copy()):
             field = PairField.from_vector(op.grid, vec, fields[j].rep)
             if snap:
                 trajs[j].add_snapshot(t, field)

@@ -194,6 +194,8 @@ def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     """Bisect the shooting amplitude between undershoot and crossing.
 
     The default bracket is (u1, sqrt(rho0)), and (u0, sqrt(rho0)) in 1D.
+    For N >= 2, when u1 already classifies like sqrt(rho0), the ground
+    state lies below u1 and the bracket is (u0, u1).
     Bisection stops once the bracket is no wider than ``xtol`` (which
     must be positive) or its ends are adjacent floats.
     Returns a ShootResult sampled on the bisection midpoint with the
@@ -202,7 +204,8 @@ def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     if not xtol > 0.0:
         raise ValueError("xtol must be positive, not %r" % xtol)
     k = constants
-    if bracket is None:
+    default = bracket is None
+    if default:
         # the upper endpoint keeps a distance from the rest amplitude:
         # trajectories started within ~exp(-sqrt(-g'(0)) _R_MAX) of it hug
         # the equilibrium past _R_MAX and cannot be classified.  In 1D the
@@ -213,6 +216,11 @@ def find_alpha0(constants, ndim, bracket=None, xtol=1e-12):
     lo, hi = bracket
     lab_lo = classify(lo, k, ndim)
     lab_hi = classify(hi, k, ndim)
+    if default and ndim >= 2 and lab_lo == lab_hi:
+        # near c0 the N >= 2 ground state lies below u1, e.g. for the law
+        # (0.24, 1, 1) in 2D
+        lo, hi = k.u0 + 1e-9, lo
+        lab_lo = classify(lo, k, ndim)
     if lab_lo == lab_hi:
         raise ValueError("bracket endpoints classify identically (%s)" % lab_lo)
     history = [(lo, lab_lo), (hi, lab_hi)]

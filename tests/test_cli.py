@@ -281,6 +281,17 @@ def test_shoot_command(tmp_path):
     assert verdict["conditions"]["G1"] is True
 
 
+def test_shoot_command_below_u1(tmp_path):
+    # the 2D ground state of (0.24, 1, 1) lies below u1
+    code, out = _run_cli(tmp_path, "\n".join([
+        "command=shoot", "nonlinearity.kind=cubic-quintic",
+        "nonlinearity.alpha1=0.24", "nonlinearity.alpha3=1.0",
+        "nonlinearity.alpha5=1.0", "shoot.dim=2"]))
+    assert code == 0
+    alpha0 = json.loads((out / "shoot.json").read_text())["alpha0"]
+    assert abs(alpha0 - 0.3651279) <= 1e-6
+
+
 def test_evolve_and_report(tmp_path):
     text = "\n".join([
         "command=evolve",

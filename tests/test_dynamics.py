@@ -268,6 +268,98 @@ def test_growth_report_is_the_same_split_or_not(monkeypatch,
     assert one == split
 
 
+def _unpadded_states(op, fields, steps, dt):
+    """The block after each Cayley step through splu(I - dt/2 G), no pad."""
+    gen = (j_matrix(op.grid) @ op.matrix).tocsc()
+    eye = sp.identity(gen.shape[0], format="csc", dtype=gen.dtype)
+    lu = splu((eye - 0.5 * dt * gen).tocsc())
+    state = np.stack([f.ravel() for f in fields], axis=1)
+    states = [state]
+    for _ in range(steps):
+        new = lu.solve(state)
+        new *= 2.0
+        new -= state
+        state = new
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("dt", [5e-3, -5e-3])
+@pytest.mark.parametrize("case", ["Mc line bubble", "Lc 64x64",
+                                  "Lc line L=200"])
+def test_padded_lu_changes_no_bit(monkeypatch, case, dt, bubble_1d, cq02,
+                                  gp_spec, wide_bubble_basis):
+    # the pad rows only move the block's columns apart in memory: every
+    # norm and snapshot is bitwise that of the unpadded LU, at any width.
+    # One chunk: a 2D block's BLAS kernels round by the chunk's width
+    monkeypatch.setattr(dynamics, "_cores", lambda: 1)
+    if case == "Mc line bubble":
+        op, steps = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec), 40
+    elif case == "Lc 64x64":
+        op, steps = _stripe_2d(gp_spec), 20
+    else:
+        op, steps = wide_bubble_basis[2].op, 40
+    rng = np.random.default_rng(7)
+    fields = [random_smooth_pair(op.grid, rng) for _ in range(25)]
+    for width in (1, 13, 25):
+        ref = _unpadded_states(op, fields[:width], steps, dt)
+        trajs = evolve_linear(op, fields[:width], steps * abs(dt), dt)
+        assert len(trajs) == width
+        for j, traj in enumerate(trajs):
+            cols = [state[:, j].copy() for state in ref]
+            assert traj.monitors["norm"] == [
+                norm(PairField.from_vector(op.grid, col, "uv"))
+                for col in cols]
+            assert len(traj.snapshots) == steps + 1
+            for snap, col in zip(traj.snapshots, cols):
+                assert np.array_equal(snap.ravel(), col)
+
+
+def test_the_block_lu_is_padded_by_one_cache_line(monkeypatch, bubble_1d,
+                                                   cq02):
+    # n = 2 N is a power of two; with the pad, the stride between the
+    # columns of a solve is an odd number of 64-byte lines
+    op = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec)
+    n = 2 * op.grid.size
+    factored, solved = [], []
+    factor = dynamics._crank_nicolson
+
+    class Spy:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solved.append(b.shape[0] * b.itemsize)
+            return self.lu.solve(b)
+
+    def spy(gen, dt):
+        factored.append(gen.shape)
+        return Spy(factor(gen, dt))
+
+    monkeypatch.setattr(dynamics, "_crank_nicolson", spy)
+    fields = [random_smooth_pair(op.grid, np.random.default_rng(3))
+              for _ in range(13)]
+    evolve_linear(op, fields, 0.05, 5e-3)
+    assert factored == [(n + 8, n + 8)]
+    assert solved and all(stride % 128 == 64 for stride in solved)
+
+
+def test_the_pad_keeps_the_generators_ordering(bubble_1d, cq02, gp_spec):
+    # the pad's singleton columns are ordered first, the generator's
+    # columns and pivot rows as without the pad
+    for op in (assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec),
+               _stripe_2d(gp_spec)):
+        gen = (j_matrix(op.grid) @ op.matrix).tocsc()
+        n = gen.shape[0]
+        plain = dynamics._crank_nicolson(gen, 5e-3)
+        padded = dynamics._crank_nicolson(
+            sp.block_diag((gen, sp.csc_matrix((8, 8))), format="csc"), 5e-3)
+        for perm, ref in ((padded.perm_c, plain.perm_c),
+                          (padded.perm_r, plain.perm_r)):
+            assert sorted(perm[n:]) == list(range(8))
+            assert np.array_equal(perm[:n] - 8, ref)
+
+
 @pytest.mark.parametrize("dt", [0.1, 0.2])
 def test_growth_test_takes_a_coarse_dt(wide_bubble_basis, dt):
     # criterion 10's settings but for dt: the records are spaced in time,

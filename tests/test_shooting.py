@@ -114,6 +114,20 @@ def test_bracket_mismatch_raises(cq02):
                                                cq02.u1 + 2e-9))
 
 
+def test_2d_ground_state_below_u1_is_found(cq02):
+    # near the critical ratio u1 already crosses in 2D, so the default
+    # bracket drops to (u0, u1); the law (0.2, 1, 1) still opens at u1
+    k = cq_constants(0.24, 1.0, 1.0)
+    assert shooting.classify(k.u1 + 1e-9, k, 2) == shooting.CROSSING
+    res = shooting.find_alpha0(k, 2, xtol=1e-6)
+    assert k.u0 < res.alpha0 < k.u1
+    assert abs(res.alpha0 - 0.3651279) <= 1e-6
+    assert res.bracket_history[:2] == [(k.u0 + 1e-9, shooting.UNDERSHOOT),
+                                       (k.u1 + 1e-9, shooting.CROSSING)]
+    start = shooting.find_alpha0(cq02, 2, xtol=0.1).bracket_history[0]
+    assert start == (cq02.u1 + 1e-9, shooting.UNDERSHOOT)
+
+
 def test_first_integral_planar(cq02):
     _, r, u, up, _, _ = shooting.integrate_samples(0.55, cq02, 1, r_max=20.0)
     e = 0.5 * up ** 2 + cq02.big_g(u)
