@@ -5,16 +5,17 @@ The linear flow du/dt = J*(sym op)*u is advanced by Crank-Nicolson,
 (I - dt/2 J A) u+ = (I + dt/2 J A) u, which conserves the cross form
 <A u(t), v(t)> of any two trajectories exactly (up to solver roundoff).
 The step is taken in its Cayley form: with G = J A and a = dt/2,
-(I - aG)^-1 (I + aG) u = 2 (I - aG)^-1 u - u, so one LU of (I - aG) is
-all that is stored and a step is one solve and one axpy, no matvec.
-The nonlinear flow keeps the stiff constant-coefficient part implicit
-(Laplacian, frame transport, frozen background potential) and treats the
-remaining nonlinear terms explicitly with fixed-point corrections; in
-Cayley form its step is (I - aL)^-1 (2 phi + dt r) - phi.  That scheme
-is time-symmetric, so runs can be reversed by negating dt.  The
-perturbation of the background takes the ``zero`` closure of nlstab.grid
-and the background itself the ``edge`` closure of the traveling-wave
-residual (see the grid module docstring).
+(I - aG)^-1 (I + aG) u = S u - u with S = 2 (I - aG)^-1.  The one LU
+stored is that of (I - aG)/2, whose solve is S (bitwise twice the
+unhalved LU's: halving is exact and both LUs pivot on ratios), so a step
+is one solve and one subtraction, no matvec.  The nonlinear flow keeps
+the stiff constant-coefficient part implicit (Laplacian, frame transport,
+frozen background potential) and treats the remaining nonlinear terms
+explicitly with fixed-point corrections; in Cayley form its step is
+S (phi + a r) - phi.  That scheme is time-symmetric, so runs can be
+reversed by negating dt.  The perturbation of the background takes the
+``zero`` closure of nlstab.grid and the background itself the ``edge``
+closure of the traveling-wave residual (see the grid module docstring).
 
 The LU is LAPACK's tridiagonal ``gttrf`` when every nonzero of the
 generator lies on its three central diagonals, which holds for the 1D
@@ -127,16 +128,12 @@ class _TridiagonalLU:
 
 
 def _crank_nicolson(gen, dt):
-    """LU of (I - dt/2 gen); the step is its Cayley form, see the module.
-
-    A generator whose nonzeros all lie on its three central diagonals (the
-    1D scalar frame generator) is factored by LAPACK's tridiagonal LU,
-    every other one (any (u1, u2) block, any 2D grid) by SuperLU.  Both
-    are backward-stable LUs of the same matrix, so their solves agree to
-    roundoff; the tridiagonal one costs half as much per solve.
-    """
+    """LU of (I - dt/2 gen)/2, whose solve is the Cayley map
+    2 (I - dt/2 gen)^-1: a step is ``solve(u) - u``.  The LU is LAPACK's
+    tridiagonal one when every nonzero of gen lies on its three central
+    diagonals, SuperLU's otherwise (see the module)."""
     eye = sp.identity(gen.shape[0], format="csc", dtype=gen.dtype)
-    mat = (eye - 0.5 * dt * gen).tocsc()
+    mat = (0.5 * (eye - 0.5 * dt * gen)).tocsc()
     band = mat.tocoo()
     if np.all((np.abs(band.row - band.col) <= 1) | (band.data == 0)):
         return _TridiagonalLU(mat)
@@ -155,7 +152,7 @@ def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
     """One Trajectory per field of the linear flow, with norm monitors;
     field snapshots are kept only if ``snapshots``.
 
-    The columns take Cayley steps u+ = 2 lu.solve(u) - u through one LU
+    The columns take Cayley steps u+ = lu.solve(u) - u through one LU
     padded by ``_PAD`` decoupled rows, in column chunks that each run on
     a thread of their own (see the module docstring).
     """
@@ -185,7 +182,6 @@ def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
         record(0, t, cols, state)
         for step in range(1, n_steps + 1):
             new = lu.solve(state)
-            new *= 2.0
             new -= state
             state = new
             t += dt
@@ -261,24 +257,23 @@ class NonlinearStepper:
         return np.add(self._i_tw, out, out=out)
 
     def step(self, phi_flat):
-        """One Cayley step (I - aL)^-1 (2 phi + dt r) - phi, with r
-        corrected at the midpoint.  Each right-hand side is built in the
-        scratch arrays by the operations of that expression in its order,
-        so it rounds exactly as the expression does."""
-        two_phi = 2.0 * phi_flat
-        new = self._lu.solve(self._rhs_from(two_phi, phi_flat))
+        """One Cayley step S (phi + dt/2 r) - phi, with r corrected at the
+        midpoint.  Each right-hand side is built in the scratch arrays by
+        the operations of that expression in its order, so it rounds
+        exactly as the expression does."""
+        new = self._lu.solve(self._rhs_from(phi_flat, phi_flat))
         new -= phi_flat
         for _ in range(self.corrections):
             mid = np.add(phi_flat, new, out=self._mid)
             np.multiply(0.5, mid, out=mid)
-            new = self._lu.solve(self._rhs_from(two_phi, mid))
+            new = self._lu.solve(self._rhs_from(phi_flat, mid))
             new -= phi_flat
         return new
 
-    def _rhs_from(self, two_phi, phi_flat):
-        """2 phi + dt r(phi_flat), in the right-hand-side scratch."""
-        r = self.remainder(phi_flat, out=self._rhs)
-        return np.add(two_phi, np.multiply(self.dt, r, out=r), out=r)
+    def _rhs_from(self, phi_flat, at):
+        """phi + dt/2 r(at), in the right-hand-side scratch."""
+        r = self.remainder(at, out=self._rhs)
+        return np.add(phi_flat, np.multiply(0.5 * self.dt, r, out=r), out=r)
 
 
 def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
@@ -416,8 +411,10 @@ def _steps_per(interval, dt):
     return max(1, round(interval / abs(dt)))
 
 
-def dichotomy_growth_test(basis, T=20.0, dt=1e-3, n_draws=20, rng=None):
-    """Empirical growth bounds for the invariant splitting.
+def dichotomy_growth_test(basis, T, dt, n_draws, rng=None):
+    """Empirical growth bounds for the invariant splitting from
+    ``n_draws`` random draws run to time T (criterion 10: T = 20,
+    dt = 5e-3, 20 draws; the benchmark takes these, the demo 10 draws).
 
     Returns ``backward_slope``, the fitted backward decay of the unstable
     mode (to compare with -rate); ``cs_slope_max``, the largest

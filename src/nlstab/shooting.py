@@ -86,7 +86,8 @@ class ShootResult:
         ts = self.tail_start
         out = np.empty_like(r)
         core = r <= ts
-        out[core] = self._dense(np.maximum(r[core], self.r[0]))[0]
+        if core.any():      # the dense output takes no empty radii
+            out[core] = self._dense(np.maximum(r[core], self.r[0]))[0]
         u_end = self.u[np.count_nonzero(self.r <= ts) - 1]
         geom = (ts / r[~core]) ** ((self.ndim - 1) / 2.0)
         out[~core] = u_end * np.exp(-self.kappa * (r[~core] - ts)) * geom

@@ -110,6 +110,22 @@ def test_every_benchmark_config_key_is_one_its_command_reads():
         assert set(keys) <= KEYS[command], (name, set(keys) - KEYS[command])
 
 
+def test_the_benchmarks_bubbles_are_stored_as_density_and_phase(
+        wide_bubble_basis, bubble_2d):
+    # unstable-manifold-1d calls hydro_to_uv(bubble.profile), which raises
+    # on a (u1, u2) profile, and slow-branch-2d's reference reads
+    # translation_mode(bubble.profile).c1 as the derivative of the
+    # density: a bubble stored in (u1, u2) needs a new workload version
+    from nlstab.grid import hydro_to_uv
+    geometries = {call.args[1].value for call in ast.walk(_tree())
+                  if isinstance(call, ast.Call) and _dotted(call.func)
+                  == "profiles.stationary_bubble"}
+    assert geometries == {"line", "radial-2D"}
+    for bubble in (wide_bubble_basis[0], bubble_2d):
+        assert bubble.profile.rep == "hydro"
+        assert hydro_to_uv(bubble.profile).rep == "uv"
+
+
 def _growth_keys():
     """The keys ``UnstableManifold1D.result`` copies from the growth
     report: the constants of the loop that reads ``growth[key]``."""

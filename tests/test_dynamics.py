@@ -479,13 +479,19 @@ def test_nonlinear_cayley_step_matches_the_product_in_other_regimes(
 @pytest.mark.parametrize("case", ["soliton c=0.8", "stripe 64x64 c=0.5"])
 def test_nonlinear_step_is_bitwise_the_allocating_form(case, polished_soliton,
                                                        gp_spec, rng):
-    # the step builds its right-hand sides in scratch arrays by the
-    # operations of this allocating form, in its order: no bit may move
-    bg, c = ((polished_soliton.profile, 0.8) if case == "soliton c=0.8"
-             else (_stripe(), 0.5))
+    # the step builds its right-hand sides in scratch arrays and solves
+    # through the halved LU; the allocating form lu.solve(2 phi + dt r) -
+    # phi through a full LU of the same kind must give every bit
+    tridiagonal = case == "soliton c=0.8"
+    bg, c = (polished_soliton.profile, 0.8) if tridiagonal else (_stripe(),
+                                                                 0.5)
     dt = 1e-2
     stepper = NonlinearStepper(bg.as_complex(), c, gp_spec, bg.grid, dt,
                                corrections=2)
+    assert isinstance(stepper._lu, dynamics._TridiagonalLU) == tridiagonal
+    mat = (sp.identity(bg.grid.size, format="csc", dtype=complex)
+           - 0.5 * dt * stepper._lin).tocsc()
+    lu = dynamics._TridiagonalLU(mat) if tridiagonal else splu(mat)
 
     def remainder(phi):
         u = stepper.bg + phi
@@ -496,10 +502,10 @@ def test_nonlinear_step_is_bitwise_the_allocating_form(case, polished_soliton,
     for _ in range(20):
         phi = stepper.step(phi)
         two_phi = 2.0 * ref
-        new = stepper._lu.solve(two_phi + dt * remainder(ref)) - ref
+        new = lu.solve(two_phi + dt * remainder(ref)) - ref
         for _ in range(2):
             r = remainder(0.5 * (ref + new))
-            new = stepper._lu.solve(two_phi + dt * r) - ref
+            new = lu.solve(two_phi + dt * r) - ref
         ref = new
     assert np.array_equal(phi, ref)
     assert np.array_equal(stepper.remainder(phi), remainder(phi))
@@ -513,8 +519,8 @@ def test_the_tridiagonal_lu_serves_1d_scalar_generators_only(
     assert isinstance(stepper._lu, dynamics._TridiagonalLU)
     stepper.set_dt(dt / 2)
     assert isinstance(stepper._lu, dynamics._TridiagonalLU)
-    mat = (sp.identity(stepper._lin.shape[0], dtype=complex)
-           - 0.25 * dt * stepper._lin).tocsc()
+    mat = 0.5 * (sp.identity(stepper._lin.shape[0], dtype=complex)
+                 - 0.25 * dt * stepper._lin).tocsc()
     b = random_smooth_pair(polished_soliton.grid, rng).as_complex().ravel()
     assert _rel(stepper._lu.solve(b), splu(mat).solve(b)) <= 1e-13
 
@@ -524,6 +530,51 @@ def test_the_tridiagonal_lu_serves_1d_scalar_generators_only(
     bg = _stripe().as_complex()
     flat = NonlinearStepper(bg, 0.5, gp_spec, GridSpec(2, 20.0, 64), dt)
     assert isinstance(flat._lu, SuperLU)
+
+
+def _halving_case(case, bubble_1d, cq02, gp_spec, polished_soliton):
+    """A generator of the named kind and the shapes of the right-hand
+    sides its steppers solve for: a vector (nonlinear) or a block."""
+    if case.endswith("complex"):
+        bg, c = ((polished_soliton.profile, 0.8) if case == "1D complex"
+                 else (_stripe(), 0.5))
+        lin = NonlinearStepper(bg.as_complex(), c, gp_spec, bg.grid, 1e-2)._lin
+        return lin, [(lin.shape[0],)]
+    if case == "padded 1D block":
+        op = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec)
+        gen = sp.block_diag((j_matrix(op.grid) @ op.matrix,
+                             sp.csc_matrix((8, 8))), format="csc")
+        return gen, [(gen.shape[0], 1), (gen.shape[0], 13)]
+    op = _stripe_2d(gp_spec)
+    gen = j_matrix(op.grid) @ op.matrix
+    return gen, [(gen.shape[0], width) for width in (1, 6, 13)]
+
+
+@pytest.mark.parametrize("dt", [5e-3, -5e-3, 1e-2, -1e-2])
+@pytest.mark.parametrize("case", ["1D complex", "2D complex",
+                                  "padded 1D block", "64x64 real"])
+def test_the_halved_factor_solves_twice_the_full_one(
+        case, dt, bubble_1d, cq02, gp_spec, polished_soliton):
+    # halving I - dt/2 G is exact and both LUs pivot on ratios: the
+    # halved LU pivots as the full one does, and its solve is bitwise
+    # twice the full one's, the Cayley map 2 (I - dt/2 G)^-1
+    gen, shapes = _halving_case(case, bubble_1d, cq02, gp_spec,
+                                polished_soliton)
+    eye = sp.identity(gen.shape[0], format="csc", dtype=gen.dtype)
+    mat = (eye - 0.5 * dt * gen).tocsc()
+    halved = dynamics._crank_nicolson(gen, dt)
+    tridiagonal = case == "1D complex"
+    assert isinstance(halved, dynamics._TridiagonalLU) == tridiagonal
+    full = dynamics._TridiagonalLU(mat) if tridiagonal else splu(mat)
+    if not tridiagonal:
+        assert np.array_equal(halved.perm_c, full.perm_c)
+        assert np.array_equal(halved.perm_r, full.perm_r)
+    rng = np.random.default_rng(5)
+    for shape in shapes:
+        b = rng.standard_normal(shape)
+        if gen.dtype == complex:
+            b = b + 1j * rng.standard_normal(shape)
+        assert np.array_equal(halved.solve(b), 2.0 * full.solve(b))
 
 
 def test_a_singular_tridiagonal_matrix_raises_as_splu_does():

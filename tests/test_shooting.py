@@ -104,6 +104,16 @@ def test_phi_tail_is_solved_on_first_read(cq02, monkeypatch):
     assert res.phi is res.phi and len(calls) == labels + 2
 
 
+def test_amplitude_at_reads_tail_radii_alone(cq02):
+    # radii all beyond the graft radius skip the core's dense output and
+    # read the grafted tail as they do beside a core radius
+    res = shooting.find_alpha0(cq02, 1)
+    assert 5.0 <= res.tail_start < 50.0
+    tail = res.amplitude_at(np.array([5.0, 50.0]))[1]
+    assert np.array_equal(res.amplitude_at(np.array([50.0])), [tail])
+    assert res.amplitude_at(50.0) == tail
+
+
 def test_ground_amplitude_is_pinned(ground):
     assert abs(ground.alpha0 - 0.8484081744540632) <= 2e-12
 
