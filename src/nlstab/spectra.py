@@ -4,7 +4,11 @@ Symmetric spectra give the negative index and kernel dimension; products
 with the symplectic matrix J give growth rates of the linearized flow.
 Both come from sparse shift-invert eigensolves (Lanczos and Arnoldi),
 the only eigensolvers of the package; dense eigensolves survive only as
-test oracles.  Every verdict takes the second variation Lc by default,
+test oracles.  Every ARPACK call stops at the relative residual
+``_ARPACK_TOL``, not at machine precision: counts come from inertia,
+not from the eigensolve, symmetric eigenvalues converge as the square
+of the residual, and every growth rate is checked by its pairing
+defect.  Every verdict takes the second variation Lc by default,
 whether the wave is stored in (u1, u2) or as density/phase.
 
 Truncating an unbounded domain turns essential spectrum into extended
@@ -91,6 +95,7 @@ def _outside(basis, vec):
 
 
 _KEEP_VECTORS = 8     # kernel vectors kept in a SpectralReport
+_ARPACK_TOL = 1e-10   # relative residual of every ARPACK eigenpair
 
 
 def _start_vector(n):
@@ -133,7 +138,7 @@ def _lowest_pairs(mat, count):
     lu = _symmetric_lu(mat, shift)
     inverse = spl.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     w, v = spl.eigsh(mat, k=count, sigma=shift, which="LM", OPinv=inverse,
-                     v0=_start_vector(n), tol=0.0)
+                     v0=_start_vector(n), tol=_ARPACK_TOL)
     order = np.argsort(w)
     return w[order], v[:, order]
 
@@ -142,9 +147,10 @@ def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
     The number of eigenvalues below the kernel threshold ``thr`` comes
-    from an inertia count; exactly those eigenpairs (at least two) are
-    computed, and the report's counts and eigenvalues cover them.  With
-    n/8 or more below ``thr``, ``thr`` is no kernel scale: RuntimeError.
+    from an inertia count; exactly those eigenpairs are computed (none,
+    and no eigensolve, when the count is 0), and the report's counts and
+    eigenvalues cover them.  With n/8 or more below ``thr``, ``thr`` is
+    no kernel scale: RuntimeError.
 
     Truncating the domain turns essential spectrum into artifact modes
     that can pollute the near-zero counts: boundary-concentrated modes
@@ -161,7 +167,10 @@ def sym_spectrum(op):
     if 8 * below >= n:
         raise RuntimeError("the threshold %.3g is no kernel scale: %d of "
                            "%d eigenvalues lie below it" % (thr, below, n))
-    w, v = _lowest_pairs(op.matrix, max(below, 2))
+    if below:
+        w, v = _lowest_pairs(op.matrix, below)
+    else:
+        w, v = np.empty(0), np.empty((n, 0))
     found = int(np.sum(w < thr))
     if found != below:
         raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
@@ -296,7 +305,9 @@ def growth_near(op, shift):
     The ``_NEAR`` eigenvalues nearest the real shift are classified by
     ``_growth``; a real rate found there is checked against a second
     solve around its mirror -rate, whose distance from -rate is the
-    pairing defect (at most 1e-8, else RuntimeError).  Returns
+    pairing defect (at most 1e-8, else RuntimeError).  Both solves stop
+    at ARPACK's relative residual ``_ARPACK_TOL``, so the pairing defect
+    is what vouches for the rate.  Returns
     (rate, max real part, pairing defect, (w_u, w_s)) with the modes of
     +rate and -rate ``_oriented``, or (None, max real part, None, None)
     without a real rate.  A solve that does not converge within
@@ -304,14 +315,14 @@ def growth_near(op, shift):
     """
     mat = (j_matrix(op.grid) @ op.matrix).tocsc()
     start = _start_vector(mat.shape[0])
-    w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start, tol=0.0,
-                    maxiter=_RESTARTS)
+    w, v = spl.eigs(mat, k=_NEAR, sigma=shift, which="LM", v0=start,
+                    tol=_ARPACK_TOL, maxiter=_RESTARTS)
     order = np.argsort(-np.real(w))
     max_real, rate, w_u = _growth(op, w[order], v[:, order])
     if rate is None:
         return None, max_real, None, None
     mirror, w_s = spl.eigs(mat, k=1, sigma=-rate, which="LM", v0=start,
-                           tol=0.0, maxiter=_RESTARTS)
+                           tol=_ARPACK_TOL, maxiter=_RESTARTS)
     defect = float(np.min(np.abs(mirror + rate)))
     if defect > 1e-8:
         raise RuntimeError("growth rate %.12g has no mirror eigenvalue: "
@@ -350,7 +361,10 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
                      k_outside=None):
     """Transverse instability band from the two lowest localized eigenvalues.
 
-    Band = (sqrt(-lambda1) if lambda1 < 0 else 0, sqrt(-lambda0)); for each
+    Band = (sqrt(-lambda1) if lambda1 < 0 else 0, sqrt(-lambda0)).  The
+    base report holds only the eigenvalues below the kernel threshold;
+    without a second one, lambda1 lies above it, so the band starts at 0
+    and ``lambda1`` is None.  For each
     sampled wave number k the shifted operator Lc + k^2 is assembled on
     ``ham_base`` (default: ``base``), its negative index counted and the
     growth rate of J*(Lc + k^2) found by ``growth_near``, the shift
@@ -371,10 +385,10 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
         return {"band": None, "lambda0": lam0,
                 "lambda1": None, "samples": [], "report": rep}
     lam0 = float(rep.eigenvalues[0])
-    lam1 = float(rep.eigenvalues[1])
-    if abs(lam1) <= rep.zero_threshold:
+    lam1 = float(rep.eigenvalues[1]) if rep.eigenvalues.size > 1 else None
+    if lam1 is not None and abs(lam1) <= rep.zero_threshold:
         lam1 = 0.0
-    k_lo = np.sqrt(-lam1) if lam1 < 0.0 else 0.0
+    k_lo = np.sqrt(-lam1) if lam1 is not None and lam1 < 0.0 else 0.0
     k_hi = np.sqrt(-lam0)
     admissible = (max(k_lo, k_hi / 4.0), k_hi)
 

@@ -351,7 +351,8 @@ def test_report_serialization(gp_l0_spectrum, tmp_path):
 
 def _dense_sym_spectrum(op, monkeypatch):
     """sym_spectrum classifying every eigenpair of one dense eigh, and
-    the whole spectrum."""
+    the whole spectrum.  With no eigenvalue below the kernel threshold,
+    sym_spectrum runs no eigensolve and classifies none."""
     w, v = scipy.linalg.eigh(op.matrix.toarray())
     with monkeypatch.context() as patch:
         patch.setattr(spectra, "_lowest_pairs", lambda mat, count: (w, v))
@@ -385,12 +386,61 @@ def test_sym_spectrum_matches_dense_oracle(name, gp_spec, cq02,
     oracle, full = _dense_sym_spectrum(op, monkeypatch)
     assert rep.n_negative == oracle.n_negative
     assert rep.kernel_dim == oracle.kernel_dim
-    assert rep.eigenvalues.size >= 2
-    assert np.abs(rep.eigenvalues[:2] - oracle.eigenvalues[:2]).max() <= 1e-9
+    assert (rep.eigenvalues.size + rep.spurious
+            == count_below(op, op.zero_threshold()))
+    head = min(2, rep.eigenvalues.size)
+    assert np.all(np.abs(rep.eigenvalues[:head]
+                         - oracle.eigenvalues[:head]) <= 1e-9)
     assert rep.spurious <= oracle.spurious
     # the inertia count is Sylvester's: eigenvalues below the shift
     for shift in (-op.zero_threshold(), op.zero_threshold()):
         assert count_below(op, shift) == int(np.sum(full < shift))
+
+
+@pytest.mark.parametrize("name", ["LcPlusK2 k=0.35", "LcPlusK2 k=0.9"])
+def test_sym_spectrum_requests_exactly_the_inertia_count(
+        name, gp_spec, cq02, bubble_1d_small, monkeypatch):
+    # one eigenvalue below the kernel threshold at k = 0.35, none at 0.9
+    requested = {"LcPlusK2 k=0.35": [1], "LcPlusK2 k=0.9": []}[name]
+    op = _oracle_operators(name, gp_spec, cq02, bubble_1d_small)
+    assert count_below(op, op.zero_threshold()) == len(requested)
+    counts = []
+    lowest = spectra._lowest_pairs
+
+    def record(mat, count):
+        counts.append(count)
+        return lowest(mat, count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_lowest_pairs", record)
+        rep = sym_spectrum(op)
+    assert counts == requested
+    oracle, _full = _dense_sym_spectrum(op, monkeypatch)
+    assert rep.n_negative == oracle.n_negative
+    assert rep.kernel_dim == oracle.kernel_dim
+
+
+def test_band_without_a_second_eigenvalue_starts_at_zero(gp_spec,
+                                                         monkeypatch):
+    # a base report holding one eigenvalue below the kernel threshold:
+    # lambda1 lies above it, so the band starts at k = 0
+    spectrum = spectra.sym_spectrum
+
+    def base_holds_lambda0_only(op):
+        rep = spectrum(op)
+        if op.k is not None:
+            return rep
+        return spectra.SpectralReport(rep.kind, rep.eigenvalues[:1], 1, 0,
+                                      [], rep.zero_threshold)
+
+    monkeypatch.setattr(spectra, "sym_spectrum", base_holds_lambda0_only)
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    out = transversal_band(wave, 0.0, gp_spec, n_samples=1, k_outside=[0.9])
+    lam0 = out["lambda0"]
+    assert lam0 < 0.0
+    assert out["lambda1"] is None
+    assert out["band"] == (0.0, float(np.sqrt(-lam0)))
+    assert [s["n_negative"] for s in out["samples"]] == [1, 0]
 
 
 def test_sweep_rates_match_dense_hamiltonian(gp_spec):
