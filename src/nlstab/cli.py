@@ -17,7 +17,6 @@ error, 2 numerical failure.
 """
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -357,42 +356,8 @@ COMMANDS = {
 }
 
 
-def _openblas():
-    """(get, set) thread-count entry points of every OpenBLAS loaded in
-    this process: numpy and scipy each bundle their own.
-
-    OpenBLAS reads the thread variables of the environment only when it
-    loads, so a count chosen later must go through these calls.  The
-    libraries are found in /proc/self/maps; where that does not exist
-    the list is empty.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return []
-    calls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            if hasattr(lib, "scipy_openblas_set_num_threads" + suffix):
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-                put.argtypes, put.restype = [ctypes.c_int], None
-                calls.append((get, put))
-    return calls
-
-
-def run(config, out_dir, seed=0, threads=1):
-    """Execute one command from a parsed config; returns the exit code.
-
-    ``threads`` BLAS threads run the command (0 keeps the count in
-    effect); the previous counts are restored afterwards.
-    """
-    if threads < 0:
-        raise ConfigError("threads must be 0 or more, not %d" % threads)
+def run(config, out_dir, seed=0):
+    """Execute one command from a parsed config; returns the exit code."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     command = config.get("command")
@@ -402,15 +367,7 @@ def run(config, out_dir, seed=0, threads=1):
     if unknown:
         raise ConfigError("config key(s) that command=%s does not read: %s"
                           % (command, ", ".join(unknown)))
-    calls = _openblas() if threads else []
-    previous = [get() for get, _ in calls]
-    for _, put in calls:
-        put(threads)
-    try:
-        return COMMANDS[command](config, out_dir, rng)
-    finally:
-        for (_, put), count in zip(calls, previous):
-            put(count)
+    return COMMANDS[command](config, out_dir, rng)
 
 
 def main(argv=None):
@@ -420,12 +377,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        return run(cfg, args.out, args.seed, args.threads)
+        return run(cfg, args.out, args.seed)
     except (ConfigError, FileNotFoundError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

@@ -25,17 +25,17 @@ block generator and every 2D grid is factored by SuperLU.  Both LUs are
 backward stable, so a 1D nonlinear run agrees with a SuperLU run to
 roundoff, and the tridiagonal solve costs half as much.
 
-A block of linear right-hand sides shares one LU.  A wide block is split
-by column into one chunk per core in the process's affinity mask (at
-least ``_MIN_CHUNK`` columns each), and every chunk runs all its steps on
-a thread of its own, since the sparse solve releases the GIL.  The
-triangular solves treat each column of a block on its own, and a column's
-step and norm use that column alone, so in 1D every stepped field and
-every monitor is bitwise the same for any split and any core count (the
-tests check this against one chunk).  A 2D LU has supernodes wide enough
-for SuperLU to hand them to BLAS kernels, which may round by the chunk's
-width: 13 columns of the 64^2 stripe stepped as 6 + 7 differ from one
-chunk in a few entries, at roundoff.
+A block of linear right-hand sides shares one LU.  A block of w columns
+is split into ceil(w / ``_CHUNK``) balanced chunks, and every chunk runs
+all its steps on a thread of its own, since the sparse solve releases the
+GIL.  The split depends on the block alone, never on the machine, so
+every stepped field and every monitor is bitwise the same on any core
+count, in 1D and in 2D.  In 1D the triangular solves treat each column on
+its own, and a column's step and norm use that column alone, so any split
+gives the same bits (the tests check this against one chunk).  A 2D LU
+has supernodes wide enough for SuperLU to hand them to BLAS kernels,
+which may round by the chunk's width: 13 columns of the 64^2 stripe
+stepped as 6 + 7 differ from one chunk in a few entries, at roundoff.
 
 The block's LU carries ``_PAD`` decoupled identity rows below the
 generator, block_diag(I - dt/2 G, I), and its right-hand sides carry as
@@ -53,7 +53,6 @@ order, so the generator's factor, and with it every stepped field, is
 bitwise that of the unpadded LU (the tests check both).
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -93,7 +92,7 @@ class Trajectory:
 
 _N_SNAPSHOTS = 100   # snapshots kept per run, evenly strided
 _MIN_DT = 1e-5       # floor of the nonlinear dt halving
-_MIN_CHUNK = 3       # fewest columns worth a thread of their own
+_CHUNK = 13          # most columns a linear block's thread steps
 _PAD = 8             # zero rows under a linear block: one 64-byte line
 _DRAW_EVERY = 0.25   # time between records of the growth test's draws
 _BACK_EVERY = 0.1    # time between records of its backward run
@@ -140,14 +139,6 @@ def _crank_nicolson(gen, dt):
     return splu(mat)
 
 
-def _cores():
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
     """One Trajectory per field of the linear flow, with norm monitors;
     field snapshots are kept only if ``snapshots``.
@@ -188,7 +179,7 @@ def _linear_flow(op, fields, T, dt, monitor_every, snapshots):
             record(step, t, cols, state)
 
     width = len(fields)
-    n_chunks = max(1, min(_cores(), width // _MIN_CHUNK))
+    n_chunks = -(-width // _CHUNK)
     edges = [width * k // n_chunks for k in range(n_chunks + 1)]
     with ThreadPoolExecutor(n_chunks) as pool:
         list(pool.map(run, [slice(a, b) for a, b in zip(edges, edges[1:])]))

@@ -46,7 +46,7 @@ def energy(field, spec):
     raise ValueError("unknown representation %r" % field.rep)
 
 
-def momentum(field, kind="classical", spec=None):
+def momentum(field, kind, spec=None):
     """Momentum of a pair field in the requested renormalization, one of
     MOMENTUM_KINDS."""
     if kind not in MOMENTUM_KINDS:

@@ -49,9 +49,10 @@ class SpectralReport:
         self.spurious = spurious
 
 
-def boundary_mass_fraction(grid, vec, n_components=2):
-    """Fraction of the squared mass within the outer 10% of each axis."""
-    comps = np.asarray(vec).reshape(n_components, *grid.shape)
+def boundary_mass_fraction(grid, vec):
+    """Fraction of the squared mass of a (u1, u2) pair vector within the
+    outer 10% of each axis."""
+    comps = np.asarray(vec).reshape(2, *grid.shape)
     mask = np.zeros(grid.shape, dtype=bool)
     for a in range(grid.dim):
         edge = max(1, grid.n[a] // 10)
@@ -175,7 +176,6 @@ def sym_spectrum(op):
     if found != below:
         raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
                            "the inertia count gives %d" % (found, thr, below))
-    ncomp = op.n_components
     basis = _orthonormal(op.translation_modes())
     drop = np.zeros(w.size, dtype=bool)   # truncation artifacts
     kernel_vecs = []
@@ -184,7 +184,7 @@ def sym_spectrum(op):
     for i in np.flatnonzero(np.abs(w) <= screen):
         lam, vec = w[i], v[:, i]
         near_boundary = gated and (
-            boundary_mass_fraction(op.grid, vec, ncomp) > 0.20)
+            boundary_mass_fraction(op.grid, vec) > 0.20)
         extended = near_boundary or (
             gated and participation_fraction(vec) > 0.15)
         if abs(lam) <= thr:
@@ -281,7 +281,7 @@ def _growth(op, w, v):
     for i, lam in enumerate(w):
         if np.real(lam) <= 1e-12:
             break
-        if boundary_mass_fraction(op.grid, v[:, i], 2) > 0.20:
+        if boundary_mass_fraction(op.grid, v[:, i]) > 0.20:
             continue
         if _outside(span, v[:, i]) <= 0.5:
             continue

@@ -13,12 +13,11 @@ from nlstab.cli import ConfigError, main, parse_config, run, write_csv
 from nlstab.profiles import dark_soliton_momentum_exact
 
 
-def _run_cli(tmp_path, text, name="run", seed=0, threads=1):
+def _run_cli(tmp_path, text, name="run", seed=0):
     cfg = tmp_path / (name + ".cfg")
     cfg.write_text(text)
     out = tmp_path / name
-    code = main(["--config", str(cfg), "--out", str(out), "--seed", str(seed),
-                 "--threads", str(threads)])
+    code = main(["--config", str(cfg), "--out", str(out), "--seed", str(seed)])
     return code, out
 
 
@@ -508,10 +507,38 @@ def test_non_positive_half_length_is_config_error(tmp_path, capsys, lines,
     assert not os.listdir(out)
 
 
+# Run in a fresh interpreter: every config in turn, with seed 42, into
+# <out>/<config name>; then report the thread count of every OpenBLAS
+# mapped, which each read from the environment when it loaded.
+_IN_TURN = """
+import ctypes, json, os, sys
+from nlstab import cli
+
+out, *configs = sys.argv[1:]
+for cfg in configs:
+    name = os.path.splitext(os.path.basename(cfg))[0]
+    code = cli.main(["--config", cfg, "--out", os.path.join(out, name),
+                     "--seed", "42"])
+    assert code == 0, cfg
+counts = []
+with open("/proc/self/maps") as fh:
+    for path in sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.rsplit("/", 1)[-1]}):
+        lib = ctypes.CDLL(path)
+        get = next(getattr(lib, name) for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads") if hasattr(lib, name))
+        get.restype = ctypes.c_int
+        counts.append(get())
+print(json.dumps(counts))
+"""
+
+
 def test_determinism_byte_identical(tmp_path):
-    # the same config and seed on one and on two BLAS threads, one run
-    # after the other in this process, so that state one run leaves behind
-    # (such as a Newton column ordering) would show in the next
+    # the same configs and seed in a fresh interpreter on one and on two
+    # BLAS threads; each runs the cases one after the other, so that state
+    # one run leaves behind (such as a Newton column ordering) would show
+    # in the next
     cases = [
         (["command=branch", "nonlinearity.kind=cubic-quintic",
           "nonlinearity.alpha1=0.2", "nonlinearity.alpha3=1.0",
@@ -534,36 +561,27 @@ def test_determinism_byte_identical(tmp_path):
           "grid.L=40", "speed.c=0.0", "transversal.samples=5",
           "transversal.hamN=512"], ("band.csv", "band.json")),
     ]
-    for case, (lines, artifacts) in enumerate(cases):
-        text = "\n".join(lines)
-        name = "%s%d_" % (lines[0].split("=")[1], case)
-        code1, out1 = _run_cli(tmp_path, text, name=name + "1", seed=42,
-                               threads=1)
-        code2, out2 = _run_cli(tmp_path, text, name=name + "2", seed=42,
-                               threads=2)
-        assert code1 == 0 and code2 == 0
+    configs = []
+    for case, (lines, _) in enumerate(cases):
+        cfg = tmp_path / ("%s%d.cfg" % (lines[0].split("=")[1], case))
+        cfg.write_text("\n".join(lines))
+        configs.append(str(cfg))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IN_TURN, str(tmp_path / threads)]
+            + configs,
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [int(threads)] * 2
+    for cfg, (_, artifacts) in zip(configs, cases):
+        name = pathlib.Path(cfg).stem
         for artifact in artifacts:
-            assert ((out1 / artifact).read_bytes()
-                    == (out2 / artifact).read_bytes()), artifact
-
-
-def _blas_threads():
-    return [get() for get, _ in cli._openblas()]
-
-
-def test_threads_take_effect(tmp_path, monkeypatch):
-    # numpy's and scipy's OpenBLAS both run the command on the count asked
-    seen = []
-    monkeypatch.setitem(cli.COMMANDS, "report",
-                        lambda cfg, out, rng: seen.append(_blas_threads()))
-    before = _blas_threads()
-    assert len(before) == 2
-    for threads in (2, 1):
-        run({"command": "report"}, str(tmp_path), threads=threads)
-    assert seen == [[2, 2], [1, 1]]
-    assert _blas_threads() == before
-    with pytest.raises(ConfigError, match="threads"):
-        run({"command": "report"}, str(tmp_path), threads=-1)
+            assert ((tmp_path / "1" / name / artifact).read_bytes()
+                    == (tmp_path / "2" / name / artifact).read_bytes()), (
+                name, artifact)
 
 
 # Run in a fresh interpreter: import nlstab.cli, run a GP transversal
@@ -588,7 +606,7 @@ transversal, shoot, out = sys.argv[1:]
 assert cli.main(["--config", transversal, "--out", out]) == 0
 seen["transversal"] = loaded()
 seen["blas_before_shoot"] = blas()
-assert cli.main(["--config", shoot, "--out", out, "--threads", "2"]) == 0
+assert cli.main(["--config", shoot, "--out", out]) == 0
 seen["shoot"] = loaded()
 seen["blas_after_shoot"] = blas()
 print(json.dumps(seen))
@@ -598,7 +616,7 @@ print(json.dumps(seen))
 def test_commands_load_only_what_they_run(tmp_path):
     # numpy and scipy.sparse alone at start-up; root finding, ODEs,
     # splines and shooting load in the commands that call them, and
-    # loading them maps no OpenBLAS that run's thread count would miss
+    # loading them maps no further OpenBLAS
     transversal = tmp_path / "transversal.cfg"
     transversal.write_text("\n".join([
         "command=transversal", "nonlinearity.kind=gp", "grid.N=512",

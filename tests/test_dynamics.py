@@ -201,20 +201,28 @@ def test_nonlinear_remainder_matches_padded_reference(gp_spec):
     assert err <= 1e-8 * np.abs(ref).max()
 
 
+def _spy_chunks(monkeypatch):
+    """The column slices of every block ``_linear_flow`` steps from now on,
+    one list per block."""
+    chunks = []
+
+    class Spy(ThreadPoolExecutor):
+        def map(self, fn, slices):
+            chunks.append(list(slices))
+            return super().map(fn, chunks[-1])
+
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", Spy)
+    return chunks
+
+
 def _split_runs(monkeypatch, run):
-    """``run()`` on 1 and on 3 cores, with the most column chunks it used."""
+    """``run()`` at a chunk width of 25 and of 9 columns, with the most
+    column chunks each used."""
     out = []
-    for n in (1, 3):
-        chunks = []
-
-        class Spy(ThreadPoolExecutor):
-            def __init__(self, workers):
-                chunks.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(dynamics, "_cores", lambda n=n: n)
-        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", Spy)
-        out.append((run(), max(chunks)))
+    for width in (25, 9):
+        monkeypatch.setattr(dynamics, "_CHUNK", width)
+        chunks = _spy_chunks(monkeypatch)
+        out.append((run(), max(map(len, chunks))))
     return out
 
 
@@ -230,13 +238,11 @@ def _stripe_2d(gp_spec):
     return assemble("Lc", base=_stripe(), c=0.5, spec=gp_spec)
 
 
-@pytest.mark.parametrize("case", ["Mc line bubble", "Lc 64x64"])
-def test_column_split_changes_no_bit(monkeypatch, case, bubble_1d, cq02,
-                                     gp_spec):
-    if case == "Mc line bubble":
-        op, steps = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec), 40
-    else:
-        op, steps = _stripe_2d(gp_spec), 20
+@pytest.mark.parametrize("case", ["Mc line bubble"])
+def test_column_split_changes_no_bit(monkeypatch, case, bubble_1d, cq02):
+    # in 1D each column is solved on its own, so any split gives its bits;
+    # a 2D block's bits follow the chunk width (next test)
+    op, steps = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec), 40
     rng = np.random.default_rng(7)
     fields = [random_smooth_pair(op.grid, rng) for _ in range(25)]
     (one, n_one), (split, n_split) = _split_runs(
@@ -249,6 +255,35 @@ def test_column_split_changes_no_bit(monkeypatch, case, bubble_1d, cq02,
         assert len(a.snapshots) == steps + 1
         for fa, fb in zip(a.snapshots, b.snapshots):
             assert np.array_equal(fa.ravel(), fb.ravel())
+
+
+def test_linear_block_is_the_same_on_any_core_count(monkeypatch, gp_spec):
+    # the split depends on the block alone: the 64^2 stripe, whose BLAS
+    # kernels round by chunk width, keeps every bit on 1, 2 and 3 cores
+    op, steps = _stripe_2d(gp_spec), 20
+    rng = np.random.default_rng(7)
+    fields = [random_smooth_pair(op.grid, rng) for _ in range(25)]
+    for width in (1, 13, 25):
+        runs = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cores: set(range(n)))
+            monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+            chunks = _spy_chunks(monkeypatch)
+            trajs = evolve_linear(op, fields[:width], steps * 5e-3, 5e-3,
+                                  monitor_every=3)
+            runs.append((trajs, chunks))
+        (ref, ref_chunks), *others = runs
+        assert len(ref) == width and len(ref_chunks) == 1
+        for trajs, chunks in others:
+            for a, b in zip(ref, trajs):
+                assert a.times == b.times
+                assert a.monitor_times == b.monitor_times
+                assert np.array_equal(a.monitors["norm"], b.monitors["norm"])
+                assert len(a.snapshots) == steps + 1
+                for fa, fb in zip(a.snapshots, b.snapshots):
+                    assert np.array_equal(fa.ravel(), fb.ravel())
+            assert chunks == ref_chunks
 
 
 def test_growth_report_is_the_same_split_or_not(monkeypatch,
@@ -292,7 +327,7 @@ def test_padded_lu_changes_no_bit(monkeypatch, case, dt, bubble_1d, cq02,
     # the pad rows only move the block's columns apart in memory: every
     # norm and snapshot is bitwise that of the unpadded LU, at any width.
     # One chunk: a 2D block's BLAS kernels round by the chunk's width
-    monkeypatch.setattr(dynamics, "_cores", lambda: 1)
+    monkeypatch.setattr(dynamics, "_CHUNK", 25)
     if case == "Mc line bubble":
         op, steps = assemble("Mc", base=bubble_1d, c=0.0, spec=cq02.spec), 40
     elif case == "Lc 64x64":
@@ -397,12 +432,6 @@ def test_unknown_momentum_kind_raises_before_stepping(gp_spec, monkeypatch):
     traj = evolve_nonlinear(resting, 0.0, gp_spec, 0.02, 0.01,
                             momentum_kind="renormalized1D")
     assert np.all(np.isnan(traj.series("P")[1]))
-
-
-def test_cores_fall_back_to_the_cpu_count(monkeypatch):
-    assert dynamics._cores() >= 1
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert dynamics._cores() == (os.cpu_count() or 1)
 
 
 def _rel(a, b):

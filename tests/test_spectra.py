@@ -328,7 +328,7 @@ def test_mode_filters():
     g = GridSpec(1, 40.0, 256)
     edge = np.zeros(g.size * 2)
     edge[:10] = 1.0
-    assert boundary_mass_fraction(g, edge, 2) > 0.9
+    assert boundary_mass_fraction(g, edge) > 0.9
     flat = np.ones(g.size)
     assert participation_fraction(flat) > 0.9
     spike = np.zeros(g.size)
