@@ -300,8 +300,8 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
         # does not know is the caller's error
         raise ValueError("unknown momentum kind %r" % kind)
 
-    def monitors(u_field):
-        vals = {"E": field_energy(u_field, spec)}
+    def monitors(u_field, energy):
+        vals = {"E": field_energy(u_field, spec) if energy is None else energy}
         try:
             vals["P"] = field_momentum(u_field, kind, spec)
         except ValueError:
@@ -315,7 +315,7 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
     def field(phi_flat):
         return pair_from_complex(grid, bg + phi_flat.reshape(grid.shape))
 
-    def record(step_idx, t, u_field=None):
+    def record(step_idx, t, u_field, energy):
         snap = step_idx in marks
         mon = step_idx % monitor_every == 0 or step_idx == n_steps
         if not (snap or mon):
@@ -325,16 +325,17 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
         if snap:
             traj.add_snapshot(t, u_field)
         if mon:
-            traj.add_monitor(t, **monitors(u_field))
+            traj.add_monitor(t, **monitors(u_field, energy))
 
     phi = (u0.as_complex() - bg).ravel()
     u_field = field(phi)
     t = 0.0
     step_idx = 0
-    record(step_idx, t, u_field)
+    e_prev = None   # the guard's energy of u_field, which the monitor reuses
     if drift_guard is not None:
         e_prev = field_energy(u_field, spec)
         e_scale = max(abs(e_prev), 1e-30)
+    record(step_idx, t, u_field, e_prev)
     while step_idx < n_steps:
         new = stepper.step(phi)
         u_field = None
@@ -352,7 +353,7 @@ def evolve_nonlinear(u0, c, spec, T, dt, background=None, corrections=1,
         phi = new
         t += stepper.dt
         step_idx += 1
-        record(step_idx, t, u_field)
+        record(step_idx, t, u_field, e_prev)
     return traj
 
 
@@ -386,12 +387,20 @@ def monitor_invariants(traj, op=None, other=None):
 
 
 def fit_log_slope(times, values, window=(0.0, 1.0)):
-    """Least-squares slope of log(values) vs t over a fractional window."""
+    """Least-squares slope of log(values) vs t over a fractional window.
+
+    Values <= 0 are left out; a NaN or infinite value in the window
+    raises ValueError.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t0 = times[0] + window[0] * (times[-1] - times[0])
     t1 = times[0] + window[1] * (times[-1] - times[0])
-    mask = (times >= t0) & (times <= t1) & (values > 0.0)
+    inside = (times >= t0) & (times <= t1)
+    bad = int(np.sum(~np.isfinite(values[inside])))
+    if bad:
+        raise ValueError("%d non-finite values in the fit window" % bad)
+    mask = inside & (values > 0.0)
     if mask.sum() < 3:
         raise ValueError("not enough points for a slope fit")
     return float(np.polyfit(times[mask], np.log(values[mask]), 1)[0])

@@ -113,6 +113,13 @@ class AssembledOperator:
     def n_components(self):
         return 1 if self.kind == "A" else 2
 
+    def with_wave_number(self, k):
+        """This k-free ``Lc`` plus k^2 I: Lc at transverse wave number k."""
+        eye = sp.identity(self.shape[0], format="csr")
+        return AssembledOperator(self.kind, self.matrix + float(k) ** 2 * eye,
+                                 self.grid, c=self.c, k=k, base=self.base,
+                                 spec=self.spec)
+
     def symmetry_defect(self):
         d = self.matrix - self.matrix.T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
@@ -230,10 +237,8 @@ def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
                      -c * d1 + sp.diags(cross.ravel()),
                      c * d1 + sp.diags(cross.ravel()),
                      lap + sp.diags(pot22.ravel()))
-        if k is not None:
-            mat = mat + float(k) ** 2 * sp.identity(2 * grid.size, format="csr")
-        return AssembledOperator(kind, mat, grid, c=c, k=k, base=base,
-                                 spec=spec)
+        op = AssembledOperator(kind, mat, grid, c=c, base=base, spec=spec)
+        return op if k is None else op.with_wave_number(k)
 
     if kind == "Mc":
         if field.rep != "hydro":

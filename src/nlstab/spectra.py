@@ -144,6 +144,24 @@ def _lowest_pairs(mat, count):
     return w[order], v[:, order]
 
 
+def _pairs_below(op, bound):
+    """The eigenpairs of a symmetric operator below ``bound``, sorted, as
+    many as its inertia count gives (see ``sym_spectrum``)."""
+    below = count_below(op, bound)
+    n = op.matrix.shape[0]
+    if 8 * below >= n:
+        raise RuntimeError("the threshold %.3g is no kernel scale: %d of "
+                           "%d eigenvalues lie below it" % (bound, below, n))
+    if not below:
+        return np.empty(0), np.empty((n, 0))
+    w, v = _lowest_pairs(op.matrix, below)
+    found = int(np.sum(w < bound))
+    if found != below:
+        raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
+                           "the inertia count gives %d" % (found, bound, below))
+    return w, v
+
+
 def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
@@ -161,21 +179,13 @@ def sym_spectrum(op):
     the discrete translation modes of the base wave or is genuinely
     localized; artifact modes are excluded and reported in ``spurious``.
     """
+    return _classified(op, *_pairs_below(op, op.zero_threshold()))
+
+
+def _classified(op, w, v):
+    """``sym_spectrum``'s report on the sorted eigenpairs (w, v) of op."""
     thr = op.zero_threshold()
     screen = 10.0 * max(thr, 0.05)
-    below = count_below(op, thr)
-    n = op.matrix.shape[0]
-    if 8 * below >= n:
-        raise RuntimeError("the threshold %.3g is no kernel scale: %d of "
-                           "%d eigenvalues lie below it" % (thr, below, n))
-    if below:
-        w, v = _lowest_pairs(op.matrix, below)
-    else:
-        w, v = np.empty(0), np.empty((n, 0))
-    found = int(np.sum(w < thr))
-    if found != below:
-        raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
-                           "the inertia count gives %d" % (found, thr, below))
     basis = _orthonormal(op.translation_modes())
     drop = np.zeros(w.size, dtype=bool)   # truncation artifacts
     kernel_vecs = []
@@ -357,20 +367,25 @@ def unstable_mode(op):
     return None
 
 
-def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
+def transversal_band(base, c, spec=None, *, n_samples, ham_base=None,
                      k_outside=None):
     """Transverse instability band from the two lowest localized eigenvalues.
 
     Band = (sqrt(-lambda1) if lambda1 < 0 else 0, sqrt(-lambda0)).  The
     base report holds only the eigenvalues below the kernel threshold;
     without a second one, lambda1 lies above it, so the band starts at 0
-    and ``lambda1`` is None.  For each
-    sampled wave number k the shifted operator Lc + k^2 is assembled on
-    ``ham_base`` (default: ``base``), its negative index counted and the
-    growth rate of J*(Lc + k^2) found by ``growth_near``, the shift
-    continued from the previous sample's rate.  Also reports the
-    admissible single-mode interval (max(sqrt(-lambda1), sqrt(-lambda0)/4),
-    sqrt(-lambda0)).
+    and ``lambda1`` is None.  Also reports the admissible single-mode
+    interval (max(sqrt(-lambda1), sqrt(-lambda0)/4), sqrt(-lambda0)).
+
+    The sweep makes one symmetric eigensolve: Lc is assembled once on
+    ``ham_base`` (default: ``base``), and each sampled wave number k reads
+    its spectrum shifted by k^2.  ``_pairs_below`` gives Lc's eigenpairs
+    below b = max over the samples of (thr_k - k^2), where thr_k is the
+    kernel threshold of Lc + k^2 (RuntimeError when n/8 or more lie below
+    b); each sample classifies, as ``sym_spectrum`` does, those pairs with
+    lambda + k^2 < thr_k.  The
+    growth rate of J*(Lc + k^2) is found by ``growth_near``, the shift
+    continued from the previous sample's rate.
 
     Index ledger: for invertible Lc + k^2 the Krein count gives
     k_r + 2 k_c + 2 k_i^- = n^-, so one negative direction means exactly
@@ -392,14 +407,21 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
     k_hi = np.sqrt(-lam0)
     admissible = (max(k_lo, k_hi / 4.0), k_hi)
 
-    ham_base = ham_base or base
+    ham = assemble("Lc", base=ham_base or base, c=c, spec=spec)
     inside = np.linspace(k_lo, k_hi, n_samples + 2)[1:-1]
     outside = [k_hi * 1.27] if k_outside is None else list(k_outside)
+    subs = [ham.with_wave_number(float(k))
+            for k in list(inside) + list(outside)]
+    if subs:
+        w, v = _pairs_below(ham, max(sub.zero_threshold() - sub.k ** 2
+                                     for sub in subs))
     samples = []
     shift = 0.0
-    for k in list(inside) + list(outside):
-        sub = assemble("Lc", base=ham_base, c=c, spec=spec, k=float(k))
-        sub_rep = sym_spectrum(sub)
+    for sub in subs:
+        k = sub.k
+        lifted = w + k ** 2
+        keep = lifted < sub.zero_threshold()
+        sub_rep = _classified(sub, lifted[keep], v[:, keep])
         rate, max_real, defect, _modes = growth_near(sub, shift)
         n_neg = sub_rep.n_negative
         if ((n_neg == 1 and sub_rep.kernel_dim == 0 and rate is None)
@@ -409,7 +431,7 @@ def transversal_band(base, c, spec=None, n_samples=7, ham_base=None,
                 "%s" % (k, n_neg, "no real growth rate" if rate is None
                         else "a real growth rate %.6g" % rate))
         samples.append({
-            "k": float(k),
+            "k": k,
             "inside": bool(k_lo < k < k_hi),
             "growth_rate": rate or 0.0,
             "max_real": max_real,

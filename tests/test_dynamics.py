@@ -11,7 +11,7 @@ from nlstab.dynamics import (NonlinearStepper, Trajectory,
                              dichotomy_growth_test, evolve_linear,
                              evolve_nonlinear, fit_log_slope,
                              monitor_invariants)
-from nlstab.grid import GridSpec, PairField, norm
+from nlstab.grid import GridSpec, PairField, as_uv, norm
 from nlstab.operators import (AssembledOperator, assemble, j_matrix,
                               random_smooth_pair)
 from nlstab.profiles import dark_soliton, polish_field_wave, translation_mode
@@ -169,6 +169,53 @@ def test_fit_log_slope():
     assert abs(fit_log_slope(t, vals) - 0.37) < 1e-12
     with pytest.raises(ValueError):
         fit_log_slope(t[:2], vals[:2])
+
+
+def test_fit_log_slope_refuses_nan():
+    # NaN > 0 is false, so a mask on positive values alone would drop
+    # these six and fit the other five to 0.37
+    t = np.linspace(0.0, 1.0, 11)
+    vals = np.exp(0.37 * t)
+    vals[-6:] = np.nan
+    with pytest.raises(ValueError, match="6 non-finite values"):
+        fit_log_slope(t, vals)
+
+
+def test_fit_log_slope_refuses_inf_in_its_window():
+    t = np.linspace(0.0, 1.0, 11)
+    vals = np.exp(0.37 * t)
+    vals[-1] = np.inf
+    with pytest.raises(ValueError, match="1 non-finite values"):
+        fit_log_slope(t, vals)
+    # outside the window the value is not read
+    assert abs(fit_log_slope(t, vals, window=(0.0, 0.5)) - 0.37) < 1e-12
+
+
+def test_guarded_run_takes_each_energy_once(gp_spec, monkeypatch):
+    # the drift guard's energy of an accepted step is the monitor's E:
+    # one energy per step tried, plus the initial field's
+    wave = dark_soliton(0.5, GridSpec(1, 40.0, 256), gp_spec)
+    energy, step = dynamics.field_energy, NonlinearStepper.step
+    calls = {"energy": 0, "step": 0}
+
+    def counted_energy(field, spec):
+        calls["energy"] += 1
+        return energy(field, spec)
+
+    def counted_step(self, phi):
+        calls["step"] += 1
+        return step(self, phi)
+
+    monkeypatch.setattr(dynamics, "field_energy", counted_energy)
+    monkeypatch.setattr(NonlinearStepper, "step", counted_step)
+    traj = evolve_nonlinear(as_uv(wave.profile), 0.5, gp_spec, 1.0, 0.01,
+                            monitor_every=10, drift_guard=1e-6)
+    assert len(traj.monitor_times) == 20
+    assert calls["energy"] == calls["step"] + 1
+    snapshots = dict(zip(traj.times, traj.snapshots))
+    assert set(traj.monitor_times) <= set(snapshots)
+    for t, e in zip(traj.monitor_times, traj.monitors["E"]):
+        assert e == energy(snapshots[t], gp_spec)
 
 
 def test_nonlinear_remainder_matches_padded_reference(gp_spec):

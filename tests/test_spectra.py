@@ -423,13 +423,12 @@ def test_sym_spectrum_requests_exactly_the_inertia_count(
 def test_band_without_a_second_eigenvalue_starts_at_zero(gp_spec,
                                                          monkeypatch):
     # a base report holding one eigenvalue below the kernel threshold:
-    # lambda1 lies above it, so the band starts at k = 0
+    # lambda1 lies above it, so the band starts at k = 0; the samples
+    # read the sweep's own eigensolve, not sym_spectrum
     spectrum = spectra.sym_spectrum
 
     def base_holds_lambda0_only(op):
         rep = spectrum(op)
-        if op.k is not None:
-            return rep
         return spectra.SpectralReport(rep.kind, rep.eigenvalues[:1], 1, 0,
                                       [], rep.zero_threshold)
 
@@ -462,6 +461,93 @@ def test_sweep_rates_match_dense_hamiltonian(gp_spec):
             assert sample["pairing_defect"] <= 1e-8
         assert abs(sample["max_real"] - dense.max_real) <= 1e-9
     assert [s["n_negative"] for s in out["samples"][1:]] == [1] * 6 + [0]
+
+
+def _sweep(name, gp_spec, cq02):
+    """(wave, c, spec, keyword arguments) of one transversal sweep."""
+    soliton = dark_soliton(0.0, GridSpec(1, 40.0, 2048), gp_spec)
+    coarse = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    if name == "workload":
+        return soliton, 0.0, gp_spec, dict(n_samples=5, ham_base=coarse)
+    if name == "criterion 3":
+        return soliton, 0.0, gp_spec, dict(n_samples=5, ham_base=coarse,
+                                           k_outside=[0.9])
+    if name == "demo":
+        return soliton, 0.0, gp_spec, dict(n_samples=7, ham_base=coarse,
+                                           k_outside=[0.8, 0.9])
+    if name == "N=512":
+        return coarse, 0.0, gp_spec, dict(n_samples=5)
+    if name == "c=0.3":
+        wave = dark_soliton(0.3, GridSpec(1, 40.0, 1024), gp_spec)
+        return wave, 0.3, gp_spec, dict(n_samples=5)
+    bubble = stationary_bubble(cq02, "line", GridSpec(1, 30.0, 512))
+    return bubble, 0.0, cq02.spec, dict(n_samples=5)
+
+
+@pytest.mark.parametrize("name", ["workload", "criterion 3", "demo", "N=512",
+                                  "c=0.3", "line bubble"])
+def test_each_sample_reads_the_shifted_spectrum(name, gp_spec, cq02,
+                                                monkeypatch):
+    # the sweep's one eigensolve, shifted by k^2 and classified per sample,
+    # against a symmetric eigensolve of each Lc + k^2 of its own
+    wave, c, spec, kw = _sweep(name, gp_spec, cq02)
+    reports = {}
+    classified = spectra._classified
+
+    def record(op, w, v):
+        rep = classified(op, w, v)
+        if op.k is not None:
+            reports[op.k] = rep
+        return rep
+
+    monkeypatch.setattr(spectra, "_classified", record)
+    out = transversal_band(wave, c, spec, **kw)
+    monkeypatch.undo()
+    ham_base = kw.get("ham_base", wave)
+    for sample in out["samples"]:
+        rep = reports[sample["k"]]
+        own = sym_spectrum(assemble("Lc", base=ham_base, c=c, spec=spec,
+                                    k=sample["k"]))
+        assert (sample["n_negative"], sample["kernel_dim"]) == (
+            rep.n_negative, rep.kernel_dim)
+        assert (rep.n_negative, rep.kernel_dim, rep.spurious) == (
+            own.n_negative, own.kernel_dim, own.spurious)
+        assert rep.eigenvalues.shape == own.eigenvalues.shape
+        assert np.all(np.abs(rep.eigenvalues - own.eigenvalues) <= 1e-12)
+
+
+@pytest.mark.parametrize("n_samples", [1, 5])
+def test_one_sweep_makes_one_symmetric_eigensolve(n_samples, gp_spec, cq02,
+                                                  monkeypatch):
+    # one Lanczos run for the base report and one shared by all samples;
+    # an eigensolve per sample makes 6 at 5 samples, and 7 assemblies
+    wave, c, spec, kw = _sweep("workload", gp_spec, cq02)
+    calls = {"_lowest_pairs": 0, "assemble": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(spectra, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spectra, name, counted)
+    kw["n_samples"] = n_samples
+    out = transversal_band(wave, c, spec, **kw)
+    assert len(out["samples"]) == n_samples + 1
+    assert calls == {"_lowest_pairs": 2, "assemble": 2}
+
+
+def test_a_sweep_without_wave_numbers_gives_the_band_alone(gp_spec):
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    out = transversal_band(wave, 0.0, gp_spec, n_samples=0, k_outside=[])
+    assert out["samples"] == []
+    assert out["band"] == (0.0, float(np.sqrt(-out["lambda0"])))
+
+
+def test_sweep_refuses_a_bound_with_no_kernel_scale(gp_spec):
+    # on the 64-point sweep grid the kernel threshold at the smallest k
+    # lies above 91 of 128 eigenvalues
+    wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
+    coarse = dark_soliton(0.0, GridSpec(1, 40.0, 64), gp_spec)
+    with pytest.raises(RuntimeError, match="no kernel scale: 91 of 128"):
+        transversal_band(wave, 0.0, gp_spec, n_samples=1, ham_base=coarse)
 
 
 @pytest.mark.parametrize("found", [(None, 0.0, None, None),
