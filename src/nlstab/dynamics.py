@@ -14,8 +14,9 @@ frozen background potential) and treats the remaining nonlinear terms
 explicitly with fixed-point corrections; in Cayley form its step is
 S (phi + a r) - phi.  That scheme is time-symmetric, so runs can be
 reversed by negating dt.  The perturbation of the background takes the
-``zero`` closure of nlstab.grid and the background itself the ``edge``
-closure of the traveling-wave residual (see the grid module docstring).
+``zero`` closure of nlstab.grid, Laplacian included (``Lc`` takes the
+``edge`` one), and the background itself the ``edge`` closure of the
+traveling-wave residual (see the grid module docstring).
 
 The LU is LAPACK's tridiagonal ``gttrf`` when every nonzero of the
 generator lies on its three central diagonals, which holds for the 1D

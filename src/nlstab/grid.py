@@ -20,14 +20,15 @@ A = |D| with each row scaled to sum 1 (the face average),
 The closure says what lies beyond the outermost nodes:
 
 * ``zero`` -- the perturbation extends by zero; D has a face outside each
-  edge, the outer face of -div(a grad) takes the edge node's a.  Used to
-  assemble the linear operators, which stay exactly symmetric.
+  edge, the outer face of -div(a grad) takes the edge node's a.  Used by
+  ``Mc``, ``A``, the c d1 block of ``Lc`` and the nonlinear stepper's
+  implicit part, which stay exactly symmetric (or skew).
 * ``edge`` -- ghost cells replicate the edge value, so the outer faces
   carry no difference and no flux; D has interior faces only.  Matches the
   constant far field up to the exponential tail; used by the traveling-wave
-  residuals and their exact Jacobians (Newton, ``ghost_jacobian``) and by
-  every derivative of a field: energy, momentum, the H1 norms and the
-  base-wave coefficients of ``Mc``.
+  residuals and their exact Jacobians (Newton, ``ghost_jacobian``), the
+  Neumann Laplacian of ``Lc`` and every derivative of a field: energy,
+  momentum, the H1 norms and the base-wave coefficients of ``Mc``.
 
 Pair-valued samples carry a representation tag: ``"uv"`` for real/imaginary
 parts of a complex field, ``"hydro"`` for density/phase (rho, theta) with

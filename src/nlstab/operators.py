@@ -2,12 +2,14 @@
 
 All operators act on stacked pair fields (component 1 first) with the
 second-order stencils of nlstab.grid, whose module docstring defines the
-boundary closures.  Operators use the ``zero`` closure (the perturbation
-extends by zero, which keeps every symmetric kind exactly symmetric);
-``ghost_jacobian`` reassembles a kind with the ``edge`` closure of the
-traveling-wave residuals.  Derivatives of the base wave in the
-coefficients of ``Mc`` take the ``edge`` closure in either case, like
-every field derivative.
+boundary closures.  ``Mc`` and ``A`` use the ``zero`` closure (the
+perturbation extends by zero); ``Lc`` uses it for its skew c d1 block
+only and takes the ``edge`` (Neumann) Laplacian.  Every kind is exactly
+symmetric.  ``ghost_jacobian`` reassembles a kind with the ``edge``
+closure throughout: the Jacobian of the traveling-wave residuals, whose
+symmetric part is ``Lc``.  Derivatives of the base wave in the
+coefficients of ``Mc`` take the ``edge`` closure, like every field
+derivative.
 
 Kinds
 -----
@@ -48,21 +50,6 @@ def ghost_jacobian(op):
                          "its nonlinear law")
     return assemble(op.kind, base=op.base, c=op.c, spec=op.spec, k=op.k,
                     closure="edge").matrix
-
-
-def ghost_symmetrized(op):
-    """Copy of an operator with the symmetrized zero-flux boundary rows.
-
-    The zero-extension convention is exact for decaying perturbations but
-    pollutes quadratic forms evaluated on fields with nonvanishing far
-    tails (the speed-derivative direction of a branch carries one in its
-    phase).  The symmetrized ghost Jacobian removes that boundary
-    contamination while keeping the operator symmetric.
-    """
-    g = ghost_jacobian(op)
-    sym = (g + g.T) * 0.5
-    return AssembledOperator(op.kind, sym.tocsr(), op.grid, c=op.c, k=op.k,
-                             base=op.base, spec=op.spec)
 
 
 def div_vector_matrix(grid, bvec, closure="zero"):
@@ -214,7 +201,8 @@ def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
 
     ``closure`` selects the stencil closure at truncated edges (see
     nlstab.grid): ``zero`` for the operators themselves, ``edge`` for the
-    Jacobians of the traveling-wave residuals.
+    Jacobians of the traveling-wave residuals.  ``Lc`` takes the ``edge``
+    Laplacian in both, so its ``zero`` form is (G + G^T)/2 of the ``edge`` G.
     """
     if kind not in SYMMETRIC_KINDS:
         raise ValueError("unknown operator kind %r" % kind)
@@ -228,7 +216,7 @@ def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
         u1, u2 = field.c1, field.c2
         mod2 = u1 ** 2 + u2 ** 2
         fval, fp = spec.f(mod2), spec.fprime(mod2)
-        lap = grid.neg_laplacian(closure)
+        lap = grid.neg_laplacian("edge")
         d1 = grid.central(0, closure)
         pot11 = -fval - 2.0 * fp * u1 ** 2
         pot22 = -fval - 2.0 * fp * u2 ** 2
@@ -266,10 +254,7 @@ def assemble(kind, base, c=0.0, spec=None, k=None, closure="zero"):
         return AssembledOperator(kind, mat, grid, c=c, base=base, spec=spec)
 
     if kind == "A":
-        if field.rep == "hydro":
-            phi = np.sqrt(field.c1)
-        else:
-            phi = field.c1
+        phi = np.sqrt(field.c1) if field.rep == "hydro" else field.c1
         mod2 = phi ** 2
         pot = -spec.f(mod2) - 2.0 * spec.fprime(mod2) * mod2
         mat = grid.neg_laplacian(closure) + sp.diags(pot.ravel())
@@ -292,8 +277,10 @@ def j_inverse_apply(f):
 
 
 def j_matrix(grid):
-    eye = sp.identity(grid.size, format="csr")
-    return sp.bmat([[None, eye], [-eye, None]], format="csr")
+    def build():
+        eye = sp.identity(grid.size, format="csr")
+        return sp.bmat([[None, eye], [-eye, None]], format="csr")
+    return grid._cached(("j",), build)
 
 
 def tc_map(f, base):

@@ -29,24 +29,29 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from .grid import PairField, as_uv, translation_mode
-from .operators import (_KERNEL_FACTOR, assemble, ghost_symmetrized,
-                        j_inverse_apply, j_matrix, quadratic_form,
-                        random_smooth_pair)
+from .operators import (_KERNEL_FACTOR, assemble, j_inverse_apply,
+                        j_matrix, quadratic_form, random_smooth_pair)
 from .profiles import speed_derivative
 
 
 class SpectralReport:
-    """Sorted eigenvalues with localization-aware counts."""
+    """Sorted eigenvalues with localization-aware counts; ``window_vectors``
+    are the kernel vectors, then the artifacts dropped from the window
+    |lambda| <= ``zero_threshold`` (not its localized modes)."""
 
     def __init__(self, kind, eigenvalues, n_negative, kernel_dim,
-                 kernel_vectors, zero_threshold, spurious=0):
+                 window_vectors, zero_threshold, spurious=0):
         self.kind = kind
         self.eigenvalues = eigenvalues
         self.n_negative = n_negative
         self.kernel_dim = kernel_dim
-        self.kernel_vectors = kernel_vectors
+        self.window_vectors = window_vectors
         self.zero_threshold = zero_threshold
         self.spurious = spurious
+
+    @property
+    def kernel_vectors(self):
+        return self.window_vectors[:self.kernel_dim]
 
 
 def boundary_mass_fraction(grid, vec):
@@ -95,8 +100,8 @@ def _outside(basis, vec):
     return float(np.linalg.norm(rest) / np.linalg.norm(vec))
 
 
-_KEEP_VECTORS = 8     # kernel vectors kept in a SpectralReport
 _ARPACK_TOL = 1e-10   # relative residual of every ARPACK eigenpair
+_SPARE_PAIRS = 4      # Lanczos pairs asked for beyond the inertia count
 
 
 def _start_vector(n):
@@ -146,7 +151,9 @@ def _lowest_pairs(mat, count):
 
 def _pairs_below(op, bound):
     """The eigenpairs of a symmetric operator below ``bound``, sorted, as
-    many as its inertia count gives (see ``sym_spectrum``)."""
+    many as its inertia count gives (see ``sym_spectrum``).  Lanczos asked
+    for exactly the count can miss one copy of a (near-)double eigenvalue,
+    so it is asked for ``_SPARE_PAIRS`` more."""
     below = count_below(op, bound)
     n = op.matrix.shape[0]
     if 8 * below >= n:
@@ -154,20 +161,21 @@ def _pairs_below(op, bound):
                            "%d eigenvalues lie below it" % (bound, below, n))
     if not below:
         return np.empty(0), np.empty((n, 0))
-    w, v = _lowest_pairs(op.matrix, below)
-    found = int(np.sum(w < bound))
-    if found != below:
+    w, v = _lowest_pairs(op.matrix, below + _SPARE_PAIRS)
+    keep = w < bound
+    if keep.sum() != below:
         raise RuntimeError("eigensolve found %d eigenvalues below %.3g where "
-                           "the inertia count gives %d" % (found, bound, below))
-    return w, v
+                           "the inertia count gives %d"
+                           % (keep.sum(), bound, below))
+    return w[keep], v[:, keep]
 
 
 def sym_spectrum(op):
     """Symmetric eigensolve with kernel/negative-index classification.
 
     The number of eigenvalues below the kernel threshold ``thr`` comes
-    from an inertia count; exactly those eigenpairs are computed (none,
-    and no eigensolve, when the count is 0), and the report's counts and
+    from an inertia count; exactly those eigenpairs are kept (none, and
+    no eigensolve, when the count is 0), and the report's counts and
     eigenvalues cover them.  With n/8 or more below ``thr``, ``thr`` is
     no kernel scale: RuntimeError.
 
@@ -188,7 +196,7 @@ def _classified(op, w, v):
     screen = 10.0 * max(thr, 0.05)
     basis = _orthonormal(op.translation_modes())
     drop = np.zeros(w.size, dtype=bool)   # truncation artifacts
-    kernel_vecs = []
+    kernel_vecs, artifact_vecs = [], []   # the window's, see SpectralReport
     extra_negative = 0   # localized non-translation modes inside the window
     gated = op.kind != "A"
     for i in np.flatnonzero(np.abs(w) <= screen):
@@ -201,9 +209,10 @@ def _classified(op, w, v):
             translationish = (basis is not None
                               and _outside(basis, vec) <= 0.5)
             if translationish or (basis is None and not extended):
-                kernel_vecs.append(vec.copy())
+                kernel_vecs.append(vec)
             elif extended:
                 drop[i] = True
+                artifact_vecs.append(vec)
             elif lam < 0.0:
                 # genuine localized eigenvalue, merely blurred into
                 # the window by the coarse-grid kernel residual
@@ -213,7 +222,7 @@ def _classified(op, w, v):
     w_loc = w[~drop]
     n_neg = int(np.sum(w_loc < -thr)) + extra_negative
     return SpectralReport(op.kind, w_loc, n_neg, len(kernel_vecs),
-                          kernel_vecs[:_KEEP_VECTORS], thr,
+                          kernel_vecs + artifact_vecs, thr,
                           spurious=int(np.sum(drop)))
 
 
@@ -221,14 +230,15 @@ def nondegeneracy_check(base, c, spec=None, kind="Lc"):
     """Verdict on ker(op) = span{translation modes of the base wave}.
 
     The kernel dimension is compared against the number of translation
-    symmetries and every kernel vector is projected onto the discrete
-    translation modes; the verdict is non-degenerate iff the relative
-    residual of every projection stays below
-    max(1e-3, _KERNEL_FACTOR * op.kernel_residual()).  The kernel vectors
-    resolve the translations only to the operator's own O(h^2) translation
-    residual, which on the 64^2 radial bubble is 1.75e-2; where that
-    residual is small the old fixed 1e-3 bound still applies.  The default
-    operator is Lc, whatever the storage of the wave.
+    symmetries and every discrete translation mode is projected onto the
+    span of ``SpectralReport.window_vectors`` (a second zero, such as the
+    gauge iU of a bubble at rest, mixes into the kernel vectors); the
+    verdict is non-degenerate iff the relative residual of every
+    projection stays below max(1e-3, _KERNEL_FACTOR * op.kernel_residual()).
+    The window resolves the translations only to the operator's own O(h^2)
+    translation residual, which on the 64^2 radial bubble is 1.75e-2;
+    where that residual is small the fixed 1e-3 bound applies.  The
+    default operator is Lc, whatever the storage of the wave.
     """
     spec = spec or base.spec
     grid = base.profile.grid
@@ -236,12 +246,10 @@ def nondegeneracy_check(base, c, spec=None, kind="Lc"):
     residual = op.kernel_residual()
     bound = 1e-3 if residual is None else max(1e-3, _KERNEL_FACTOR * residual)
     report = sym_spectrum(op)
-    basis = _orthonormal(op.translation_modes())
-    worst = 0.0
-    for vec in report.kernel_vectors:
-        worst = max(worst, _outside(basis, vec))
-    ok = (report.kernel_dim == grid.dim
-          and (not report.kernel_vectors or worst <= bound))
+    window = _orthonormal(report.window_vectors)
+    worst = max((_outside(window, mode) for mode in op.translation_modes()),
+                default=0.0)
+    ok = report.kernel_dim == grid.dim and worst <= bound
     return {
         "verdict": "non-degenerate" if ok else "degenerate/invalid base",
         "kernel_dim": report.kernel_dim,
@@ -520,17 +528,18 @@ class DichotomyBasis:
 def dichotomy_basis(base, c, branch, spec=None):
     """Build the +/- eigenmodes and generalized-kernel projectors at a wave.
 
-    The operator is the ghost-symmetrized Lc, and every mode is in
-    (u1, u2), whatever the storage of the waves.  The rate and the modes
-    w_u, w_s come from ``unstable_mode``; the translation direction from
-    the base wave and the speed-derivative direction from central
-    differencing the branch profiles.  Raises if the cross pairing
+    The operator is ``assemble``'s Lc, the symmetric part of the residual's
+    ``edge`` Jacobian, and every mode is in (u1, u2), whatever the storage
+    of the waves.  The rate and the modes w_u, w_s come from
+    ``unstable_mode``; the translation direction from the base wave and
+    the speed-derivative direction from central differencing the branch
+    profiles.  Raises if the cross pairing
     <op w_u, w_s> falls below `_RATE_FLOOR` times the mode norms (a
     degenerate pairing would contradict the splitting and flags a
     discretization failure).
     """
     spec = spec or base.spec
-    op = ghost_symmetrized(assemble("Lc", base=base, c=c, spec=spec))
+    op = assemble("Lc", base=base, c=c, spec=spec)
     found = unstable_mode(op)
     if found is None:
         raise ValueError("no unstable mode: dichotomy basis needs growth")

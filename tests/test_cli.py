@@ -243,10 +243,24 @@ def test_spectrum_defaults_to_lc_for_a_bubble(tmp_path, profile, grid, kernel):
     assert rep["n_negative"] == 1
     nd = json.loads((out / "nondegeneracy.json").read_text())
     assert nd["kernel_dim"] == kernel and nd["n_negative"] == 1
-    # in 2D the kernel vectors resolve the translations only to the
+    # in 2D the kernel window resolves the translations only to the
     # operator's O(h^2) translation residual (1.9e-2 at 64^2)
     assert nd["verdict"] == "non-degenerate"
     assert nd["worst_projection_residual"] <= nd["residual_bound"]
+
+
+def test_spectrum_of_a_radial_bubble_with_double_eigenvalues(tmp_path):
+    # the sectors m >= 1 of the radial bubble come in near-double pairs on
+    # the square grid: 31 eigenvalues lie below the kernel threshold, and
+    # Lanczos asked for exactly 31 returns 30
+    law = [key for key in CQ_BUBBLE if not key.startswith("grid.L=")]
+    code, out = _run_cli(tmp_path, "\n".join(
+        ["command=spectrum", "profile.kind=bubble-radial", "grid.L=40",
+         "grid.dim=2", "grid.N=128"] + law))
+    assert code == 0
+    nd = json.loads((out / "nondegeneracy.json").read_text())
+    assert nd["verdict"] == "non-degenerate"
+    assert (nd["n_negative"], nd["kernel_dim"]) == (1, 2)
 
 
 def test_transversal_command(tmp_path):

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 from nlstab.grid import GridSpec, PairField, inner, uv_to_hydro
 from nlstab.nonlinearity import NonlinearitySpec
-from nlstab.operators import (assemble, coercivity_constant,
-                              ghost_symmetrized, j_apply, j_inverse_apply,
-                              quadratic_form, random_smooth_pair, tc_map)
-from nlstab.profiles import dark_soliton, translation_mode
+from nlstab.operators import (assemble, coercivity_constant, ghost_jacobian,
+                              j_apply, j_inverse_apply, quadratic_form,
+                              random_smooth_pair, tc_map)
+from nlstab.profiles import (continue_branch, dark_soliton, stationary_bubble,
+                             translation_mode)
 
 GOLDEN_SPLIT = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -22,7 +23,7 @@ def test_far_field_blocks(gp_spec):
     g = GridSpec(1, 40.0, 256)
     op = assemble("Lc", base=_background(g, gp_spec), c=0.0, spec=gp_spec)
     n = g.size
-    lap = g.neg_laplacian("zero")
+    lap = g.neg_laplacian("edge")
     assert abs(op.matrix[:n, :n] - (lap + 2.0 * sp.identity(n))).max() < 1e-12
     assert abs(op.matrix[n:, n:] - lap).max() < 1e-12
     assert abs(op.matrix[:n, n:]).max() == 0.0
@@ -40,7 +41,7 @@ def test_second_variation_blocks_gp(small_grid, gp_spec):
     op = assemble("Lc", base=wave, c=0.0, spec=gp_spec)
     n = small_grid.size
     u0 = wave.profile.c1
-    lap = small_grid.neg_laplacian("zero")
+    lap = small_grid.neg_laplacian("edge")
     pot1 = (op.matrix[:n, :n] - lap).diagonal()
     pot2 = (op.matrix[n:, n:] - lap).diagonal()
     assert np.abs(pot1 - (3.0 * u0 ** 2 - 1.0)).max() < 1e-12
@@ -192,13 +193,33 @@ def test_j_matrices_exact(rng):
 
 def test_gauge_mode_is_annihilated_by_ghost_operators(bubble_1d_small, cq02):
     # a constant phase rotation is an exact symmetry of the edge-closed
-    # stencils, in density/phase and in (u, v) unknowns alike; the (u, v)
-    # base is the bubble turned by a constant phase, so both parts are live
+    # stencils, in density/phase and in (u, v) unknowns alike: of the Mc
+    # Jacobian and of Lc, whose Laplacian is the edge one; the (u, v) base
+    # is the bubble turned by a constant phase, so both parts are live
     amp = np.sqrt(bubble_1d_small.profile.c1)
     turned = PairField(bubble_1d_small.grid, np.cos(0.7) * amp,
                        np.sin(0.7) * amp, "uv")
-    for kind, base in (("Mc", bubble_1d_small), ("Lc", turned)):
-        op = ghost_symmetrized(assemble(kind, base=base, c=0.0, spec=cq02.spec))
+    mc = assemble("Mc", base=bubble_1d_small, c=0.0, spec=cq02.spec)
+    lc = assemble("Lc", base=turned, c=0.0, spec=cq02.spec)
+    for op, mat in ((mc, ghost_jacobian(mc)), (lc, lc.matrix)):
         gauge = op.gauge_mode()
-        assert np.linalg.norm(op.matrix @ gauge) <= 1e-10 * np.linalg.norm(gauge)
+        assert np.linalg.norm(mat @ gauge) <= 1e-10 * np.linalg.norm(gauge)
     assert assemble("A", base=bubble_1d_small, spec=cq02.spec).gauge_mode() is None
+
+
+@pytest.mark.parametrize("c", [0.0, 0.01])
+@pytest.mark.parametrize("name", ["bubble_1d_wide", "bubble_2d"])
+def test_lc_is_the_symmetrized_edge_jacobian(name, c, request, cq02):
+    # Lc = (G + G^T)/2 bitwise, with G Newton's edge Jacobian: the two
+    # share the Neumann Laplacian and the potential, and the symmetric part
+    # of G's edge c d1 is the zero-closure central difference; at c = 0,
+    # G is symmetric and is Lc
+    if name == "bubble_1d_wide":
+        bubble = stationary_bubble(cq02, "line", GridSpec(1, 200.0, 1024))
+    else:
+        bubble = request.getfixturevalue(name)
+    wave = continue_branch(bubble, [c])[0] if c else bubble
+    op = assemble("Lc", base=wave, c=c, spec=cq02.spec)
+    jac = ghost_jacobian(op)
+    assert (op.matrix != (jac + jac.T) * 0.5).nnz == 0
+    assert ((jac != op.matrix).nnz > 0) == bool(c)

@@ -301,7 +301,7 @@ def test_kernel_is_not_a_growth_rate(bubble_basis, bubble_1d, cq02):
     _, _, basis = bubble_basis
     for shift in (0.0, 1e-3, 1e-2):
         assert growth_near(basis.op, shift)[0] is None
-    # the ghost-symmetrized operator of the L=30 bubble has no real pair;
+    # Lc of the L=30 bubble at rest has no real pair;
     # its kernel must not pass for one
     with pytest.raises(ValueError, match="no unstable mode"):
         dichotomy_basis(bubble_1d, 0.0, [bubble_1d], spec=cq02.spec)
@@ -398,12 +398,15 @@ def test_sym_spectrum_matches_dense_oracle(name, gp_spec, cq02,
 
 
 @pytest.mark.parametrize("name", ["LcPlusK2 k=0.35", "LcPlusK2 k=0.9"])
-def test_sym_spectrum_requests_exactly_the_inertia_count(
+def test_sym_spectrum_requests_the_inertia_count_and_spares(
         name, gp_spec, cq02, bubble_1d_small, monkeypatch):
-    # one eigenvalue below the kernel threshold at k = 0.35, none at 0.9
-    requested = {"LcPlusK2 k=0.35": [1], "LcPlusK2 k=0.9": []}[name]
+    # one eigenvalue below the kernel threshold at k = 0.35, none at 0.9:
+    # Lanczos is asked for that one and the spare pairs, and not run at all
+    # for none
+    below = {"LcPlusK2 k=0.35": 1, "LcPlusK2 k=0.9": 0}[name]
+    requested = [below + spectra._SPARE_PAIRS] if below else []
     op = _oracle_operators(name, gp_spec, cq02, bubble_1d_small)
-    assert count_below(op, op.zero_threshold()) == len(requested)
+    assert count_below(op, op.zero_threshold()) == below
     counts = []
     lowest = spectra._lowest_pairs
 
@@ -418,6 +421,49 @@ def test_sym_spectrum_requests_exactly_the_inertia_count(
     oracle, _full = _dense_sym_spectrum(op, monkeypatch)
     assert rep.n_negative == oracle.n_negative
     assert rep.kernel_dim == oracle.kernel_dim
+
+
+def test_lanczos_finds_both_copies_of_a_double_zero(bubble_1d, cq02):
+    # at rest the line bubble's Lc has an exact double zero, the
+    # translation and the gauge iU: Lanczos asked for exactly the inertia
+    # count's 3 pairs returns one copy and 8.9e-4, above the threshold
+    op = assemble("Lc", base=bubble_1d, c=0.0, spec=cq02.spec)
+    assert count_below(op, op.zero_threshold()) == 3
+    rep = sym_spectrum(op)
+    assert rep.eigenvalues.size + rep.spurious == 3
+    assert (rep.n_negative, rep.kernel_dim, rep.spurious) == (1, 1, 1)
+    # the gauge, which does not decay, is the dropped artifact
+    window = np.linalg.qr(np.stack(rep.window_vectors, axis=1))[0]
+    gauge = op.gauge_mode()
+    assert (np.linalg.norm(gauge - window @ (window.T @ gauge))
+            <= 1e-6 * np.linalg.norm(gauge))
+
+
+def test_moving_2d_kernel_scale_falls_with_h(bubble_2d, cq02, monkeypatch):
+    # the radial bubble continued to c = 0.01 at L = 30: the translation
+    # residual that sets the kernel threshold falls at O(h^2), 0.0175 on
+    # 64^2 and 0.0047 on 128^2, where 13 eigenvalues lie below it; a zero
+    # Laplacian closure makes it grow (0.0259, 0.0542) and puts 80 there
+    requested = []
+    lowest = spectra._lowest_pairs
+
+    def record(mat, count):
+        requested.append(count)
+        return lowest(mat, count)
+
+    monkeypatch.setattr(spectra, "_lowest_pairs", record)
+    fine = stationary_bubble(cq02, "radial-2D", GridSpec(2, 30.0, 128))
+    residuals = []
+    for bubble in (bubble_2d, fine):
+        wave = continue_branch(bubble, [0.01])[0]
+        requested.clear()
+        out = nondegeneracy_check(wave, 0.01, cq02.spec)
+        assert out["verdict"] == "non-degenerate"
+        assert (out["kernel_dim"], out["n_negative"]) == (2, 1)
+        residuals.append(assemble("Lc", base=wave, c=0.01,
+                                  spec=cq02.spec).kernel_residual())
+    assert residuals[1] < residuals[0] / 3.0
+    assert requested and max(requested) <= 20
 
 
 def test_band_without_a_second_eigenvalue_starts_at_zero(gp_spec,
@@ -543,10 +589,10 @@ def test_a_sweep_without_wave_numbers_gives_the_band_alone(gp_spec):
 
 def test_sweep_refuses_a_bound_with_no_kernel_scale(gp_spec):
     # on the 64-point sweep grid the kernel threshold at the smallest k
-    # lies above 91 of 128 eigenvalues
+    # lies above 92 of 128 eigenvalues
     wave = dark_soliton(0.0, GridSpec(1, 40.0, 512), gp_spec)
     coarse = dark_soliton(0.0, GridSpec(1, 40.0, 64), gp_spec)
-    with pytest.raises(RuntimeError, match="no kernel scale: 91 of 128"):
+    with pytest.raises(RuntimeError, match="no kernel scale: 92 of 128"):
         transversal_band(wave, 0.0, gp_spec, n_samples=1, ham_base=coarse)
 
 
